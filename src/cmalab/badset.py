@@ -19,7 +19,9 @@ from .grid import (
     GridDomain,
     GridFunction,
     complex_hessian,
-    second_diff_field,
+    first_diff_field,
+    real_hessian_field,
+    shift,
 )
 from .sections import SectionChain, construct_section_chain
 from .solver import SolveConfig
@@ -248,8 +250,8 @@ def convex_envelope(w: GridFunction, region: np.ndarray,
     for sweep in range(max_sweeps):
         delta = 0.0
         for e in dirs:
-            up = _shift_nan(gam, e)
-            dn = _shift_nan(gam, tuple(-x for x in e))
+            up = shift(gam, e)
+            dn = shift(gam, tuple(-x for x in e))
             mid = 0.5 * (up + dn)
             cand = np.fmin(gam, mid)
             ok = region & ~np.isnan(mid)
@@ -277,23 +279,12 @@ def contact_set(w: GridFunction, gamma: GridFunction, tol: float = 1e-8
     return out
 
 
-def _shift_nan(arr: np.ndarray, off: tuple) -> np.ndarray:
-    """arr evaluated at x + off, NaN outside the box."""
-    out = np.full_like(arr, np.nan)
-    src = tuple(slice(o, None) if o > 0 else slice(None, o if o < 0 else None)
-                for o in off)
-    dst = tuple(slice(None, -o) if o > 0 else slice(-o if o < 0 else 0, None)
-                for o in off)
-    out[dst] = arr[src]
-    return out
-
-
 def lattice_convexity_defect(gamma: GridFunction, region: np.ndarray) -> float:
     """Largest midpoint-concavity violation along lattice directions."""
     vals = np.where(region, gamma.values, np.nan)
     worst = 0.0
     for e in _envelope_directions(vals.ndim):
-        mid = 0.5 * (_shift_nan(vals, e) + _shift_nan(vals, tuple(-x for x in e)))
+        mid = 0.5 * (shift(vals, e) + shift(vals, tuple(-x for x in e)))
         gap = vals - mid
         if np.any(~np.isnan(gap)):
             worst = max(worst, float(np.nanmax(gap)))
@@ -322,7 +313,9 @@ def ma_measure(gamma: GridFunction, E: np.ndarray,
         raise ValueError(f"function is not lattice-convex (defect {defect:.2e})")
 
     if dom.n == 2:
-        val = _ma_measure_det(gamma, E)
+        hess = real_hessian_field(gamma.values, dom.h)
+        dets = np.linalg.det(hess[E & ~np.isnan(hess).any(axis=(-2, -1))])
+        val = float(np.sum(np.clip(dets, 0.0, None)) * dom.h ** dom.d)
         return (val, {"method": "det-integral", "approximate": True}) if return_info else val
 
     # Slope box from difference quotients, padded.
@@ -359,21 +352,6 @@ def ma_measure(gamma: GridFunction, E: np.ndarray,
     return (val, {"method": "subgradient-sweep", "approximate": False}) if return_info else val
 
 
-def _ma_measure_det(gamma: GridFunction, E: np.ndarray) -> float:
-    dom = gamma.domain
-    d = dom.d
-    vals = gamma.values
-    hess = np.full(E.shape + (d, d), np.nan)
-    for a in range(d):
-        for b in range(a, d):
-            f = second_diff_field(vals, a, b, dom.h)
-            hess[..., a, b] = f
-            hess[..., b, a] = f
-    ok = E & ~np.isnan(hess).any(axis=(-2, -1))
-    dets = np.linalg.det(hess[ok])
-    return float(np.sum(np.clip(dets, 0.0, None)) * dom.h ** d)
-
-
 # ---------------------------------------------------------------------------
 # Touching paraboloids
 
@@ -404,25 +382,19 @@ def touching_paraboloid_opening(u: GridFunction, x0: tuple,
     u0 = float(u.values[x0])
     r2 = np.sum((pts - x0_pt) ** 2, axis=1)
 
-    def slope_at(kappa):
-        # Supporting slope of u - kappa |z - x0|^2; its gradient correction
-        # vanishes at the center, so this is the centered gradient of u.
-        g = np.zeros(dom.d)
-        for a in range(dom.d):
-            up = list(x0); up[a] += 1
-            dn = list(x0); dn[a] -= 1
-            g[a] = (u.values[tuple(up)] - u.values[tuple(dn)]) / (2.0 * dom.h)
-        return g
+    # Supporting slope of u - kappa |z - x0|^2 for every kappa: the
+    # paraboloid's gradient vanishes at the center, so this is the centered
+    # gradient of u.
+    slope = np.array([first_diff_field(u.values, a, dom.h)[x0] for a in range(dom.d)])
 
     geom_tol = 1e-12 * max(1.0, abs(u0))
 
     def admissible(kappa):
-        p = slope_at(kappa)
-        gap = vals - u0 - (pts - x0_pt) @ p - kappa * r2
+        gap = vals - u0 - (pts - x0_pt) @ slope - kappa * r2
         return float(np.min(gap)) >= -geom_tol
 
     if not admissible(1e-9):
-        return ParaboloidResult(0.0, False, slope_at(0.0))
+        return ParaboloidResult(0.0, False, slope)
     lo = 1e-9
     hi = 1.0
     while admissible(hi) and hi < 1e6:
@@ -434,7 +406,7 @@ def touching_paraboloid_opening(u: GridFunction, x0: tuple,
             lo = mid
         else:
             hi = mid
-    return ParaboloidResult(lo, True, slope_at(lo))
+    return ParaboloidResult(lo, True, slope)
 
 
 # ---------------------------------------------------------------------------
@@ -474,20 +446,9 @@ def subdeterminant_check(u0: GridFunction, v0: GridFunction,
     """det(D^2 Gamma)^(1/2n) + det(D^2 v0/2)^(1/2n) <= det(D^2 u0)^(1/2n)
     node-wise where all three real Hessians are positive semidefinite."""
     dom = u0.domain
-    d = dom.d
-
-    def hess_stack(gf):
-        H = np.full(contact.shape + (d, d), np.nan)
-        for a in range(d):
-            for b in range(a, d):
-                f = second_diff_field(gf.values, a, b, dom.h)
-                H[..., a, b] = f
-                H[..., b, a] = f
-        return H
-
-    Hu = hess_stack(u0)
-    Hv = 0.5 * hess_stack(v0)
-    Hg = hess_stack(gamma)
+    Hu = real_hessian_field(u0.values, dom.h)
+    Hv = 0.5 * real_hessian_field(v0.values, dom.h)
+    Hg = real_hessian_field(gamma.values, dom.h)
     ok = contact & ~(np.isnan(Hu).any(axis=(-2, -1))
                      | np.isnan(Hv).any(axis=(-2, -1))
                      | np.isnan(Hg).any(axis=(-2, -1)))

@@ -27,7 +27,7 @@ from . import engulfing as engulfing_mod
 from . import w2p as w2p_mod
 from .errors import CmalabError
 from .grid import GridDomain, GridFunction, build_domain, read_cache
-from .sections import construct_section_chain
+from .sections import SectionChain, construct_section_chain
 from .solver import SolveConfig, comparison_sandwich, solve_dirichlet
 
 _FUNCS = {
@@ -316,23 +316,8 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
         manifest["stages"]["sections"] = "ok"
 
         stage = "engulf"
-        verdicts = {"pass": 0, "fail": 0, "not-applicable": 0}
-        pair_rows = []
-        if len(chains) >= 2:
-            for _ in range(cfg.engulf_pairs):
-                i, j = rng.integers(0, len(chains), size=2)
-                c1, c2 = chains[int(i)], chains[int(j)]
-                mu2 = c2.mu_top * float(rng.uniform(0.4, 1.0))
-                mu1 = min(float(rng.uniform(0.25, 4.0)) * mu2, c1.mu_top)
-                try:
-                    s1 = c1.section(u, mu1)
-                    s2 = c2.section(u, mu2)
-                except CmalabError:
-                    continue
-                v = engulfing_mod.check_engulfing(s1, s2)
-                verdicts[v] += 1
-                pair_rows.append({"i": int(i), "j": int(j), "mu1": mu1,
-                                  "mu2": mu2, "verdict": v})
+        verdicts, pair_rows = _engulf_pairs(
+            u, chains, rng, cfg.engulf_pairs if len(chains) >= 2 else 0)
         write_json(out / "engulf.json", {"counts": verdicts, "pairs": pair_rows})
         files.append(out / "engulf.json")
         manifest["stages"]["engulf"] = "ok"
@@ -397,6 +382,27 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
     manifest["files"] = {f.name: sha256_file(f) for f in files}
     write_json(out / "manifest.json", manifest)
     return manifest
+
+
+def _engulf_pairs(u: GridFunction, chains: list, rng, pairs: int) -> tuple[dict, list]:
+    """Engulfing verdicts on random section pairs drawn from the chains;
+    pairs whose sections cannot be cut are skipped."""
+    verdicts = {"pass": 0, "fail": 0, "not-applicable": 0}
+    rows = []
+    for _ in range(pairs):
+        i, j = rng.integers(0, len(chains), size=2)
+        c1, c2 = chains[int(i)], chains[int(j)]
+        mu2 = c2.mu_top * float(rng.uniform(0.4, 1.0))
+        mu1 = min(float(rng.uniform(0.25, 4.0)) * mu2, c1.mu_top)
+        try:
+            s1 = c1.section(u, mu1)
+            s2 = c2.section(u, mu2)
+        except CmalabError:
+            continue
+        v = engulfing_mod.check_engulfing(s1, s2)
+        verdicts[v] += 1
+        rows.append({"i": int(i), "j": int(j), "mu1": mu1, "mu2": mu2, "verdict": v})
+    return verdicts, rows
 
 
 def _random_ball_family(dom: GridDomain, rng, members: int = 24):
@@ -503,25 +509,9 @@ def _cmd_sections(args) -> int:
 
 def _cmd_engulf(args) -> int:
     u = load_instance(Path(args.instance))
-    chain_data = json.loads(Path(args.chains).read_text())
-    rng = np.random.default_rng(args.seed)
-    rebuilt = []
-    for cd in chain_data:
-        idx = u.domain.node_index(np.array(cd["center"]))
-        rebuilt.append(construct_section_chain(
-            u, idx, sigma=cd["sigma"], k_max=len(cd["levels"]),
-            mu0=cd["mu0"], mu_top=cd["mu_top"]))
-    verdicts = {"pass": 0, "fail": 0, "not-applicable": 0}
-    for _ in range(args.pairs):
-        i, j = rng.integers(0, len(rebuilt), size=2)
-        c1, c2 = rebuilt[int(i)], rebuilt[int(j)]
-        mu2 = c2.mu_top * float(rng.uniform(0.4, 1.0))
-        mu1 = min(float(rng.uniform(0.25, 4.0)) * mu2, c1.mu_top)
-        try:
-            v = engulfing_mod.check_engulfing(c1.section(u, mu1), c2.section(u, mu2))
-        except CmalabError:
-            continue
-        verdicts[v] += 1
+    chains = [SectionChain.from_dict(cd, u.domain)
+              for cd in json.loads(Path(args.chains).read_text())]
+    verdicts, _ = _engulf_pairs(u, chains, np.random.default_rng(args.seed), args.pairs)
     if args.report:
         write_json(Path(args.report), verdicts)
     print(f"engulfing verdicts: {verdicts}")

@@ -13,6 +13,10 @@ class StencilViolationError(CmalabError):
     """A finite-difference stencil reaches outside the valued node set."""
 
 
+class BoundaryConstraintError(CmalabError):
+    """Boundary extrapolation constraints support each other in a cycle."""
+
+
 class DegenerateHessianError(CmalabError):
     """Complex Hessian is not positive definite where positivity is required."""
 

@@ -17,6 +17,9 @@ import csv
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import combinations, combinations_with_replacement
+from operator import add
 
 import numpy as np
 
@@ -29,29 +32,55 @@ from .errors import (
 CACHE_MAGIC = b"CMAG"
 CACHE_VERSION = 1
 
+
+# ---------------------------------------------------------------------------
+# Lattice offsets and shifts
+
+
+def shift(values: np.ndarray, off, fill=np.nan) -> np.ndarray:
+    """values evaluated at x + off; fill where x + off leaves the box."""
+    out = np.full_like(values, fill)
+    src = tuple(
+        slice(o, None) if o > 0 else slice(None, o if o < 0 else None)
+        for o in off
+    )
+    dst = tuple(
+        slice(None, -o) if o > 0 else slice(-o if o < 0 else 0, None)
+        for o in off
+    )
+    out[dst] = values[src]
+    return out
+
+
+def _offset(d: int, steps) -> tuple[int, ...]:
+    """Lattice offset moving s along axis a for each (a, s) in steps."""
+    o = [0] * d
+    for a, s in steps:
+        o[a] = s
+    return tuple(o)
+
+
+def lattice_offsets(d: int, pairs=()) -> list[tuple[int, ...]]:
+    """Axis steps (-e_a, +e_a for each axis a), then the four diagonals
+    (--, -+, +-, ++) of each axis pair (a, b), in that order."""
+    return ([_offset(d, [(a, s)]) for a in range(d) for s in (-1, 1)]
+            + [_offset(d, [(a, sa), (b, sb)]) for a, b in pairs
+               for sa in (-1, 1) for sb in (-1, 1)])
+
+
+def mixed_terms(d: int, a: int, b: int) -> list[tuple[tuple[int, ...], float]]:
+    """(offset, sign) of the mixed difference D_ab, in summation order; the
+    signed sum over the four diagonals is divided by 4 h^2."""
+    return [(_offset(d, [(a, sa), (b, sb)]), sign)
+            for sa, sb, sign in ((1, 1, 1.0), (1, -1, -1.0), (-1, 1, -1.0), (-1, -1, 1.0))]
+
+
 # Offsets the complex-Hessian stencil touches.  Pure second differences use
 # axis steps; the mixed terms of u_{z_i zbar_j} (i != j) pair a real axis of
 # z_i with one of z_j, so n = 1 needs no diagonals at all and n = 2 only
 # cross-pair diagonals (never x_i with its own y_i).
 def _stencil_offsets(d: int) -> list[tuple[int, ...]]:
-    offs = []
-    for a in range(d):
-        for s in (-1, 1):
-            o = [0] * d
-            o[a] = s
-            offs.append(tuple(o))
-    n = d // 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            for a in (2 * i, 2 * i + 1):
-                for b in (2 * j, 2 * j + 1):
-                    for sa in (-1, 1):
-                        for sb in (-1, 1):
-                            o = [0] * d
-                            o[a] = sa
-                            o[b] = sb
-                            offs.append(tuple(o))
-    return offs
+    return lattice_offsets(d, [(a, b) for a, b in combinations(range(d), 2) if a // 2 != b // 2])
 
 
 # ---------------------------------------------------------------------------
@@ -320,43 +349,22 @@ def build_domain(n: int, shape_spec, resolution: int,
 
     inside = signed < 0.0
 
-    def shifted(mask, off):
-        """mask evaluated at x + off, False outside the box."""
-        out = np.zeros_like(mask)
-        src = tuple(
-            slice(o, None) if o > 0 else slice(None, o if o < 0 else None)
-            for o in off
-        )
-        dst = tuple(
-            slice(None, -o) if o > 0 else slice(-o if o < 0 else 0, None)
-            for o in off
-        )
-        out[dst] = mask[src]
-        return out
-
-    axis_offsets = []
-    for a in range(d):
-        for s in (-1, 1):
-            o = [0] * d
-            o[a] = s
-            axis_offsets.append(tuple(o))
-
     ring = np.zeros_like(inside)
-    for off in axis_offsets:
-        ring |= (~inside) & shifted(inside, off)
+    for off in lattice_offsets(d):
+        ring |= (~inside) & shift(inside, off, fill=False)
 
     ok = inside | ring
     good = inside.copy()
     offsets = _stencil_offsets(d)
     for off in offsets:
-        good &= shifted(ok, off)
+        good &= shift(ok, off, fill=False)
     interior = inside & good
 
     # Boundary nodes are exactly the stencil-referenced collar of the
     # interior; unreferenced ring nodes carry no information and are dropped.
     referenced = np.zeros_like(inside)
     for off in offsets:
-        referenced |= shifted(interior, off)
+        referenced |= shift(interior, off, fill=False)
     boundary = referenced & ~interior
 
     dom = GridDomain(
@@ -392,21 +400,7 @@ def _build_bc_table(dom: GridDomain, signed: np.ndarray) -> dict:
     nb = b_idx.shape[0]
     # Candidate directions are richer than the stencil: any axis or two-axis
     # diagonal may carry the extrapolation line.
-    steps = []
-    for a in range(d):
-        for s in (-1, 1):
-            o = [0] * d
-            o[a] = s
-            steps.append(o)
-    for a in range(d):
-        for b in range(a + 1, d):
-            for sa in (-1, 1):
-                for sb in (-1, 1):
-                    o = [0] * d
-                    o[a] = sa
-                    o[b] = sb
-                    steps.append(o)
-    steps = np.array(steps, dtype=np.int64)
+    steps = np.array(lattice_offsets(d, combinations(range(d), 2)), dtype=np.int64)
 
     # Score each direction by the normalized depth of x_1, with a strong
     # bonus when x_2 is valued (making the three-point form available).
@@ -431,7 +425,7 @@ def _build_bc_table(dom: GridDomain, signed: np.ndarray) -> dict:
         best_score[better] = score[better]
         best_step[better] = st
     if not np.all(np.isfinite(best_score)):
-        raise RuntimeError("boundary node without an interior stencil neighbor")
+        raise StencilViolationError("boundary node without an interior stencil neighbor")
 
     xb = lo + h * b_idx
     slen = h * np.sqrt((best_step ** 2).sum(axis=1).astype(float))
@@ -647,33 +641,53 @@ class HermitianMatrix:
         return HermitianMatrix(self.entries / det ** (1.0 / self.n))
 
 
-def _second_diff_point(values: np.ndarray, idx: tuple, a: int, b: int, h: float) -> float:
-    """Centered second difference at a node; a == b pure, else 4-point mixed."""
-    idx = tuple(idx)
-    if a == b:
-        up = list(idx); up[a] += 1
-        dn = list(idx); dn[a] -= 1
-        vals = (values[tuple(up)], values[idx], values[tuple(dn)])
-        if any(math.isnan(v) for v in vals):
-            raise StencilViolationError(f"second-difference stencil leaves domain at {idx}")
-        return (vals[0] - 2.0 * vals[1] + vals[2]) / h ** 2
-    acc = 0.0
-    for sa, sb, sign in ((1, 1, 1.0), (1, -1, -1.0), (-1, 1, -1.0), (-1, -1, 1.0)):
-        p = list(idx); p[a] += sa; p[b] += sb
-        v = values[tuple(p)]
+def _differences(at, d: int, h: float):
+    """Centered-difference accessors D1(a) and D2(a, b) over a lookup at(off)
+    of the values at x + off: a whole-box shift or a single node.  D2 is
+    pure for a == b, else the 4-point mixed difference."""
+    axis = lattice_offsets(d)
+
+    def D1(a):
+        return (at(axis[2 * a + 1]) - at(axis[2 * a])) / (2.0 * h)
+
+    def D2(a, b):
+        if a == b:
+            return (at(axis[2 * a + 1]) - 2.0 * at((0,) * d) + at(axis[2 * a])) / h ** 2
+        acc = 0.0
+        for off, sign in mixed_terms(d, a, b):
+            acc = acc + sign * at(off)
+        return acc / (4.0 * h ** 2)
+
+    return D1, D2
+
+
+def _node_differences(u: GridFunction, x: tuple):
+    """Scalar D1, D2 at node x; raises StencilViolationError where the
+    stencil touches an unvalued node."""
+    vals = u.values
+    x = tuple(int(i) for i in x)
+
+    def at(off):
+        v = vals[tuple(map(add, x, off))]
         if math.isnan(v):
-            raise StencilViolationError(f"mixed-difference stencil leaves domain at {idx}")
-        acc += sign * v
-    return acc / (4.0 * h ** 2)
+            raise StencilViolationError(f"difference stencil leaves domain at {x}")
+        return v
+
+    return _differences(at, vals.ndim, u.domain.h)
 
 
-def _first_diff_point(values: np.ndarray, idx: tuple, a: int, h: float) -> float:
-    up = list(idx); up[a] += 1
-    dn = list(idx); dn[a] -= 1
-    v1, v2 = values[tuple(up)], values[tuple(dn)]
-    if math.isnan(v1) or math.isnan(v2):
-        raise StencilViolationError(f"first-difference stencil leaves domain at {idx}")
-    return (v1 - v2) / (2.0 * h)
+def _hessian_parts(D, n: int) -> dict:
+    """Complex Hessian u_{z_i zbar_j} from a second-difference accessor D(a, b).
+
+    Entry (i, j) is ((D_{x_i x_j} + D_{y_i y_j}) + i (D_{x_i y_j} - D_{y_i x_j}))/4;
+    n = 1: {"h11"}; n = 2: {"h11", "h22", "h12re", "h12im"}.
+    """
+    parts = {"h11": 0.25 * (D(0, 0) + D(1, 1))}
+    if n == 2:
+        parts["h22"] = 0.25 * (D(2, 2) + D(3, 3))
+        parts["h12re"] = 0.25 * (D(0, 2) + D(1, 3))
+        parts["h12im"] = 0.25 * (D(0, 3) - D(1, 2))
+    return parts
 
 
 def complex_hessian(u: GridFunction, x: tuple) -> HermitianMatrix:
@@ -686,46 +700,33 @@ def complex_hessian(u: GridFunction, x: tuple) -> HermitianMatrix:
     x = tuple(x)
     if not dom.interior_mask[x]:
         raise StencilViolationError(f"node {x} is not interior")
-    n, h, vals = dom.n, dom.h, u.values
-    H = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            xi, yi = 2 * i, 2 * i + 1
-            xj, yj = 2 * j, 2 * j + 1
-            re = _second_diff_point(vals, x, xi, xj, h) + _second_diff_point(vals, x, yi, yj, h)
-            if i == j:
-                H[i, i] = 0.25 * re
-            else:
-                im = _second_diff_point(vals, x, xi, yj, h) - _second_diff_point(vals, x, yi, xj, h)
-                H[i, j] = 0.25 * (re + 1j * im)
-                H[j, i] = np.conj(H[i, j])
-    return HermitianMatrix(H)
+    p = _hessian_parts(_node_differences(u, x)[1], dom.n)
+    if dom.n == 1:
+        return HermitianMatrix(np.array([[p["h11"]]], dtype=complex))
+    h12 = complex(p["h12re"], p["h12im"])
+    return HermitianMatrix(np.array([[p["h11"], h12], [h12.conjugate(), p["h22"]]]))
 
 
 def complex_gradient(u: GridFunction, x: tuple) -> np.ndarray:
     """d/dz_i u at a node: (u_{x_i} - i u_{y_i})/2 by centered differences."""
-    dom = u.domain
-    h, vals = dom.h, u.values
-    out = np.zeros(dom.n, dtype=complex)
-    for i in range(dom.n):
-        gx = _first_diff_point(vals, x, 2 * i, h)
-        gy = _first_diff_point(vals, x, 2 * i + 1, h)
-        out[i] = 0.5 * (gx - 1j * gy)
+    D1, _ = _node_differences(u, x)
+    out = np.zeros(u.domain.n, dtype=complex)
+    for i in range(u.domain.n):
+        out[i] = 0.5 * (D1(2 * i) - 1j * D1(2 * i + 1))
     return out
 
 
 def holomorphic_hessian(u: GridFunction, x: tuple) -> np.ndarray:
     """(2,0) derivatives u_{z_i z_j}: ((u_{x_i x_j} - u_{y_i y_j}) - i (u_{x_i y_j} + u_{y_i x_j}))/4."""
-    dom = u.domain
-    h, vals = dom.h, u.values
-    n = dom.n
+    _, D = _node_differences(u, x)
+    n = u.domain.n
     B = np.zeros((n, n), dtype=complex)
     for i in range(n):
         for j in range(i, n):
             xi, yi = 2 * i, 2 * i + 1
             xj, yj = 2 * j, 2 * j + 1
-            re = _second_diff_point(vals, x, xi, xj, h) - _second_diff_point(vals, x, yi, yj, h)
-            im = _second_diff_point(vals, x, xi, yj, h) + _second_diff_point(vals, x, yi, xj, h)
+            re = D(xi, xj) - D(yi, yj)
+            im = D(xi, yj) + D(yi, xj)
             B[i, j] = 0.25 * (re - 1j * im)
             B[j, i] = B[i, j]
     return B
@@ -749,36 +750,14 @@ def trace_inverse(u: GridFunction, x: tuple, floor: float = 0.0) -> float:
 # Vectorized Hessian components over the whole box (NaN where unsupported).
 
 
-def _shift(values: np.ndarray, off: tuple) -> np.ndarray:
-    out = np.full_like(values, np.nan)
-    src = tuple(
-        slice(o, None) if o > 0 else slice(None, o if o < 0 else None)
-        for o in off
-    )
-    dst = tuple(
-        slice(None, -o) if o > 0 else slice(-o if o < 0 else 0, None)
-        for o in off
-    )
-    out[dst] = values[src]
-    return out
-
-
 def second_diff_field(values: np.ndarray, a: int, b: int, h: float) -> np.ndarray:
-    d = values.ndim
-    if a == b:
-        o = [0] * d
-        o[a] = 1
-        up = _shift(values, tuple(o))
-        o[a] = -1
-        dn = _shift(values, tuple(o))
-        return (up - 2.0 * values + dn) / h ** 2
-    acc = np.zeros_like(values)
-    for sa, sb, sign in ((1, 1, 1.0), (1, -1, -1.0), (-1, 1, -1.0), (-1, -1, 1.0)):
-        o = [0] * d
-        o[a] = sa
-        o[b] = sb
-        acc = acc + sign * _shift(values, tuple(o))
-    return acc / (4.0 * h ** 2)
+    """Centered second difference D_ab of the values over the whole box."""
+    return _differences(partial(shift, values), values.ndim, h)[1](a, b)
+
+
+def first_diff_field(values: np.ndarray, a: int, h: float) -> np.ndarray:
+    """Centered first difference along axis a over the whole box."""
+    return _differences(partial(shift, values), values.ndim, h)[0](a)
 
 
 def hessian_fields(u: GridFunction) -> dict:
@@ -786,16 +765,17 @@ def hessian_fields(u: GridFunction) -> dict:
 
     n = 1: {"h11"}; n = 2: {"h11", "h22", "h12re", "h12im"}.
     """
-    dom = u.domain
-    v, h = u.values, dom.h
-    if dom.n == 1:
-        h11 = 0.25 * (second_diff_field(v, 0, 0, h) + second_diff_field(v, 1, 1, h))
-        return {"h11": h11}
-    h11 = 0.25 * (second_diff_field(v, 0, 0, h) + second_diff_field(v, 1, 1, h))
-    h22 = 0.25 * (second_diff_field(v, 2, 2, h) + second_diff_field(v, 3, 3, h))
-    h12re = 0.25 * (second_diff_field(v, 0, 2, h) + second_diff_field(v, 1, 3, h))
-    h12im = 0.25 * (second_diff_field(v, 0, 3, h) - second_diff_field(v, 1, 2, h))
-    return {"h11": h11, "h22": h22, "h12re": h12re, "h12im": h12im}
+    return _hessian_parts(partial(second_diff_field, u.values, h=u.domain.h), u.domain.n)
+
+
+def real_hessian_field(values: np.ndarray, h: float) -> np.ndarray:
+    """Real Hessian by centered differences as a (..., d, d) array."""
+    d = values.ndim
+    H = np.empty(values.shape + (d, d))
+    for a in range(d):
+        for b in range(a, d):
+            H[..., a, b] = H[..., b, a] = second_diff_field(values, a, b, h)
+    return H
 
 
 def hessian_eigen_fields(fields: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -803,7 +783,7 @@ def hessian_eigen_fields(fields: dict) -> tuple[np.ndarray, np.ndarray]:
     if "h22" not in fields:
         return fields["h11"], fields["h11"]
     tr = fields["h11"] + fields["h22"]
-    det = fields["h11"] * fields["h22"] - (fields["h12re"] ** 2 + fields["h12im"] ** 2)
+    det = hessian_det_field(fields)
     disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
     return 0.5 * (tr - disc), 0.5 * (tr + disc)
 
@@ -837,7 +817,6 @@ def _deriv_tensor_max(u: GridFunction, x: tuple, order: int) -> float:
         return (diff_eval(axes_seq[1:], up) - diff_eval(axes_seq[1:], dn)) / (2.0 * h)
 
     best = 0.0
-    from itertools import combinations_with_replacement
     for axes_seq in combinations_with_replacement(range(d), order):
         best = max(best, abs(diff_eval(list(axes_seq), list(x))))
     return best

@@ -272,6 +272,40 @@ class SectionChain:
             ],
         }
 
+    @classmethod
+    def from_dict(cls, data: dict, domain: GridDomain) -> "SectionChain":
+        """Inverse of to_dict on the lattice the chain was built on.  Scalars
+        go through float() because artifacts store non-finite values as
+        strings ("nan", "inf")."""
+        n = domain.n
+
+        def cplx(pairs):
+            return np.asarray(pairs, dtype=float).reshape(-1, 2).view(complex).ravel()
+
+        def poly(c):
+            return PluriharmonicPoly(cplx(c["center"]), cplx(c["linear"]),
+                                     cplx(c["quad"]).reshape(n, n))
+
+        chain = cls(domain, domain.node_index(np.array(data["center"])),
+                    float(data["sigma"]), float(data["mu0"]), float(data["mu_top"]),
+                    paper_mu0=float(data["paper_mu0"]))
+        for lv in data["levels"]:
+            chain.levels.append(ChainLevel(
+                k=lv["k"], height=float(lv["height"]),
+                transform=HermitianTransform(cplx(lv["transform"]).reshape(n, n)),
+                shift_increment=poly(lv["shift_increment"]),
+                composite_transform=HermitianTransform(
+                    cplx(lv["composite_transform"]).reshape(n, n)),
+                composite_shift=poly(lv["composite_shift"]),
+                fit_in=float(lv["fit"][0]), fit_out=float(lv["fit"][1]),
+                omega_r_in=float(lv["omega_radii"][0]),
+                omega_r_out=float(lv["omega_radii"][1]),
+                solve_iterations=lv["solve"][0], solve_residual=float(lv["solve"][1]),
+                transform_deviation=float(lv["transform_deviation"]),
+                center_value_error=float(lv["center_value_error"]),
+            ))
+        return chain
+
 
 # ---------------------------------------------------------------------------
 # Elementary operations
@@ -283,10 +317,8 @@ def taylor_split(v: GridFunction, x0: tuple) -> tuple[PluriharmonicPoly, Hermiti
     h collects the Re-linear and holomorphic-quadratic terms of the Taylor
     expansion; the returned matrix is the complex Hessian at the node.
     """
-    dom = v.domain
     x0 = tuple(x0)
-    pt = dom.coords(x0)
-    center = pt[0::2] + 1j * pt[1::2]
+    center = _complex_center(v.domain, x0)
     lin = 2.0 * complex_gradient(v, x0)
     quad = holomorphic_hessian(v, x0)
     A = complex_hessian(v, x0)

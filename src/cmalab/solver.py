@@ -19,9 +19,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
+    BoundaryConstraintError,
     DegeneracyError,
     DomainMismatchError,
     NonConvergenceError,
+    StencilViolationError,
 )
 from .grid import (
     GridDomain,
@@ -29,6 +31,8 @@ from .grid import (
     hessian_det_field,
     hessian_eigen_fields,
     hessian_fields,
+    lattice_offsets,
+    mixed_terms,
 )
 
 
@@ -78,12 +82,6 @@ class SolveReport:
 # Assembly machinery (cached per domain)
 
 
-def _axis_offset(d, a, s):
-    o = [0] * d
-    o[a] = s
-    return tuple(o)
-
-
 def _get_assembly(dom: GridDomain) -> dict:
     if "assembly" in dom._cache:
         return dom._cache["assembly"]
@@ -108,23 +106,18 @@ def _get_assembly(dom: GridDomain) -> dict:
         ic = int_col[nb]
         bcn = bnd_col[nb]
         if np.any((ic < 0) & (bcn < 0)):
-            raise RuntimeError("interior stencil reaches an unvalued node")
+            raise StencilViolationError("interior stencil reaches an unvalued node")
         return ic, bcn
 
     ops = {}
+    axis = lattice_offsets(d)
     for a in range(d):
-        entries = [(_axis_offset(d, a, 1), 1.0), (_axis_offset(d, a, -1), 1.0),
-                   (tuple([0] * d), -2.0)]
+        entries = [(axis[2 * a + 1], 1.0), (axis[2 * a], 1.0), ((0,) * d, -2.0)]
         ops[("pure", a)] = [(c,) + split_cols(off) for off, c in entries]
     if dom.n == 2:
         for a, b in ((0, 2), (1, 3), (0, 3), (1, 2)):
-            entries = []
-            for sa, sb, sign in ((1, 1, 0.25), (1, -1, -0.25), (-1, 1, -0.25), (-1, -1, 0.25)):
-                o = [0] * d
-                o[a] = sa
-                o[b] = sb
-                entries.append((tuple(o), sign))
-            ops[("mixed", a, b)] = [(c,) + split_cols(off) for off, c in entries]
+            ops[("mixed", a, b)] = [(0.25 * sign,) + split_cols(off)
+                                    for off, sign in mixed_terms(d, a, b)]
 
     # Boundary substitution u_B = S u_I + E diag(coef_c) g_cut.  Supports sit
     # strictly deeper along the extrapolation ray, so the boundary-on-boundary
@@ -159,7 +152,7 @@ def _get_assembly(dom: GridDomain) -> dict:
         P.eliminate_zeros()
         k += 1
     if P.nnz:
-        raise RuntimeError("boundary constraint graph has a cycle")
+        raise BoundaryConstraintError("boundary constraint graph has a cycle")
     S = (E @ C_I).tocsr()
 
     asm = {
@@ -220,24 +213,12 @@ def _linear_solve(A: sp.csr_matrix, rhs: np.ndarray, wide: bool = False) -> np.n
     """Solve the interior system.
 
     Planar (n = 1) grids factor cheaply and go direct; 4-dimensional grids
-    (wide=True) use smoothed-aggregation AMG with ILU and direct solves as
-    fallbacks.
+    (wide=True) use ILU-preconditioned GMRES with a direct solve as fallback.
     """
     n = A.shape[0]
     scale = float(np.max(np.abs(rhs))) or 1.0
     if not wide or n < 3000:
         return spla.spsolve(A.tocsc(), rhs)
-    try:
-        import pyamg
-
-        neg = (-A).tocsr()
-        ml = pyamg.smoothed_aggregation_solver(neg, symmetry="nonsymmetric",
-                                               max_coarse=500)
-        x = ml.solve(-rhs, tol=1e-13, accel="gmres", maxiter=300)
-        if np.max(np.abs(A @ x - rhs)) <= 1e-10 * scale:
-            return x
-    except Exception:
-        pass
     try:
         ilu = spla.spilu((-A).tocsc(), drop_tol=1e-4, fill_factor=15)
         M = spla.LinearOperator(A.shape, ilu.solve)
@@ -253,19 +234,15 @@ def _linear_solve(A: sp.csr_matrix, rhs: np.ndarray, wide: bool = False) -> np.n
 def _hessian_weights(dom: GridDomain, fields: dict, int_flat) -> dict:
     """Per-operator coefficient arrays of the linearized operator
     tr(H^{-1} dH) over interior nodes."""
+    f = {k: v.ravel()[int_flat] for k, v in fields.items()}
     if dom.n == 1:
-        h11 = fields["h11"].ravel()[int_flat]
-        w = 0.25 / h11
+        w = 0.25 / f["h11"]
         return {("pure", 0): w, ("pure", 1): w}
-    h11 = fields["h11"].ravel()[int_flat]
-    h22 = fields["h22"].ravel()[int_flat]
-    h12re = fields["h12re"].ravel()[int_flat]
-    h12im = fields["h12im"].ravel()[int_flat]
-    det = h11 * h22 - (h12re ** 2 + h12im ** 2)
-    inv11 = h22 / det
-    inv22 = h11 / det
-    inv12re = -h12re / det
-    inv12im = -h12im / det
+    det = hessian_det_field(f)
+    inv11 = f["h22"] / det
+    inv22 = f["h11"] / det
+    inv12re = -f["h12re"] / det
+    inv12im = -f["h12im"] / det
     return {
         ("pure", 0): 0.25 * inv11, ("pure", 1): 0.25 * inv11,
         ("pure", 2): 0.25 * inv22, ("pure", 3): 0.25 * inv22,

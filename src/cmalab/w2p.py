@@ -10,11 +10,20 @@ inverse)^p; the good-set bounds trace <= 2n 10^{(n-1)k} and inverse trace
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .badset import BadSetReport
-from .grid import GridFunction, hessian_eigen_fields, hessian_fields, second_diff_field
+from .grid import (
+    GridFunction,
+    first_diff_field,
+    hessian_eigen_fields,
+    hessian_fields,
+    lattice_offsets,
+    second_diff_field,
+    shift,
+)
 
 
 def eps_bar_recipe(p: float, n: int) -> float:
@@ -143,28 +152,26 @@ def full_w2p(u: GridFunction, p: float, region: np.ndarray) -> tuple[float, floa
     d = dom.d
     h = dom.h
     vals = u.values
-    region = region & ~np.isnan(vals)
+    valued = ~np.isnan(vals)
+    # Every second difference is supported where all axis steps and two-axis
+    # diagonals around the node carry values.
+    ok = region & valued
+    for off in lattice_offsets(d, combinations(range(d), 2)):
+        ok &= shift(valued, off, fill=False)
+    if not np.any(ok):
+        raise ValueError("no region nodes with full second-difference stencils")
 
     total = 0.0
     lap = np.zeros_like(vals)
-    ok = region.copy()
     for a in range(d):
         for b in range(a, d):
             fld = second_diff_field(vals, a, b, h)
-            ok &= ~np.isnan(fld)
             if a == b:
                 lap = lap + fld
-    if not np.any(ok):
-        raise ValueError("no region nodes with full second-difference stencils")
-    for a in range(d):
-        for b in range(a, d):
-            fld = second_diff_field(vals, a, b, h)
             total += lp_norm(np.nan_to_num(fld), p, ok, h, d)
     grad_norm = 0.0
     for a in range(d):
-        up = _shift(vals, a, 1)
-        dn = _shift(vals, a, -1)
-        gax = (up - dn) / (2.0 * h)
+        gax = first_diff_field(vals, a, h)
         gok = ok & ~np.isnan(gax)
         grad_norm += lp_norm(np.nan_to_num(gax), p, gok, h, d)
     u_norm = lp_norm(np.nan_to_num(vals), p, ok, h, d)
@@ -172,18 +179,6 @@ def full_w2p(u: GridFunction, p: float, region: np.ndarray) -> tuple[float, floa
     lap_norm = lp_norm(np.nan_to_num(lap), p, ok, h, d)
     denom = u_norm + lap_norm
     return full, full / denom if denom > 0 else float("inf")
-
-
-def _shift(values: np.ndarray, axis: int, step: int) -> np.ndarray:
-    off = [0] * values.ndim
-    off[axis] = step
-    out = np.full_like(values, np.nan)
-    src = tuple(slice(o, None) if o > 0 else slice(None, o if o < 0 else None)
-                for o in off)
-    dst = tuple(slice(None, -o) if o > 0 else slice(-o if o < 0 else 0, None)
-                for o in off)
-    out[dst] = values[src]
-    return out
 
 
 def norm_report(u: GridFunction, report: BadSetReport, p: float,

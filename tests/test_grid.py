@@ -114,6 +114,25 @@ def test_hessian_hermitian_exactly():
         assert np.array_equal(H, H.conj().T)
 
 
+@pytest.mark.parametrize("n, res, spec", [(1, 33, "perturbed:0.05:cos3"),
+                                          (2, 13, "perturbed:0.05:harmonic")])
+def test_pointwise_hessian_equals_field_hessian(n, res, spec):
+    # One formula: the node-wise complex Hessian is bit-for-bit the
+    # whole-box field at every interior node of non-quadratic data.
+    dom = grid.build_domain(n, spec, res)
+    rng = np.random.default_rng(5)
+    vals = np.full((res,) * dom.d, np.nan)
+    vals[dom.valued_mask] = rng.standard_normal(int(dom.valued_mask.sum()))
+    u = grid.GridFunction(dom, vals)
+    f = grid.hessian_fields(u)
+    for idx in map(tuple, np.argwhere(dom.interior_mask)):
+        H = grid.complex_hessian(u, idx).entries
+        assert H[0, 0] == f["h11"][idx]
+        if n == 2:
+            assert H[1, 1] == f["h22"][idx]
+            assert H[0, 1] == complex(f["h12re"][idx], f["h12im"][idx])
+
+
 def test_stencil_violation_raises():
     dom = grid.build_domain(1, "ball:1.0", 33)
     u = grid.GridFunction.constant(dom, 1.0)

@@ -1,5 +1,6 @@
 """Taylor splitting, ellipsoid normalization, sections and chains."""
 
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmalab import grid, sections
+from cmalab import cli, grid, sections
 from cmalab.errors import SectionEscapeError
 from cmalab.grid import GridFunction, HermitianMatrix
 
@@ -491,3 +492,21 @@ def test_chain_serialization_roundtrip(exact_chain):
     lv = d["levels"][0]
     assert len(lv["transform"]) == 2 * chain.domain.n ** 2
     assert "fit" in lv and "omega_radii" in lv and "composite_shift" in lv
+
+
+def test_chain_from_dict_cuts_the_written_sections(perturbed_n1, tmp_path):
+    # A chain read back from its JSON artifact is the chain that was written:
+    # same artifact bytes and the same section masks at every height.
+    dom, u, v0 = perturbed_n1
+    chain = sections.construct_section_chain(
+        u, dom.node_index((0.2, -0.1)), sigma=0.2, k_max=2, v0=v0,
+        chain_resolution=33)
+    path = tmp_path / "chains.json"
+    cli.write_json(path, [chain.to_dict()])
+    back = sections.SectionChain.from_dict(json.loads(path.read_text())[0], dom)
+    cli.write_json(tmp_path / "again.json", [back.to_dict()])
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    assert back.center_idx == chain.center_idx
+    mu2 = chain.height_of_level(2)
+    for mu in (chain.mu_top, 0.5 * (chain.mu_top + mu2), mu2, 0.5 * mu2):
+        assert np.array_equal(back.section(u, mu).mask, chain.section(u, mu).mask)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from cmalab import grid, solver
-from cmalab.errors import DegeneracyError, DomainMismatchError, NonConvergenceError
+from cmalab.errors import (
+    BoundaryConstraintError,
+    DegeneracyError,
+    DomainMismatchError,
+    NonConvergenceError,
+)
 
 
 def sup_error_vs_quadratic(dom, u):
@@ -149,6 +154,19 @@ def test_solve_config_validation():
         solver.SolveConfig(psh_floor=-1.0)
     with pytest.raises(ValueError):
         solver.SolveConfig(init_mode="bogus")
+
+
+def test_boundary_support_cycle_raises_typed_error():
+    # Two boundary nodes that extrapolate from each other leave the
+    # boundary elimination without a closed form.
+    dom = grid.build_domain(1, "ball:1.0", 17)
+    bc = dom.bc_table
+    for row, other in ((0, 1), (1, 0)):
+        bc["idx1"][row] = bc["flat"][other]
+        bc["idx2"][row] = -1
+        bc["coef_1"][row] = 0.5
+    with pytest.raises(BoundaryConstraintError):
+        solver.solve_dirichlet(dom, 1.0, 0.0)
 
 
 # -- comparison sandwich -------------------------------------------------------
