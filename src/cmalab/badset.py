@@ -145,17 +145,7 @@ class BadSetReport:
         return all(r.passed for r in self.rows)
 
     def to_dict(self) -> dict:
-        return {
-            "eps_bar": self.eps_bar,
-            "n": self.n,
-            "cell_measure": self.cell_measure,
-            "m_b07": self.m_b07,
-            "m_b06": self.m_b06,
-            "monotone": self.monotone,
-            "stride": self.stride,
-            "params": self.params,
-            "rows": [r.to_dict() for r in self.rows],
-        }
+        return {**self.__dict__, "rows": [r.to_dict() for r in self.rows]}
 
 
 def radius_schedule(k_max: int) -> list[float]:

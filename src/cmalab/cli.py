@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import csv
 import hashlib
 import json
 import math
@@ -438,10 +439,8 @@ def _random_ball_family(dom: GridDomain, rng, members: int = 24):
 
 
 def _write_badset_csv(path: Path, report) -> None:
-    import csv as _csv
-
     with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
+        w = csv.writer(fh)
         w.writerow(["k", "r_k", "measure", "measure_b06", "bound", "ratio",
                     "passed", "vacuous"])
         for r in report.rows:
@@ -451,10 +450,8 @@ def _write_badset_csv(path: Path, report) -> None:
 
 
 def _write_two_column_csv(path: Path, col_a: str, col_b: str, rows) -> None:
-    import csv as _csv
-
     with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
+        w = csv.writer(fh)
         w.writerow([col_a, col_b])
         for a, b in rows:
             w.writerow([f"{a:.10g}", f"{b:.10g}"])
@@ -491,10 +488,27 @@ def _shape_from_args(args) -> str:
     return f"ball:{args.radius}"
 
 
-def _cmd_sections(args) -> int:
+def _load_u_v0(args) -> tuple[GridFunction, GridFunction]:
+    """The --instance u, and v0 from --v0 or else solved on u's domain."""
     u = load_instance(Path(args.instance))
     v0 = (load_instance(Path(args.v0)) if args.v0
           else solve_dirichlet(u.domain, 1.0, 0.0)[0])
+    return u, v0
+
+
+def _decay_report(args, p: float, eps_bar: float | None = None, levels: int = 2):
+    """u and its bad-set decay report from chains at every stride-th node;
+    eps_bar defaults to the recipe value for p."""
+    u, v0 = _load_u_v0(args)
+    if eps_bar is None:
+        eps_bar = w2p_mod.eps_bar_recipe(p, u.domain.n)
+    ns = badset_mod.sample_badset_chains(u, v0, stride=args.stride, levels=levels)
+    return u, badset_mod.badset_decay_experiment(u, ns, eps_bar, args.k_max,
+                                                 stride=args.stride)
+
+
+def _cmd_sections(args) -> int:
+    u, v0 = _load_u_v0(args)
     chains = []
     for spec in args.center:
         pt = np.array([float(x) for x in spec.split(",")])
@@ -544,15 +558,7 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_badset(args) -> int:
-    u = load_instance(Path(args.instance))
-    v0 = (load_instance(Path(args.v0)) if args.v0
-          else solve_dirichlet(u.domain, 1.0, 0.0)[0])
-    eps_bar = (w2p_mod.eps_bar_recipe(args.recipe_p, u.domain.n)
-               if args.eps_bar is None else args.eps_bar)
-    ns = badset_mod.sample_badset_chains(u, v0, stride=args.stride,
-                                         levels=args.levels)
-    report = badset_mod.badset_decay_experiment(u, ns, eps_bar, args.k_max,
-                                                stride=args.stride)
+    _, report = _decay_report(args, args.recipe_p, args.eps_bar, args.levels)
     if args.report:
         write_json(Path(args.report), report.to_dict())
         _write_badset_csv(Path(args.report).with_suffix(".csv"), report)
@@ -563,13 +569,7 @@ def _cmd_badset(args) -> int:
 
 
 def _cmd_w2p(args) -> int:
-    u = load_instance(Path(args.instance))
-    v0 = (load_instance(Path(args.v0)) if args.v0
-          else solve_dirichlet(u.domain, 1.0, 0.0)[0])
-    eps_bar = w2p_mod.eps_bar_recipe(args.p, u.domain.n)
-    ns = badset_mod.sample_badset_chains(u, v0, stride=args.stride)
-    report = badset_mod.badset_decay_experiment(u, ns, eps_bar, args.k_max,
-                                                stride=args.stride)
+    u, report = _decay_report(args, args.p)
     nr = w2p_mod.norm_report(u, report, args.p)
     if args.report:
         write_json(Path(args.report), nr.to_dict())

@@ -34,6 +34,14 @@ class NonConvergenceError(CmalabError):
         self.iterations = iterations
 
 
+class LinearSolveError(CmalabError):
+    """A Krylov solve of the linearized system missed its residual target."""
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
+
+
 class DegeneracyError(CmalabError):
     """Plurisubharmonicity was lost and damping could not repair it."""
 

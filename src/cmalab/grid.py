@@ -799,26 +799,18 @@ def hessian_det_field(fields: dict) -> np.ndarray:
 
 
 def _deriv_tensor_max(u: GridFunction, x: tuple, order: int) -> float:
-    """Max absolute entry of the order-th derivative tensor at a node,
-    from nested centered differences."""
-    dom = u.domain
-    d, h, vals = dom.d, dom.h, u.values
-
-    # Nested centered first differences realize each mixed partial.
-    def diff_eval(axes_seq, ix):
-        if not axes_seq:
-            v = vals[tuple(ix)]
-            if math.isnan(v):
-                raise StencilViolationError("derivative stencil leaves domain")
-            return v
-        a = axes_seq[0]
-        up = list(ix); up[a] += 1
-        dn = list(ix); dn[a] -= 1
-        return (diff_eval(axes_seq[1:], up) - diff_eval(axes_seq[1:], dn)) / (2.0 * h)
-
+    """Max absolute entry of the order-th derivative tensor at a node, from
+    nested centered first differences on the window of radius order."""
+    window = u.values[tuple(slice(max(i - order, 0), i + order + 1) for i in x)]
+    at = tuple(min(i, order) for i in x)
     best = 0.0
-    for axes_seq in combinations_with_replacement(range(d), order):
-        best = max(best, abs(diff_eval(list(axes_seq), list(x))))
+    for axes in combinations_with_replacement(range(u.domain.d), order):
+        field = window
+        for a in reversed(axes):
+            field = first_diff_field(field, a, u.domain.h)
+        if math.isnan(field[at]):
+            raise StencilViolationError("derivative stencil leaves domain")
+        best = max(best, abs(field[at]))
     return best
 
 

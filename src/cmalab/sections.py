@@ -17,6 +17,7 @@ from scipy import ndimage
 
 from .errors import (
     ChainBrokenError,
+    CmalabError,
     DegenerateHessianError,
     SectionEscapeError,
 )
@@ -534,7 +535,7 @@ def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
         if k > 1:
             try:
                 v_level, v_rep = solve_dirichlet(w_dom, 1.0, 0.0, cfg)
-            except Exception as exc:
+            except CmalabError as exc:
                 raise ChainBrokenError(f"level {k} Dirichlet solve failed: {exc}", k) from exc
             solve_iters, solve_res = v_rep.iterations, v_rep.residual
         else:
@@ -544,7 +545,7 @@ def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
             h_inc, A = taylor_split(v_level, center)
             A_hat = A.normalized()
             T_tilde = normalize_transform(A_hat)
-        except Exception as exc:
+        except (CmalabError, ValueError) as exc:
             raise ChainBrokenError(f"level {k} normalization failed: {exc}", k) from exc
 
         sec = build_section(w, center, level_mu, h_inc)

@@ -22,6 +22,7 @@ from .errors import (
     BoundaryConstraintError,
     DegeneracyError,
     DomainMismatchError,
+    LinearSolveError,
     NonConvergenceError,
     StencilViolationError,
 )
@@ -67,15 +68,7 @@ class SolveReport:
     quad_distance: float = float("nan")
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "min_eigenvalue": self.min_eigenvalue,
-            "boundary_max_error": self.boundary_max_error,
-            "converged": self.converged,
-            "runtime_seconds": round(self.runtime_seconds, 3),
-            "quad_distance": self.quad_distance,
-        }
+        return {**self.__dict__, "runtime_seconds": round(self.runtime_seconds, 3)}
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +112,10 @@ def _get_assembly(dom: GridDomain) -> dict:
             ops[("mixed", a, b)] = [(0.25 * sign,) + split_cols(off)
                                     for off, sign in mixed_terms(d, a, b)]
 
-    # Boundary substitution u_B = S u_I + E diag(coef_c) g_cut.  Supports sit
-    # strictly deeper along the extrapolation ray, so the boundary-on-boundary
-    # part is nilpotent and the Neumann closure below terminates.
+    # Boundary substitution u_B = S u_I + E diag(coef_c) g_cut, with E the
+    # Neumann closure sum_k C_B^k of the boundary-on-boundary part.  When
+    # boundary supports form a cycle the closure does not terminate and
+    # raises BoundaryConstraintError.
     bc = dom.bc_table
     ri, ci, vi, rb, cb, vb = [], [], [], [], [], []
     for which in (1, 2):
@@ -209,26 +203,37 @@ def _assemble(dom: GridDomain, weights: dict) -> tuple[sp.csr_matrix, sp.csr_mat
     return A_int, A_IB
 
 
-def _linear_solve(A: sp.csr_matrix, rhs: np.ndarray, wide: bool = False) -> np.ndarray:
-    """Solve the interior system.
+def _laplacian(dom: GridDomain) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Unit-weight Laplacian (L, L_IB) of the domain, assembled once."""
+    if "laplacian" not in dom._cache:
+        n_int = _get_assembly(dom)["n_int"]
+        dom._cache["laplacian"] = _assemble(
+            dom, {("pure", a): np.ones(n_int) for a in range(dom.d)})
+    return dom._cache["laplacian"]
 
-    Planar (n = 1) grids factor cheaply and go direct; 4-dimensional grids
-    (wide=True) use ILU-preconditioned GMRES with a direct solve as fallback.
+
+def _linear_solve(dom: GridDomain, A: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve the interior system A x = rhs on the domain.
+
+    Planar (n = 1) grids go direct.  4-dimensional grids run GMRES on -A,
+    preconditioned by one ILU of the domain's negated Laplacian shared by
+    every solve there; a miss of max|A x - rhs| <= 1e-10 max|rhs| raises
+    LinearSolveError.
     """
-    n = A.shape[0]
-    scale = float(np.max(np.abs(rhs))) or 1.0
-    if not wide or n < 3000:
+    if dom.n == 1:
         return spla.spsolve(A.tocsc(), rhs)
-    try:
-        ilu = spla.spilu((-A).tocsc(), drop_tol=1e-4, fill_factor=15)
-        M = spla.LinearOperator(A.shape, ilu.solve)
-        x, info = spla.gmres((-A).tocsr(), -rhs, M=M, rtol=1e-13, atol=0.0,
-                             maxiter=400, restart=80)
-        if info == 0 and np.max(np.abs(A @ x - rhs)) <= 1e-10 * scale:
-            return x
-    except RuntimeError:
-        pass
-    return spla.spsolve(A.tocsc(), rhs)
+    if "ilu" not in dom._cache:
+        dom._cache["ilu"] = spla.spilu((-_laplacian(dom)[0]).tocsc(),
+                                       drop_tol=1e-4, fill_factor=15)
+    M = spla.LinearOperator(A.shape, dom._cache["ilu"].solve)
+    x, info = spla.gmres((-A).tocsr(), -rhs, M=M, rtol=1e-13, atol=0.0,
+                         maxiter=400, restart=80)
+    residual = float(np.max(np.abs(A @ x - rhs)))
+    target = 1e-10 * (float(np.max(np.abs(rhs))) or 1.0)
+    if info != 0 or residual > target:
+        raise LinearSolveError(f"GMRES stopped (info {info}) at residual "
+                               f"{residual:.3e} > {target:.3e}", residual)
+    return x
 
 
 def _hessian_weights(dom: GridDomain, fields: dict, int_flat) -> dict:
@@ -302,10 +307,9 @@ def _boundary_residual(dom: GridDomain, values_flat: np.ndarray, g_cut: np.ndarr
 def harmonic_extension(dom: GridDomain, cut_values: np.ndarray) -> np.ndarray:
     """Discrete-harmonic extension of cut-point data; full-box flat array."""
     asm = _get_assembly(dom)
-    weights = {("pure", a): np.ones(asm["n_int"]) for a in range(dom.d)}
-    A_int, A_IB = _assemble(dom, weights)
+    L, L_IB = _laplacian(dom)
     g_off = _g_offset(asm, cut_values)
-    x = _linear_solve(A_int, -A_IB @ g_off, wide=dom.d == 4)
+    x = _linear_solve(dom, L, -L_IB @ g_off)
     out = np.full(dom.resolution ** dom.d, np.nan)
     out[asm["int_flat"]] = x
     out[asm["bnd_flat"]] = asm["S"] @ x + g_off
@@ -323,7 +327,7 @@ def solve_dirichlet(domain: GridDomain, f, g, cfg: SolveConfig | None = None
     f may be a GridFunction, callable, or scalar (positive on the interior);
     g a callable/scalar/GridFunction sampled at the continuum cut points.
     Returns the solution and a residual certificate.  Raises
-    NonConvergenceError or DegeneracyError on failure.
+    NonConvergenceError, DegeneracyError or LinearSolveError on failure.
     """
     cfg = cfg or SolveConfig()
     t0 = time.perf_counter()
@@ -380,7 +384,7 @@ def solve_dirichlet(domain: GridDomain, f, g, cfg: SolveConfig | None = None
                 f"iterations (last residual {residual:.3e})", residual, iters)
         weights = _hessian_weights(domain, fields, int_flat)
         A_int, _ = _assemble(domain, weights)
-        delta = _linear_solve(A_int, -(np.log(det) - log_f), wide=domain.d == 4)
+        delta = _linear_solve(domain, A_int, -(np.log(det) - log_f))
 
         step = cfg.damping
         halvings = 0
@@ -433,14 +437,7 @@ class SandwichCertificate:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "violation_lower": self.violation_lower,
-            "violation_upper": self.violation_upper,
-            "max_abs_diff": self.max_abs_diff,
-            "bound": self.bound,
-            "slack": self.slack,
-            "passed": self.passed,
-        }
+        return self.__dict__.copy()
 
 
 def comparison_sandwich(u: GridFunction, v0: GridFunction, eps: float, n: int,

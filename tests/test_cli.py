@@ -238,6 +238,19 @@ def test_badset_and_w2p_subcommands(tmp_path):
     rep = json.loads((tmp_path / "np.json").read_text())
     assert rep["dominated"]
 
+    # A saved v0 (the f = 1 solve on the same domain) gives the same reports
+    # as the v0 the subcommands solve for themselves.
+    cli.main(["solve", "--n", "1", "--resolution", "49", "--out", str(tmp_path / "v0")])
+    for cmd, report, extra in (("badset", "bs_v0.json", ["--k-max", "3"]),
+                               ("w2p", "np_v0.json", ["--p", "2.0"])):
+        rc = cli.main([cmd, "--instance", str(base), "--v0", str(tmp_path / "v0"),
+                       "--stride", "6", "--report", str(tmp_path / report), *extra])
+        assert rc == 0
+    assert (json.loads((tmp_path / "bs_v0.json").read_text())["rows"]
+            == json.loads((tmp_path / "bs.json").read_text())["rows"])
+    assert (json.loads((tmp_path / "np_v0.json").read_text())
+            == json.loads((tmp_path / "np.json").read_text()))
+
 
 def test_pipeline_plot_exports(pipeline_runs):
     d1, _, m1, _ = pipeline_runs

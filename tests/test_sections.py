@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmalab import cli, grid, sections
-from cmalab.errors import SectionEscapeError
+from cmalab.errors import ChainBrokenError, LinearSolveError, SectionEscapeError
 from cmalab.grid import GridFunction, HermitianMatrix
 
 
@@ -334,6 +334,28 @@ def test_chain_margin_precondition(ball_n1):
             np.argmax(np.linalg.norm(dom.coords(dom.interior_mask.ravel()), axis=1))])
     with pytest.raises(ValueError):
         sections.construct_section_chain(u, near, sigma=0.2, k_max=1, v0=u)
+
+
+@pytest.mark.parametrize("stage, exc, expected", [
+    ("solve_dirichlet", LinearSolveError("no convergence", 1.0), ChainBrokenError),
+    ("solve_dirichlet", TypeError("programming error"), TypeError),
+    ("taylor_split", TypeError("programming error"), TypeError),
+])
+def test_chain_wraps_only_package_failures(ball_n1, monkeypatch, stage, exc, expected):
+    # A package failure in a level's solve becomes ChainBrokenError at that
+    # level; a programming error surfaces unchanged.
+    dom, u, _ = ball_n1
+
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(sections, stage, broken)
+    with pytest.raises(expected) as err:
+        sections.construct_section_chain(
+            u, dom.node_index((0.25, -0.125)), sigma=0.2, k_max=2, v0=u,
+            chain_resolution=33)
+    if expected is ChainBrokenError:
+        assert err.value.level == 2
 
 
 def test_chain_perturbed_instance(perturbed_n1):

@@ -8,6 +8,7 @@ from cmalab.errors import (
     BoundaryConstraintError,
     DegeneracyError,
     DomainMismatchError,
+    LinearSolveError,
     NonConvergenceError,
 )
 
@@ -167,6 +168,28 @@ def test_boundary_support_cycle_raises_typed_error():
         bc["coef_1"][row] = 0.5
     with pytest.raises(BoundaryConstraintError):
         solver.solve_dirichlet(dom, 1.0, 0.0)
+
+
+def test_one_preconditioner_per_n2_domain(monkeypatch):
+    # The harmonic extension and every Newton step of the v0 and u solves
+    # on one n = 2 domain share a single ILU of its Laplacian.
+    calls = []
+    real = solver.spla.spilu
+    monkeypatch.setattr(solver.spla, "spilu",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    dom = grid.build_domain(2, "perturbed:0.05:harmonic", 9)
+    _, v_rep = solver.solve_dirichlet(dom, 1.0, 0.0)
+    _, u_rep = solver.solve_dirichlet(dom, lambda p: 1.0 + 0.01 * np.cos(np.pi * p[:, 0]), 0.0)
+    assert v_rep.iterations >= 1 and u_rep.iterations >= 1
+    assert len(calls) == 1
+
+
+def test_krylov_failure_raises_typed_error(monkeypatch):
+    monkeypatch.setattr(solver.spla, "gmres", lambda A, b, **kw: (np.zeros_like(b), 7))
+    dom = grid.build_domain(2, "perturbed:0.05:harmonic", 9)
+    with pytest.raises(LinearSolveError) as err:
+        solver.solve_dirichlet(dom, 1.0, 0.0)
+    assert np.isfinite(err.value.residual) and err.value.residual > 0.0
 
 
 # -- comparison sandwich -------------------------------------------------------
