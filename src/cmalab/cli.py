@@ -109,7 +109,7 @@ class ExperimentConfig:
     n: int = 1
     resolution: int = 65
     gamma: float = 0.05
-    profile: str = "cos3"
+    profile: str | None = None
     eps: float = 0.01
     f_expr: str | None = None
     sigma: float = 0.2
@@ -133,9 +133,12 @@ class ExperimentConfig:
             raise ValueError("resolution must be at least 9")
         if not 0.0 <= self.gamma < 0.5:
             raise ValueError("gamma must lie in [0, 0.5)")
-        if self.profile == "harmonic" and self.n == 1 or self.profile == "cos3" and self.n == 2:
-            # profiles are dimension-specific; swap silently to the default
-            self.profile = "cos3" if self.n == 1 else "harmonic"
+        # cos3 is the planar boundary profile, harmonic the 4-dimensional one
+        dim_profile = {1: "cos3", 2: "harmonic"}
+        if self.profile is None:
+            self.profile = dim_profile[self.n]
+        elif self.profile == dim_profile[3 - self.n]:
+            raise ValueError(f"profile {self.profile!r} does not fit n={self.n}")
         if not 0.0 <= self.eps <= 0.2:
             raise ValueError("eps must lie in [0, 0.2] (perturbative regime)")
         if not 0.0 < self.sigma < 1.0:

@@ -14,7 +14,7 @@ class StencilViolationError(CmalabError):
 
 
 class BoundaryConstraintError(CmalabError):
-    """Boundary extrapolation constraints support each other in a cycle."""
+    """A boundary extrapolation constraint rests on a node that is not interior."""
 
 
 class DegenerateHessianError(CmalabError):
@@ -43,7 +43,8 @@ class LinearSolveError(CmalabError):
 
 
 class DegeneracyError(CmalabError):
-    """Plurisubharmonicity was lost and damping could not repair it."""
+    """Plurisubharmonicity was lost and damping could not repair it, or the
+    domain has no interior node to solve on."""
 
 
 class SectionEscapeError(CmalabError):

@@ -382,9 +382,10 @@ def _build_bc_table(dom: GridDomain, signed: np.ndarray) -> dict:
         u_b = c_cut * g(x_cut) + c_1 * u(x_1) + c_2 * u(x_2)
 
     The three-point (quadratic) form is exact on quadratic functions; it
-    degrades to a two-point form when the second support node is missing or
-    the cut point sits too close to x_1.  Every boundary node has an interior
-    stencil neighbor by construction.
+    degrades to a two-point form when the second support node is not interior
+    or the cut point sits too close to x_1.  Supports are interior nodes only,
+    so boundary values are an explicit function of interior ones.  Every
+    boundary node has an interior stencil neighbor by construction.
     """
     d = dom.d
     res = dom.resolution
@@ -392,7 +393,6 @@ def _build_bc_table(dom: GridDomain, signed: np.ndarray) -> dict:
     h = dom.h
     lo = dom.box[:, 0]
     interior_flat = dom.interior_mask.ravel()
-    valued_flat = dom.valued_mask.ravel()
     signed_flat = signed.ravel()
     strides = np.array([res ** (d - 1 - a) for a in range(d)], dtype=np.int64)
 
@@ -403,7 +403,7 @@ def _build_bc_table(dom: GridDomain, signed: np.ndarray) -> dict:
     steps = np.array(lattice_offsets(d, combinations(range(d), 2)), dtype=np.int64)
 
     # Score each direction by the normalized depth of x_1, with a strong
-    # bonus when x_2 is valued (making the three-point form available).
+    # bonus when x_2 is interior (making the three-point form available).
     best_score = np.full(nb, -np.inf)
     best_step = np.zeros((nb, d), dtype=np.int64)
     for st in steps:
@@ -419,7 +419,7 @@ def _build_bc_table(dom: GridDomain, signed: np.ndarray) -> dict:
         ok2 = np.all((n2 >= 0) & (n2 < res), axis=1)
         f2 = np.zeros(nb, dtype=np.int64)
         f2[ok2] = n2[ok2] @ strides
-        ok2 &= valued_flat[f2]
+        ok2 &= interior_flat[f2]
         score[ok2] += 1e6
         better = score > best_score
         best_score[better] = score[better]
@@ -457,7 +457,7 @@ def _build_bc_table(dom: GridDomain, signed: np.ndarray) -> dict:
         f = np.full(nb, -1, dtype=np.int64)
         f[ok] = nidx[ok] @ strides
         have = ok.copy()
-        have[ok] = valued_flat[f[ok]]
+        have[ok] = interior_flat[f[ok]]
         return f, have
 
     f1, have1 = flat_of(b_idx + best_step)

@@ -112,56 +112,33 @@ def _get_assembly(dom: GridDomain) -> dict:
             ops[("mixed", a, b)] = [(0.25 * sign,) + split_cols(off)
                                     for off, sign in mixed_terms(d, a, b)]
 
-    # Boundary substitution u_B = S u_I + E diag(coef_c) g_cut, with E the
-    # Neumann closure sum_k C_B^k of the boundary-on-boundary part.  When
-    # boundary supports form a cycle the closure does not terminate and
-    # raises BoundaryConstraintError.
+    # Boundary substitution u_B = S u_I + diag(coef_c) g_cut.  Supports are
+    # interior by construction of the bc table; a hand-edited table that
+    # leans on a non-interior node has no such closed form.
     bc = dom.bc_table
-    ri, ci, vi, rb, cb, vb = [], [], [], [], [], []
+    rows, cols, vals = [], [], []
     for which in (1, 2):
         idx = bc[f"idx{which}"]
-        coef = bc[f"coef_{which}"]
-        use = idx >= 0
-        tgt = np.maximum(idx, 0)
-        is_int = use & (int_col[tgt] >= 0)
-        is_bnd = use & (bnd_col[tgt] >= 0)
-        ri.append(np.flatnonzero(is_int))
-        ci.append(int_col[idx[is_int]])
-        vi.append(coef[is_int])
-        rb.append(np.flatnonzero(is_bnd))
-        cb.append(bnd_col[idx[is_bnd]])
-        vb.append(coef[is_bnd])
-    C_I = sp.coo_matrix(
-        (np.concatenate(vi), (np.concatenate(ri), np.concatenate(ci))),
+        use = np.flatnonzero(idx >= 0)
+        col = int_col[idx[use]]
+        if np.any(col < 0):
+            raise BoundaryConstraintError(
+                "boundary constraint rests on a non-interior node")
+        rows.append(use)
+        cols.append(col)
+        vals.append(bc[f"coef_{which}"][use])
+    S = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_bnd, n_int)).tocsr()
-    C_B = sp.coo_matrix(
-        (np.concatenate(vb), (np.concatenate(rb), np.concatenate(cb))),
-        shape=(n_bnd, n_bnd)).tocsr()
-    E = sp.identity(n_bnd, format="csr")
-    P = C_B.copy()
-    k = 0
-    while P.nnz and k < 64:
-        E = (E + P).tocsr()
-        P = (P @ C_B).tocsr()
-        P.eliminate_zeros()
-        k += 1
-    if P.nnz:
-        raise BoundaryConstraintError("boundary constraint graph has a cycle")
-    S = (E @ C_I).tocsr()
 
     asm = {
         "int_flat": int_flat, "bnd_flat": bnd_flat,
         "n_int": n_int, "n_bnd": n_bnd,
         "ops": ops,
-        "S": S, "E": E, "coef_c": bc["coef_c"],
+        "S": S, "coef_c": bc["coef_c"],
     }
     dom._cache["assembly"] = asm
     return asm
-
-
-def _g_offset(asm: dict, g_cut: np.ndarray) -> np.ndarray:
-    """Boundary offset vector: E diag(coef_c) g_cut."""
-    return asm["E"] @ (asm["coef_c"] * g_cut)
 
 
 def _assemble(dom: GridDomain, weights: dict) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -308,11 +285,10 @@ def harmonic_extension(dom: GridDomain, cut_values: np.ndarray) -> np.ndarray:
     """Discrete-harmonic extension of cut-point data; full-box flat array."""
     asm = _get_assembly(dom)
     L, L_IB = _laplacian(dom)
-    g_off = _g_offset(asm, cut_values)
-    x = _linear_solve(dom, L, -L_IB @ g_off)
+    g_off = asm["coef_c"] * cut_values
     out = np.full(dom.resolution ** dom.d, np.nan)
-    out[asm["int_flat"]] = x
-    out[asm["bnd_flat"]] = asm["S"] @ x + g_off
+    out[asm["int_flat"]] = _linear_solve(dom, L, -L_IB @ g_off)
+    _set_boundary(dom, out, g_off)
     return out
 
 
@@ -332,8 +308,9 @@ def solve_dirichlet(domain: GridDomain, f, g, cfg: SolveConfig | None = None
     cfg = cfg or SolveConfig()
     t0 = time.perf_counter()
     asm = _get_assembly(domain)
-    n_int = asm["n_int"]
     int_flat = asm["int_flat"]
+    if asm["n_int"] == 0:
+        raise DegeneracyError("domain has no interior node")
 
     f_int = _field_on_interior(domain, f)
     if np.any(~np.isfinite(f_int)) or np.any(f_int <= 0.0):
@@ -342,7 +319,7 @@ def solve_dirichlet(domain: GridDomain, f, g, cfg: SolveConfig | None = None
     g_cut = _g_at_cuts(domain, g)
     if np.any(~np.isfinite(g_cut)):
         raise ValueError("boundary data g must be finite at cut points")
-    g_off = _g_offset(asm, g_cut)
+    g_off = asm["coef_c"] * g_cut
 
     q = _reference_quadratic(domain)
     if cfg.init_mode == "supplied":

@@ -55,6 +55,17 @@ def test_config_validates_before_compute(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_config_profile_fits_dimension():
+    # Each dimension has its own boundary profile; a mismatch is an error,
+    # never a silent swap, and the resolved default is what gets hashed.
+    assert cli.ExperimentConfig().to_dict()["profile"] == "cos3"
+    assert cli.ExperimentConfig(n=2, resolution=17).profile == "harmonic"
+    with pytest.raises(ValueError):
+        cli.ExperimentConfig(n=2, resolution=17, profile="cos3")
+    with pytest.raises(ValueError):
+        cli.ExperimentConfig(profile="harmonic")
+
+
 def test_config_eps_bar_recipe():
     cfg = cli.ExperimentConfig()
     assert cfg.eps_bar_value(2.0) == pytest.approx(1.0 / 288.0)
@@ -202,6 +213,17 @@ def test_pipeline_artifacts_content(pipeline_runs):
     assert eng["counts"]["fail"] == 0
     lines = (d1 / "badset.csv").read_text().strip().splitlines()
     assert lines[0].startswith("k,r_k,measure")
+
+
+def test_pipeline_n2_runs_every_stage(tmp_path):
+    # At this n = 2 res-17 config the level-2 chain domains need boundary
+    # constraints resting on interior nodes only; then every stage runs.
+    cfg = cli.ExperimentConfig(n=2, resolution=17, chain_points=4, engulf_pairs=10,
+                               cover_families=2, k_max=2, stride=8)
+    m = cli.run_pipeline(cfg, tmp_path / "n2")
+    assert m["stages"] == {s: "ok" for s in ("solve", "certificates", "sections", "engulf",
+                                             "cover", "badset", "w2p")}
+    assert len(m["files"]) == 14
 
 
 def test_pipeline_stage_error_recorded_in_manifest(tmp_path):

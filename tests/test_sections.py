@@ -469,14 +469,18 @@ def test_chain_composite_consistency(perturbed_n1):
     assert np.nanmax(diff) <= 0.05  # interpolation noise only
 
 
-def test_chain_transform_growth_n2(perturbed_n2):
+@pytest.mark.parametrize(
+    "base", [(8, 8, 8, 8), (5, 10, 8, 7), (8, 11, 8, 7), (6, 8, 8, 11)],
+    ids=["origin", "5-10-8-7", "8-11-8-7", "6-8-8-11"])
+def test_chain_transform_growth_n2(perturbed_n2, base):
     # n = 2 transforms are nontrivial; deviations stay within C' sigma^(1/2)
-    # and composites keep unit determinant.
-    dom, u, v0 = perturbed_n2
+    # and composites keep unit determinant.  The off-origin base points give
+    # level-2 domains whose boundary constraints would lean on boundary nodes
+    # if supports were not restricted to the interior.
+    _, u, v0 = perturbed_n2
     sigma = 0.3
     chain = sections.construct_section_chain(
-        u, dom.node_index((0.0,) * 4), sigma=sigma, k_max=2, v0=v0,
-        chain_resolution=13)
+        u, base, sigma=sigma, k_max=2, v0=v0, chain_resolution=13)
     assert len(chain.levels) == 2
     for lv in chain.levels:
         assert lv.transform_deviation <= 1.5 * math.sqrt(sigma)

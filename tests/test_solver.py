@@ -170,6 +170,16 @@ def test_boundary_support_cycle_raises_typed_error():
         solver.solve_dirichlet(dom, 1.0, 0.0)
 
 
+def test_domain_without_interior_raises_degeneracy():
+    # A sublevel set with no interior node has nothing to solve for, and
+    # says so with a typed error before any reduction over interior nodes.
+    shape = grid.SublevelShape([np.linspace(-1.0, 1.0, 9)] * 2, np.ones((9, 9)))
+    dom = grid.build_domain(1, shape, 9)
+    assert not dom.interior_mask.any()
+    with pytest.raises(DegeneracyError):
+        solver.solve_dirichlet(dom, 1.0, 0.0)
+
+
 def test_one_preconditioner_per_n2_domain(monkeypatch):
     # The harmonic extension and every Newton step of the v0 and u solves
     # on one n = 2 domain share a single ILU of its Laplacian.
