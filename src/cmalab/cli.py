@@ -104,6 +104,22 @@ def compile_expression(expr: str, d: int):
 # Experiment configuration
 
 
+# cos3 is the planar boundary profile, harmonic the 4-dimensional one
+_DIM_PROFILE = {1: "cos3", 2: "harmonic"}
+
+
+def _profile_for(n: int, profile: str | None) -> str:
+    """The boundary profile to use in complex dimension n: the dimension's
+    own when None; the other dimension's profile is an error, never a swap."""
+    if n not in _DIM_PROFILE:
+        raise ValueError("n must be 1 or 2")
+    if profile is None:
+        return _DIM_PROFILE[n]
+    if profile == _DIM_PROFILE[3 - n]:
+        raise ValueError(f"profile {profile!r} does not fit n={n}")
+    return profile
+
+
 @dataclass
 class ExperimentConfig:
     n: int = 1
@@ -133,12 +149,7 @@ class ExperimentConfig:
             raise ValueError("resolution must be at least 9")
         if not 0.0 <= self.gamma < 0.5:
             raise ValueError("gamma must lie in [0, 0.5)")
-        # cos3 is the planar boundary profile, harmonic the 4-dimensional one
-        dim_profile = {1: "cos3", 2: "harmonic"}
-        if self.profile is None:
-            self.profile = dim_profile[self.n]
-        elif self.profile == dim_profile[3 - self.n]:
-            raise ValueError(f"profile {self.profile!r} does not fit n={self.n}")
+        self.profile = _profile_for(self.n, self.profile)
         if not 0.0 <= self.eps <= 0.2:
             raise ValueError("eps must lie in [0, 0.2] (perturbative regime)")
         if not 0.0 < self.sigma < 1.0:
@@ -486,8 +497,9 @@ def _cmd_solve(args) -> int:
 
 
 def _shape_from_args(args) -> str:
+    profile = _profile_for(args.n, args.profile)
     if args.gamma and args.gamma > 0:
-        return f"perturbed:{args.gamma}:{args.profile}"
+        return f"perturbed:{args.gamma}:{profile}"
     return f"ball:{args.radius}"
 
 
@@ -605,7 +617,8 @@ def main(argv=None) -> int:
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--resolution", type=int, default=65)
     sp.add_argument("--gamma", type=float, default=0.0)
-    sp.add_argument("--profile", default="cos3")
+    sp.add_argument("--profile", default=None,
+                    help="boundary profile; default cos3 for n=1, harmonic for n=2")
     sp.add_argument("--radius", type=float, default=1.0)
     sp.add_argument("--f-expr", dest="f_expr", default=None)
     sp.add_argument("--newton-tol", dest="newton_tol", type=float, default=1e-8)

@@ -432,22 +432,43 @@ def _build_bc_table(dom: GridDomain, signed: np.ndarray) -> dict:
     dhat = best_step * h / slen[:, None]
     sb = signed_flat[b_idx @ strides]
 
+    # A section re-gridded on the lattice it was sampled on interpolates
+    # `signed` itself, so its cuts have a closed form in the lattice values;
+    # any other shape is bisected.
+    on_lattice = (isinstance(shape, SublevelShape)
+                  and shape.values.shape == signed.shape
+                  and all(np.array_equal(a, b) for a, b in zip(shape.axes, dom.axes)))
+
     t_c = np.zeros(nb)
     ring = sb > 0.0
     if np.any(ring):
-        t_c[ring] = _bisect_cut_batch(shape, xb[ring], xb[ring] + best_step[ring] * h)
+        if on_lattice:
+            t_c[ring] = slen[ring] * _lattice_cut(signed, b_idx[ring], best_step[ring])
+        else:
+            t_c[ring] = _bisect_cut_batch(shape, xb[ring], xb[ring] + best_step[ring] * h)
     dem = sb < 0.0
     if np.any(dem):
         rows = np.flatnonzero(dem)
-        for reach in (1.0, 2.0):
+        for reach in (1, 2):
             if rows.size == 0:
                 break
-            x_out = xb[rows] - dhat[rows] * (reach * slen[rows])[:, None]
-            s_out = shape.signed(x_out)
+            if on_lattice:
+                far = b_idx[rows] - reach * best_step[rows]
+                in_box = np.all((far >= 0) & (far < res), axis=1)
+                s_out = np.ones(rows.size)
+                s_out[in_box] = signed[tuple(far[in_box].T)]
+            else:
+                x_out = xb[rows] - dhat[rows] * (reach * slen[rows])[:, None]
+                s_out = shape.signed(x_out)
             hit = s_out > 0.0
             rr = rows[hit]
             if rr.size:
-                t_c[rr] = -_bisect_cut_batch(shape, xb[rr], x_out[hit])
+                if on_lattice:
+                    near = b_idx[rr] - (reach - 1) * best_step[rr]
+                    t = _lattice_cut(signed, near, -best_step[rr])
+                    t_c[rr] = -slen[rr] * ((reach - 1) + t)
+                else:
+                    t_c[rr] = -_bisect_cut_batch(shape, xb[rr], x_out[hit])
             rows = rows[~hit]
         # Unresolved leftovers anchor at the node itself (t_c stays 0).
     cuts = xb + dhat * t_c[:, None]
@@ -514,7 +535,46 @@ def _build_bc_table(dom: GridDomain, signed: np.ndarray) -> dict:
     }
 
 
-def _bisect_cut_batch(shape, p0: np.ndarray, p1: np.ndarray, iters: int = 60) -> np.ndarray:
+def _lattice_cut(signed: np.ndarray, start: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Fractions t in [0, 1] at which the multilinear interpolant of the
+    lattice values vanishes on the cells start_i -> start_i + step_i.
+
+    Along an axis edge the interpolant is linear; along a two-axis diagonal
+    it is f0 + (p + q - 2 f0) t + (f0 + f1 - p - q) t^2, with p, q the
+    off-diagonal cell corners.  Segment ends must have opposite signs.  An
+    end off the box counts as outside, with the cut at the box face (t = 0).
+    """
+    res = signed.shape[0]
+    end = start + step
+    t = np.zeros(start.shape[0])
+    ok = np.flatnonzero(np.all((end >= 0) & (end < res), axis=1))
+    f0 = signed[tuple(start[ok].T)]
+    f1 = signed[tuple(end[ok].T)]
+
+    axis = np.count_nonzero(step[ok], axis=1) == 1
+    t[ok[axis]] = f0[axis] / (f0[axis] - f1[axis])
+
+    diag = ~axis
+    s, e, st = start[ok[diag]], end[ok[diag]], step[ok[diag]]
+    f0, f1 = f0[diag], f1[diag]
+    rows = np.arange(st.shape[0])
+    first = np.argmax(st != 0, axis=1)
+    ea = np.zeros_like(st)
+    ea[rows, first] = st[rows, first]
+    p = signed[tuple((s + ea).T)]
+    q = signed[tuple((e - ea).T)]
+    # Cancellation-free roots c/Q and Q/a of a t^2 + b t + c; take the one
+    # nearest [0, 1] (there is exactly one inside, up to rounding).
+    a, b, c = f0 + f1 - p - q, p + q - 2.0 * f0, f0
+    Q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)), b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.stack([c / Q, Q / a])
+    miss = np.nan_to_num(np.maximum(-roots, roots - 1.0), nan=np.inf)
+    t[ok[diag]] = np.clip(roots[np.argmin(miss, axis=0), rows], 0.0, 1.0)
+    return t
+
+
+def _bisect_cut_batch(shape, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
     """Roots of the signed shape function on segments [p0_i, p1_i], returned
     as distances from p0_i.  Endpoints must have opposite signs."""
     a = np.atleast_2d(p0).astype(float)
@@ -522,7 +582,8 @@ def _bisect_cut_batch(shape, p0: np.ndarray, p1: np.ndarray, iters: int = 60) ->
     fa = shape.signed(a)
     lo_t = np.zeros(a.shape[0])
     hi_t = np.ones(a.shape[0])
-    for _ in range(iters):
+    # 60 halvings of [0, 1] reach below double-precision resolution.
+    for _ in range(60):
         mid = 0.5 * (lo_t + hi_t)
         fm = shape.signed(a + mid[:, None] * (b - a))
         same = (fm > 0.0) == (fa > 0.0)

@@ -104,6 +104,19 @@ def test_solve_subcommand_with_expression(tmp_path):
     assert rc == 0
 
 
+def test_solve_subcommand_profile_fits_dimension(tmp_path):
+    # The solve subcommand resolves its profile by the same rule as
+    # ExperimentConfig: harmonic by default at n = 2, cos3 rejected there.
+    out = tmp_path / "n2"
+    rc = cli.main(["solve", "--n", "2", "--resolution", "9", "--gamma", "0.05",
+                   "--out", str(out)])
+    assert rc == 0
+    meta = json.loads(out.with_suffix(".meta.json").read_text())
+    assert meta["shape"] == {"kind": "perturbed_ball", "gamma": 0.05, "profile": "harmonic"}
+    with pytest.raises(ValueError):
+        cli.main(["solve", "--n", "2", "--profile", "cos3"])
+
+
 # -- sections / engulf subcommands ----------------------------------------------------
 
 

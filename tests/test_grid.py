@@ -1,6 +1,8 @@
 """Grid discretization, complex differential calculus, persistence."""
 
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmalab import grid
+from cmalab import grid, sections
 from cmalab.errors import DegenerateHessianError, MemoryCapError, StencilViolationError
 
 
@@ -51,6 +53,82 @@ def test_build_domain_validation():
         grid.build_domain(1, "perturbed:0.6:cos3", 33)
     with pytest.raises(MemoryCapError):
         grid.build_domain(2, "ball:1.0", 129)
+
+
+# -- boundary cut points -------------------------------------------------------
+
+
+def _lattice_signed(dom):
+    return dom.shape.signed(dom.coords()).reshape((dom.resolution,) * dom.d)
+
+
+def _bisection_table(dom):
+    """The domain's bc table rebuilt through the bisection path, with the
+    shape hidden behind an object that has only `signed`."""
+    opaque = dataclasses.replace(dom, shape=SimpleNamespace(signed=dom.shape.signed))
+    return grid._build_bc_table(opaque, _lattice_signed(dom))
+
+
+def _chain_domain_n1(request):
+    dom, u, _ = request.getfixturevalue("perturbed_n1")
+    x0 = dom.node_index((-0.2, 0.15))
+    hh, A = sections.taylor_split(u, x0)
+    T = sections.normalize_transform(A.normalized())
+    return sections.rescale_to_unit(u, x0, 0.05, hh, T, resolution=65)
+
+
+def _chain_domain_n2(request):
+    # Level one of the chain at an off-origin base of the n = 2 growth test.
+    dom, u, v0 = request.getfixturevalue("perturbed_n2")
+    x0 = (5, 10, 8, 7)
+    hh, A = sections.taylor_split(v0, x0)
+    T = sections.normalize_transform(A.normalized())
+    mu = min(0.1, sections.allowed_top_height(dom, x0))
+    return sections.rescale_to_unit(u, x0, mu, hh, T, resolution=13)
+
+
+# In one complex dimension the stencil has no diagonals, so an inside node
+# lacks stencil support only on the box face; inward rows there are the
+# off-box case below.  n = 2 chain domains have inward rows in the box.
+@pytest.mark.parametrize("make, inward", [(_chain_domain_n1, False), (_chain_domain_n2, True)],
+                         ids=["n1", "n2"])
+def test_chain_domain_cuts_match_bisection(request, make, inward):
+    w = make(request)
+    dom = w.domain
+    assert isinstance(dom.shape, grid.SublevelShape)
+    table = dom.bc_table
+    ref = _bisection_table(dom)
+    sb = _lattice_signed(dom).ravel()[table["flat"]]
+    assert np.any(sb > 0.0)
+    assert np.any(sb < 0.0) == inward
+    assert np.array_equal(table["idx1"], ref["idx1"])
+    assert np.array_equal(table["idx2"], ref["idx2"])
+    err = np.abs(table["cuts"] - ref["cuts"]).max(axis=1)
+    assert err.max() <= 1e-12 * dom.h
+    on_cut = w.interp(table["cuts"])
+    assert np.any(np.isfinite(on_cut))
+    assert np.nanmax(np.abs(on_cut)) <= 1e-12
+
+
+def test_lattice_cut_off_box_counts_as_outside():
+    # A disk crossing the low x-face of the box.  Boundary nodes on that face
+    # have their outward neighbor off the box; a wrapped -1 index would read
+    # the opposite face, which lies outside the disk.
+    axes = [np.linspace(-1.3, 1.3, 17)] * 2
+    X, Y = np.meshgrid(*axes, indexing="ij")
+    shape = grid.SublevelShape(axes, (X + 1.0) ** 2 + Y ** 2 - 0.36)
+    dom = grid.build_domain(1, shape, 17)
+    table = dom.bc_table
+    b_idx = np.argwhere(dom.boundary_mask)
+    signed = _lattice_signed(dom)
+    on_face = (b_idx[:, 0] == 0) & (signed[tuple(b_idx.T)] < 0.0)
+    assert np.any(on_face)
+    assert np.all(signed[-1] > 0.0)
+    ref = _bisection_table(dom)
+    assert np.abs(table["cuts"] - ref["cuts"]).max() <= 1e-8 * dom.h
+    # The face cuts sit on the face nodes themselves.
+    nodes = dom.coords()[table["flat"][on_face]]
+    assert np.abs(table["cuts"][on_face] - nodes).max() <= 1e-14
 
 
 # -- complex Hessian ---------------------------------------------------------
