@@ -3,8 +3,11 @@
 A node is k-good when every available section at that node fits inside the
 ball of radius sqrt(10^k mu); the bad sets A_k are the complements inside
 B_0.8 and their measures against the geometric bound form the decay report.
-Convex envelopes, contact sets, Monge-Ampere measures of convex functions,
-and touching paraboloids supply the pointwise second-derivative control.
+One lower convex hull of the lifted nodes gives the convex envelope, its
+contact set and its Monge-Ampere (Alexandrov) measure, whose cell at a hull
+vertex is the convex hull of the gradients of the incident facets, at both
+n; with touching paraboloids they supply the pointwise second-derivative
+control.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChainBrokenError, EnvelopeConvergenceError
+from .errors import ChainBrokenError
 from .grid import (
     GridDomain,
     GridFunction,
@@ -70,7 +73,6 @@ def sample_badset_chains(u: GridFunction, v0: GridFunction,
     of the sample ball.  Nodes whose chain cannot be built are skipped with
     a zero-record (they classify as bad at every k)."""
     dom = u.domain
-    res = dom.resolution
     out = []
     for idx in np.argwhere(dom.interior_mask):
         if any(int(i) % stride for i in idx):
@@ -199,7 +201,12 @@ def badset_decay_experiment(u: GridFunction, node_sections: list[NodeSections],
 # Convex envelope and contact set
 
 
-_ENVELOPE_TOL = 1e-10
+# Lower facets are those whose unit normal points down by more than this:
+# nearly vertical rim facets turn Qhull's offset rounding into plane errors
+# of order 1e-4.
+_LOWER_FACET_TILT = 1e-6
+_PLANE_CHUNK = 1 << 20      # plane evaluations per envelope chunk
+_CONVEXITY_TOL = 1e-7
 
 
 def _envelope_directions(d: int) -> list[tuple[int, ...]]:
@@ -216,47 +223,55 @@ def _envelope_directions(d: int) -> list[tuple[int, ...]]:
     return dirs
 
 
-def convex_envelope(w: GridFunction, region: np.ndarray,
-                    tol: float = _ENVELOPE_TOL, max_sweeps: int | None = None
-                    ) -> GridFunction:
-    """Largest lattice-convex minorant of w on the region.
+def _lower_hull(w: GridFunction, region: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower convex hull of the lifted region nodes (x, w(x)).
 
-    Midpoint relaxation over all lattice directions (axes and diagonals)
-    until the largest update drops below tol.  The fixed point is the
-    directionally convex envelope; on planar grids it is cross-validated in
-    the tests against the exact lower hull of the lifted point cloud.
+    Returns the hull values at the region nodes (row-major order), the
+    gradients of the lower facets, and each facet's vertices as indices
+    into the region nodes.  A cloud of rank at most d is affine: its hull
+    is w itself and it has no facets.
     """
-    vals = w.values
-    d = vals.ndim
-    res = vals.shape[0]
-    gam = np.where(region, vals, np.nan)
-    if np.any(np.isnan(gam[region])):
-        raise ValueError("w must be finite on the region")
-    dirs = _envelope_directions(d)
-    if max_sweeps is None:
-        max_sweeps = 40 * res
+    # Imported on first use, here and in ma_measure: loading scipy.spatial
+    # adds about 2.5 MB to the resident memory of every pipeline run, and
+    # the pipeline calls neither function.
+    from scipy.spatial import ConvexHull
 
-    delta = math.inf
-    for sweep in range(max_sweeps):
-        delta = 0.0
-        for e in dirs:
-            up = shift(gam, e)
-            dn = shift(gam, tuple(-x for x in e))
-            mid = 0.5 * (up + dn)
-            cand = np.fmin(gam, mid)
-            ok = region & ~np.isnan(mid)
-            if np.any(ok):
-                change = np.nanmax(np.where(ok, gam - cand, 0.0))
-                delta = max(delta, float(change))
-                gam[ok] = cand[ok]
-        if delta < tol:
-            break
-    else:
-        raise EnvelopeConvergenceError(
-            f"envelope relaxation did not converge in {max_sweeps} sweeps "
-            f"(last update {delta:.2e})")
-    out = np.full_like(vals, np.nan)
-    out[region] = gam[region]
+    pts = w.domain.coords()[region.ravel()]
+    vals = w.values[region]
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("w must be finite on the region")
+    d = pts.shape[1]
+    cloud = np.column_stack([pts, vals])
+    if np.linalg.matrix_rank(cloud - cloud.mean(axis=0)) <= d:
+        return vals.copy(), np.empty((0, d)), np.empty((0, d + 1), dtype=int)
+    hull = ConvexHull(cloud)
+    lower = hull.equations[:, d] < -_LOWER_FACET_TILT
+    eq = hull.equations[lower]
+    grads = -eq[:, :d] / eq[:, d:d + 1]
+    heights = -eq[:, d + 1] / eq[:, d]
+    simplices = hull.simplices[lower]
+
+    # Off the hull vertices the hull is the largest facet plane, clipped so
+    # that rounding never lifts it above w.
+    env = vals.copy()
+    off_hull = np.ones(vals.size, dtype=bool)
+    off_hull[simplices] = False
+    rest = np.flatnonzero(off_hull)
+    step = max(1, _PLANE_CHUNK // len(grads))
+    for s in range(0, rest.size, step):
+        idx = rest[s:s + step]
+        planes = np.max(pts[idx] @ grads.T + heights, axis=1)
+        env[idx] = np.minimum(vals[idx], planes)
+    return env, grads, simplices
+
+
+def convex_envelope(w: GridFunction, region: np.ndarray) -> GridFunction:
+    """Convex envelope of w on the region: the lower convex hull of the
+    lifted region nodes, NaN off the region."""
+    env, _, _ = _lower_hull(w, region)
+    out = np.full_like(w.values, np.nan)
+    out[region] = env
     return GridFunction(w.domain, out)
 
 
@@ -285,61 +300,37 @@ def lattice_convexity_defect(gamma: GridFunction, region: np.ndarray) -> float:
 # Monge-Ampere measure of a convex grid function
 
 
-def ma_measure(gamma: GridFunction, E: np.ndarray,
-               slope_resolution: int = 201, pad: float = 0.25,
-               convexity_tol: float = 1e-7, return_info: bool = False):
-    """Measure of the subgradient image of E under the convex function.
+def ma_measure(gamma: GridFunction, E: np.ndarray) -> float:
+    """Alexandrov measure of E: the volume of its subgradient image under
+    the convex function gamma (NaN off its region).
 
-    Planar grids (n = 1) get the exact Alexandrov construction: slope space
-    is swept on a fine lattice and each slope is charged to the node
-    minimizing gamma(x) - p.x, which partitions slopes among nodes exactly.
-    n = 2 falls back to the integral of det D^2 gamma over E, flagged as an
-    approximation.
+    The subgradient image of a lower-hull vertex is the convex hull of the
+    gradients of its incident lower facets; a cell of rank below d has
+    volume 0, and nodes that are not hull vertices carry no measure.
+    Raises ValueError when gamma exceeds its own lower hull, i.e. is not
+    convex.
     """
-    dom = gamma.domain
+    from scipy.spatial import ConvexHull
+
     region = ~np.isnan(gamma.values)
-    defect = lattice_convexity_defect(gamma, region)
-    if defect > convexity_tol:
-        raise ValueError(f"function is not lattice-convex (defect {defect:.2e})")
+    env, grads, simplices = _lower_hull(gamma, region)
+    excess = float(np.max(gamma.values[region] - env, initial=0.0))
+    if excess > _CONVEXITY_TOL:
+        raise ValueError(f"function is not convex (exceeds its hull by {excess:.2e})")
 
-    if dom.n == 2:
-        hess = real_hessian_field(gamma.values, dom.h)
-        dets = np.linalg.det(hess[E & ~np.isnan(hess).any(axis=(-2, -1))])
-        val = float(np.sum(np.clip(dets, 0.0, None)) * dom.h ** dom.d)
-        return (val, {"method": "det-integral", "approximate": True}) if return_info else val
-
-    # Slope box from difference quotients, padded.
-    gx = np.gradient(np.where(region, gamma.values, np.nan), dom.h, axis=0)
-    gy = np.gradient(np.where(region, gamma.values, np.nan), dom.h, axis=1)
-    lo0, hi0 = np.nanmin(gx), np.nanmax(gx)
-    lo1, hi1 = np.nanmin(gy), np.nanmax(gy)
-    span0 = max(hi0 - lo0, 1e-6)
-    span1 = max(hi1 - lo1, 1e-6)
-    p0 = np.linspace(lo0 - pad * span0, hi0 + pad * span0, slope_resolution)
-    p1 = np.linspace(lo1 - pad * span1, hi1 + pad * span1, slope_resolution)
-    dp = (p0[1] - p0[0]) * (p1[1] - p1[0])
-
-    # Each slope is charged to the node minimizing gamma(x) - p.x (lowest
-    # row-major index on ties); the product slope lattice factors the
-    # minimization axis by axis, exactly matching flat argmin tie-breaking.
-    xs = dom.axes[0]
-    ys = dom.axes[1]
-    big = np.where(region, gamma.values, np.inf)
-    # stage 1: per (x-row, p1): minimize over the y-axis
-    scores1 = big[:, None, :] - p1[None, :, None] * ys[None, None, :]
-    arg_y = np.argmin(scores1, axis=2)                  # (N0, P1)
-    val_y = np.take_along_axis(scores1, arg_y[:, :, None], axis=2)[:, :, 0]
-    count = 0
-    in_E = E & region
-    chunk = 64
-    for s in range(0, p0.size, chunk):
-        pc = p0[s:s + chunk]
-        scores0 = val_y[None, :, :] - pc[:, None, None] * xs[None, :, None]
-        arg_x = np.argmin(scores0, axis=1)              # (chunk, P1)
-        node_y = arg_y[arg_x, np.arange(p1.size)[None, :]]
-        count += int(np.sum(in_E[arg_x, node_y]))
-    val = count * dp
-    return (val, {"method": "subgradient-sweep", "approximate": False}) if return_info else val
+    d = grads.shape[1]
+    in_E = E[region]
+    flat = simplices.ravel()
+    order = np.argsort(flat, kind="stable")
+    verts, starts = np.unique(flat[order], return_index=True)
+    val = 0.0
+    for v, facets in zip(verts, np.split(order // (d + 1), starts[1:])):
+        if not in_E[v]:
+            continue
+        cell = grads[facets]
+        if np.linalg.matrix_rank(cell - cell[0]) == d:
+            val += ConvexHull(cell).volume
+    return val
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,3 @@ class CoverageError(CmalabError):
 
 class DomainMismatchError(CmalabError):
     """Two grid functions were expected to share a domain but do not."""
-
-
-class EnvelopeConvergenceError(CmalabError):
-    """Convex envelope relaxation failed to reach its fixed point."""
