@@ -1,8 +1,9 @@
 """Good/bad-set classification and the dyadic measure-decay experiment.
 
 A node is k-good when every available section at that node fits inside the
-ball of radius sqrt(10^k mu); the bad sets A_k are the complements inside
-B_0.8 and their measures against the geometric bound form the decay report.
+ball of radius sqrt(10^k mu); the bad sets A_k are the complements, and
+their measures inside the balls B_{r_k} of one radius schedule, against the
+geometric bound, form the decay report.
 One lower convex hull of the lifted nodes gives the convex envelope, its
 contact set and its Monge-Ampere (Alexandrov) measure, whose cell at a hull
 vertex is the convex hull of the gradients of the incident facets, at both
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChainBrokenError
+from .errors import CmalabError
 from .grid import (
     GridDomain,
     GridFunction,
@@ -43,13 +44,11 @@ class NodeSections:
     radii: list[tuple[float, float]]
 
 
-def section_ball_radii(u: GridFunction, chain: SectionChain,
-                       mu_min: float | None = None) -> NodeSections:
-    """Max center-distance of each resolvable section of the chain,
-    evaluated on the original grid."""
+def section_ball_radii(u: GridFunction, chain: SectionChain) -> NodeSections:
+    """Max center-distance of each resolvable section of the chain (height
+    at least (2h)^2), evaluated on the original grid."""
     dom = u.domain
-    if mu_min is None:
-        mu_min = (2.0 * dom.h) ** 2
+    mu_min = (2.0 * dom.h) ** 2
     ctr = chain.center_point
     out = []
     for lv in chain.levels:
@@ -63,30 +62,33 @@ def section_ball_radii(u: GridFunction, chain: SectionChain,
     return NodeSections(chain.center_idx, out)
 
 
+def _stride_lattice(dom: GridDomain, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Interior nodes whose every index is a multiple of stride (index rows
+    in row-major order) and their distances from the origin."""
+    idx = np.argwhere(dom.interior_mask)
+    idx = idx[np.all(idx % stride == 0, axis=1)]
+    pts = np.column_stack([ax[i] for ax, i in zip(dom.axes, idx.T)])
+    return idx, np.linalg.norm(pts, axis=1)
+
+
 def sample_badset_chains(u: GridFunction, v0: GridFunction,
                          stride: int = 2, levels: int = 2,
                          sigma: float = 0.2, mu0: float = 0.1,
                          chain_resolution: int = 33,
-                         cfg: SolveConfig | None = None,
-                         sample_radius: float = 0.8) -> list[NodeSections]:
-    """Chains (reduced to ball-fit radii) at every stride-th interior node
-    of the sample ball.  Nodes whose chain cannot be built are skipped with
-    a zero-record (they classify as bad at every k)."""
-    dom = u.domain
+                         cfg: SolveConfig | None = None) -> list[NodeSections]:
+    """Chains (reduced to ball-fit radii) at the stride-lattice nodes inside
+    B_{r_1}, the largest ball a decay row counts.  A node whose chain fails
+    gets a zero-record (it classifies as bad at every k)."""
+    nodes, dist = _stride_lattice(u.domain, stride)
     out = []
-    for idx in np.argwhere(dom.interior_mask):
-        if any(int(i) % stride for i in idx):
-            continue
-        pt = dom.coords(tuple(idx))
-        if float(np.linalg.norm(pt)) > sample_radius:
-            continue
+    for idx in nodes[dist <= radius_schedule(1)[1]]:
         idx = tuple(int(i) for i in idx)
         try:
             chain = construct_section_chain(
                 u, idx, sigma=sigma, k_max=levels, cfg=cfg, mu0=mu0,
                 mu_top=None, chain_resolution=chain_resolution, v0=v0)
             out.append(section_ball_radii(u, chain))
-        except (ChainBrokenError, ValueError):
+        except CmalabError:
             out.append(NodeSections(idx, []))
     if not out:
         raise ValueError("no sampled nodes; lower the stride")
@@ -150,8 +152,13 @@ class BadSetReport:
         return {**self.__dict__, "rows": [r.to_dict() for r in self.rows]}
 
 
+# The dyadic ball B_0.6: the limit of the radius schedule and the region of
+# the W^{2,p} accounting.
+DYADIC_RADIUS = 0.6
+
+
 def radius_schedule(k_max: int) -> list[float]:
-    """r_0 = 0.7 and r_k = r_{k-1} - 2^{-k}/10 (limit 0.6)."""
+    """r_0 = 0.7 and r_k = r_{k-1} - 2^{-k}/10 (limit DYADIC_RADIUS)."""
     rs = [0.7]
     for k in range(1, k_max + 1):
         rs.append(rs[-1] - 0.1 * 2.0 ** (-k))
@@ -164,8 +171,9 @@ def badset_decay_experiment(u: GridFunction, node_sections: list[NodeSections],
                             ) -> BadSetReport:
     """Measure decay of the bad sets against m(B_0.7) (12^{2n} eps_bar)^{k-1}.
 
-    Sampled-node measures use the stride-adjusted cell volume; empty rows
-    pass vacuously and are flagged.
+    Measures count nodes of the stride lattice with the stride-adjusted cell
+    volume: m(B_0.7) and m(B_0.6) all of them, m(A_k) the sampled nodes
+    that are bad.  Empty rows pass vacuously and are flagged.
     """
     dom = u.domain
     d = dom.d
@@ -173,8 +181,9 @@ def badset_decay_experiment(u: GridFunction, node_sections: list[NodeSections],
     centers = np.array([dom.coords(tuple(ns.idx)) for ns in node_sections])
     dist = np.linalg.norm(centers, axis=1)
     rs = radius_schedule(k_max)
-    m_b07 = float(np.sum(dist <= 0.7)) * cell
-    m_b06 = float(np.sum(dist <= 0.6)) * cell
+    _, lattice_dist = _stride_lattice(dom, stride)
+    m_b07 = float(np.sum(lattice_dist <= rs[0])) * cell
+    m_b06 = float(np.sum(lattice_dist <= DYADIC_RADIUS)) * cell
 
     rows = []
     prev = None
@@ -183,7 +192,7 @@ def badset_decay_experiment(u: GridFunction, node_sections: list[NodeSections],
         good = classify_Dk(node_sections, k, dom)
         bad = ~good
         meas = float(np.sum(bad & (dist <= rs[k]))) * cell
-        meas06 = float(np.sum(bad & (dist <= 0.6))) * cell
+        meas06 = float(np.sum(bad & (dist <= DYADIC_RADIUS))) * cell
         bound = m_b07 * (12.0 ** d * eps_bar) ** (k - 1)
         vac = meas == 0.0
         passed = meas <= bound + cell

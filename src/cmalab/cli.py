@@ -106,6 +106,8 @@ def compile_expression(expr: str, d: int):
 
 # cos3 is the planar boundary profile, harmonic the 4-dimensional one
 _DIM_PROFILE = {1: "cos3", 2: "harmonic"}
+# default section-chain lattice; 4 real dimensions cannot afford the planar one
+_DIM_CHAIN_RESOLUTION = {1: 33, 2: 13}
 
 
 def _profile_for(n: int, profile: str | None) -> str:
@@ -166,8 +168,7 @@ class ExperimentConfig:
             raise ValueError("every p must be at least 1")
         self.p_list = tuple(float(p) for p in self.p_list)
         if self.chain_resolution is None:
-            # 4 real dimensions cannot afford the planar default
-            self.chain_resolution = 33 if self.n == 1 else 13
+            self.chain_resolution = _DIM_CHAIN_RESOLUTION[self.n]
         if self.chain_resolution % 2 == 0:
             raise ValueError("chain_resolution must be odd")
 
@@ -517,7 +518,9 @@ def _decay_report(args, p: float, eps_bar: float | None = None, levels: int = 2)
     u, v0 = _load_u_v0(args)
     if eps_bar is None:
         eps_bar = w2p_mod.eps_bar_recipe(p, u.domain.n)
-    ns = badset_mod.sample_badset_chains(u, v0, stride=args.stride, levels=levels)
+    ns = badset_mod.sample_badset_chains(
+        u, v0, stride=args.stride, levels=levels,
+        chain_resolution=_DIM_CHAIN_RESOLUTION[u.domain.n])
     return u, badset_mod.badset_decay_experiment(u, ns, eps_bar, args.k_max,
                                                  stride=args.stride)
 

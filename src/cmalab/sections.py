@@ -509,6 +509,9 @@ def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
 
     top_allowed = allowed_top_height(dom, x0)
     if mu_top is None:
+        if top_allowed <= 0:
+            raise ChainBrokenError(
+                f"no safe first-level height at {x0}: too close to the boundary", 1)
         mu_top = min(mu0, top_allowed)
     if mu_top <= 0 or mu_top > top_allowed:
         raise ValueError(

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .badset import BadSetReport
+from .badset import DYADIC_RADIUS, BadSetReport
 from .grid import (
     GridFunction,
     first_diff_field,
@@ -181,14 +181,14 @@ def full_w2p(u: GridFunction, p: float, region: np.ndarray) -> tuple[float, floa
     return full, full / denom if denom > 0 else float("inf")
 
 
-def norm_report(u: GridFunction, report: BadSetReport, p: float,
-                radius: float = 0.6) -> NormReport:
-    """Full accounting over B_radius: direct quadrature, dyadic bounds, and
-    the classical-constant measurement."""
+def norm_report(u: GridFunction, report: BadSetReport, p: float) -> NormReport:
+    """Full accounting over the dyadic ball B_0.6 (``badset.DYADIC_RADIUS``,
+    where the report's m_b06 and measure_b06 are counted): direct
+    quadrature, dyadic bounds, and the classical-constant measurement."""
     dom = u.domain
     pts = dom.coords()
     dist = np.linalg.norm(pts, axis=1).reshape(u.values.shape)
-    region = dom.interior_mask & (dist <= radius)
+    region = dom.interior_mask & (dist <= DYADIC_RADIUS)
 
     tr = complex_trace_field(u)
     itr = inverse_trace_field(u)
@@ -203,7 +203,7 @@ def norm_report(u: GridFunction, report: BadSetReport, p: float,
         dy_tr.tail_valid and direct_tr <= dy_tr.total + 1e-9
         and dy_itr.tail_valid and direct_itr <= dy_itr.total + 1e-9)
     return NormReport(
-        p=p, region_label=f"B_{radius}",
+        p=p, region_label=f"B_{DYADIC_RADIUS}",
         direct_trace=direct_tr, direct_inverse_trace=direct_itr,
         dyadic_trace=dy_tr, dyadic_inverse_trace=dy_itr,
         full_w2p=full, classical_ratio=ratio, dominated=dominated,

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from cmalab import badset, grid, solver, w2p
+from cmalab import badset, cli, grid, sections, solver, w2p
+from cmalab.errors import ChainBrokenError, SectionEscapeError
 from cmalab.grid import GridFunction
 
 
@@ -83,10 +84,64 @@ def test_decay_exact_ball_all_rows_pass(exact_ball_experiment):
     eps_bar = w2p.eps_bar_recipe(2, 1)
     rep = badset.badset_decay_experiment(u, ns, eps_bar, k_max=4, stride=4)
     assert rep.monotone
+    # Chains only inside B_{r_1}; B_0.7 and B_0.6 count the whole stride
+    # lattice, so the ring between r_1 and 0.7 has no chains.
+    r1 = badset.radius_schedule(1)[1]
+    dist = np.array([np.linalg.norm(dom.coords(n.idx)) for n in ns])
+    assert np.all(dist <= r1)
+    assert rep.m_b07 > len(ns) * rep.cell_measure
+    assert rep.m_b06 == np.sum(dist <= 0.6) * rep.cell_measure
     for row in rep.rows:
         assert row.passed
         assert row.vacuous  # bad sets empty on the exact ball
         assert row.measure == 0.0
+
+
+def _default_instance(**kw):
+    cfg = cli.ExperimentConfig(**kw)
+    dom = grid.build_domain(1, cfg.shape_spec(), cfg.resolution)
+    u, _ = solver.solve_dirichlet(dom, cfg.f_function(), 0.0)
+    v0, _ = solver.solve_dirichlet(dom, 1.0, 0.0)
+    return cfg, dom, u, v0
+
+
+def test_sampling_records_every_chain_failure():
+    # With f = exp(2 x_1) the level-one sections at (16, 24..40) reach the
+    # boundary; the sampling records those nodes as empty (bad) and goes on.
+    cfg, dom, u, v0 = _default_instance(f_expr="exp(2*x1)")
+    with pytest.raises(SectionEscapeError):
+        sections.construct_section_chain(
+            u, (16, 24), sigma=cfg.sigma, k_max=2, mu0=cfg.mu0,
+            chain_resolution=cfg.chain_resolution, v0=v0)
+    ns = badset.sample_badset_chains(u, v0, stride=4, levels=2, sigma=cfg.sigma,
+                                     mu0=cfg.mu0, chain_resolution=cfg.chain_resolution)
+    records = {n.idx: n.radii for n in ns}
+    assert len(records) == 69
+    for j in range(24, 41, 4):
+        assert records[(16, j)] == []
+
+
+def test_known_level2_failures_outside_counted_ball():
+    # Known failure at the default n=1 config: the chains at the two nodes
+    # at r = 0.798 break at level 2.  They lie beyond r_1, so the bad-set
+    # sampling no longer builds them.
+    cfg, dom, u, v0 = _default_instance()
+    for idx in ((8, 28), (8, 36)):
+        assert np.linalg.norm(dom.coords(idx)) > badset.radius_schedule(1)[1]
+        with pytest.raises(ChainBrokenError, match=r"level 2 fit \(0\.363, 0\.514\)") as err:
+            sections.construct_section_chain(
+                u, idx, sigma=cfg.sigma, k_max=cfg.chain_levels, mu0=cfg.mu0,
+                chain_resolution=cfg.chain_resolution, v0=v0)
+        assert err.value.level == 2
+
+
+def test_n2_census_of_counted_nodes(perturbed_n2):
+    # n=2 res 17 at stride 4 and the n=2 chain resolution: 9 lattice nodes
+    # lie inside B_{r_1}, and only the origin's chain builds.
+    dom, u, v0 = perturbed_n2
+    ns = badset.sample_badset_chains(u, v0, stride=4, levels=2, chain_resolution=13)
+    assert len(ns) == 9
+    assert [n.idx for n in ns if n.radii] == [(8, 8, 8, 8)]
 
 
 def test_eps_bar_recipe_paper_arithmetic():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cmalab import cli, grid
+from cmalab import badset, cli, grid
 
 
 # -- expression language -----------------------------------------------------------
@@ -285,6 +285,23 @@ def test_badset_and_w2p_subcommands(tmp_path):
             == json.loads((tmp_path / "bs.json").read_text())["rows"])
     assert (json.loads((tmp_path / "np_v0.json").read_text())
             == json.loads((tmp_path / "np.json").read_text()))
+
+
+@pytest.mark.parametrize("cmd", ["badset", "w2p"])
+def test_decay_subcommands_use_the_pipeline_chain_resolution(tmp_path, monkeypatch, cmd):
+    # At n=2 the subcommands sample chains on the lattice the n=2 pipeline
+    # uses, not on the planar one.
+    base = tmp_path / "inst"
+    cli.main(["solve", "--n", "2", "--resolution", "9", "--out", str(base)])
+    seen = []
+
+    def record(u, v0, **kwargs):
+        seen.append(kwargs.get("chain_resolution"))
+        return [badset.NodeSections((4, 4, 4, 4), [])]
+
+    monkeypatch.setattr(badset, "sample_badset_chains", record)
+    cli.main([cmd, "--instance", str(base), "--k-max", "1"])
+    assert seen == [cli.ExperimentConfig(n=2).chain_resolution]
 
 
 def test_pipeline_plot_exports(pipeline_runs):

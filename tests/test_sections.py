@@ -332,8 +332,14 @@ def test_chain_margin_precondition(ball_n1):
     if not dom.interior_mask[near]:
         near = tuple(np.argwhere(dom.interior_mask)[
             np.argmax(np.linalg.norm(dom.coords(dom.interior_mask.ravel()), axis=1))])
-    with pytest.raises(ValueError):
+    # No room for a first level is a chain failure at level 1; an explicit
+    # first-level height that is too large is bad caller input.
+    with pytest.raises(ChainBrokenError) as err:
         sections.construct_section_chain(u, near, sigma=0.2, k_max=1, v0=u)
+    assert err.value.level == 1
+    with pytest.raises(ValueError):
+        sections.construct_section_chain(u, dom.node_index((0.0, 0.0)), sigma=0.2,
+                                         k_max=1, v0=u, mu_top=0.3)
 
 
 @pytest.mark.parametrize("stage, exc, expected", [
