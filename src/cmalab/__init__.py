@@ -13,7 +13,6 @@ from .grid import (  # noqa: F401
     trace_inverse,
 )
 from .solver import (  # noqa: F401
-    SolveConfig,
     SolveReport,
     comparison_sandwich,
     solve_dirichlet,

@@ -28,7 +28,7 @@ from .grid import (
     shift,
 )
 from .sections import SectionChain, construct_section_chain
-from .solver import SolveConfig
+from .solver import NEWTON_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +75,7 @@ def sample_badset_chains(u: GridFunction, v0: GridFunction,
                          stride: int = 2, levels: int = 2,
                          sigma: float = 0.2, mu0: float = 0.1,
                          chain_resolution: int = 33,
-                         cfg: SolveConfig | None = None) -> list[NodeSections]:
+                         newton_tol: float = NEWTON_TOL) -> list[NodeSections]:
     """Chains (reduced to ball-fit radii) at the stride-lattice nodes inside
     B_{r_1}, the largest ball a decay row counts.  A node whose chain fails
     gets a zero-record (it classifies as bad at every k)."""
@@ -85,8 +85,8 @@ def sample_badset_chains(u: GridFunction, v0: GridFunction,
         idx = tuple(int(i) for i in idx)
         try:
             chain = construct_section_chain(
-                u, idx, sigma=sigma, k_max=levels, cfg=cfg, mu0=mu0,
-                mu_top=None, chain_resolution=chain_resolution, v0=v0)
+                u, idx, sigma=sigma, k_max=levels, newton_tol=newton_tol,
+                mu0=mu0, mu_top=None, chain_resolution=chain_resolution, v0=v0)
             out.append(section_ball_radii(u, chain))
         except CmalabError:
             out.append(NodeSections(idx, []))
@@ -242,8 +242,8 @@ def _lower_hull(w: GridFunction, region: np.ndarray
     is w itself and it has no facets.
     """
     # Imported on first use, here and in ma_measure: loading scipy.spatial
-    # adds about 2.5 MB to the resident memory of every pipeline run, and
-    # the pipeline calls neither function.
+    # adds about 4 MB (5%) to the peak resident memory of a pipeline run,
+    # and the pipeline calls neither function.
     from scipy.spatial import ConvexHull
 
     pts = w.domain.coords()[region.ravel()]

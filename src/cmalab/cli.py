@@ -26,10 +26,10 @@ from . import badset as badset_mod
 from . import covering as covering_mod
 from . import engulfing as engulfing_mod
 from . import w2p as w2p_mod
-from .errors import CmalabError
+from .errors import CmalabError, DomainMismatchError
 from .grid import GridDomain, GridFunction, build_domain, read_cache
 from .sections import SectionChain, construct_section_chain
-from .solver import SolveConfig, comparison_sandwich, solve_dirichlet
+from .solver import NEWTON_TOL, comparison_sandwich, solve_dirichlet
 
 _FUNCS = {
     "sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt,
@@ -142,7 +142,7 @@ class ExperimentConfig:
     chain_resolution: int | None = None
     engulf_pairs: int = 60
     cover_families: int = 10
-    newton_tol: float = 1e-8
+    newton_tol: float = NEWTON_TOL
 
     def __post_init__(self):
         if self.n not in (1, 2):
@@ -162,6 +162,10 @@ class ExperimentConfig:
             raise ValueError("k_max must be at least 1")
         if self.stride < 1:
             raise ValueError("stride must be at least 1")
+        if self.chain_levels < 1:
+            raise ValueError("chain_levels must be at least 1")
+        if self.newton_tol <= 0:
+            raise ValueError("newton_tol must be positive")
         if isinstance(self.eps_bar, str) and self.eps_bar != "recipe":
             raise ValueError("eps_bar must be a float or 'recipe'")
         if any(p < 1 for p in self.p_list):
@@ -169,6 +173,8 @@ class ExperimentConfig:
         self.p_list = tuple(float(p) for p in self.p_list)
         if self.chain_resolution is None:
             self.chain_resolution = _DIM_CHAIN_RESOLUTION[self.n]
+        if self.chain_resolution < 9:
+            raise ValueError("chain_resolution must be at least 9")
         if self.chain_resolution % 2 == 0:
             raise ValueError("chain_resolution must be odd")
 
@@ -257,7 +263,8 @@ def load_instance(base: Path) -> GridFunction:
 # Pipeline
 
 
-def _sample_base_points(dom: GridDomain, rng, count: int, radius: float = 0.45):
+def _sample_base_points(dom: GridDomain, rng, count: int):
+    radius = 0.45
     pts = []
     tries = 0
     while len(pts) < count and tries < 100 * count:
@@ -291,9 +298,8 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
     try:
         stage = "solve"
         dom = build_domain(cfg.n, cfg.shape_spec(), cfg.resolution)
-        scfg = SolveConfig(newton_tol=cfg.newton_tol)
-        u, urep = solve_dirichlet(dom, cfg.f_function(), 0.0, scfg)
-        v0, vrep = solve_dirichlet(dom, 1.0, 0.0, scfg)
+        u, urep = solve_dirichlet(dom, cfg.f_function(), 0.0, cfg.newton_tol)
+        v0, vrep = solve_dirichlet(dom, 1.0, 0.0, cfg.newton_tol)
         save_instance(u, out / "u", urep)
         save_instance(v0, out / "v0", vrep)
         u.write_csv(out / "u.csv")
@@ -325,8 +331,9 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
         chains = []
         for idx in base_pts:
             chains.append(construct_section_chain(
-                u, idx, sigma=cfg.sigma, k_max=cfg.chain_levels, cfg=scfg,
-                mu0=cfg.mu0, chain_resolution=cfg.chain_resolution, v0=v0))
+                u, idx, sigma=cfg.sigma, k_max=cfg.chain_levels,
+                newton_tol=cfg.newton_tol, mu0=cfg.mu0,
+                chain_resolution=cfg.chain_resolution, v0=v0))
         write_json(out / "chains.json", [c.to_dict() for c in chains])
         files.append(out / "chains.json")
         manifest["stages"]["sections"] = "ok"
@@ -370,7 +377,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
         node_sections = badset_mod.sample_badset_chains(
             u, v0, stride=cfg.stride, levels=cfg.chain_levels,
             sigma=cfg.sigma, mu0=cfg.mu0,
-            chain_resolution=cfg.chain_resolution, cfg=scfg)
+            chain_resolution=cfg.chain_resolution, newton_tol=cfg.newton_tol)
         report = badset_mod.badset_decay_experiment(
             u, node_sections, eps_bar, cfg.k_max, stride=cfg.stride,
             params={"eps": cfg.eps, "gamma": cfg.gamma, "sigma": cfg.sigma})
@@ -421,7 +428,8 @@ def _engulf_pairs(u: GridFunction, chains: list, rng, pairs: int) -> tuple[dict,
     return verdicts, rows
 
 
-def _random_ball_family(dom: GridDomain, rng, members: int = 24):
+def _random_ball_family(dom: GridDomain, rng):
+    members = 24
     pts = dom.coords()
     r = np.linalg.norm(pts, axis=1).reshape(dom.interior_mask.shape)
     rad_lo = 2.5 * dom.h
@@ -484,8 +492,7 @@ def _add_instance_args(sp):
 def _cmd_solve(args) -> int:
     dom = build_domain(args.n, _shape_from_args(args), args.resolution)
     f = compile_expression(args.f_expr, dom.d) if args.f_expr else 1.0
-    cfg = SolveConfig(newton_tol=args.newton_tol)
-    u, rep = solve_dirichlet(dom, f, 0.0, cfg)
+    u, rep = solve_dirichlet(dom, f, 0.0, args.newton_tol)
     if args.out:
         save_instance(u, Path(args.out), rep)
         if args.csv:
@@ -505,10 +512,15 @@ def _shape_from_args(args) -> str:
 
 
 def _load_u_v0(args) -> tuple[GridFunction, GridFunction]:
-    """The --instance u, and v0 from --v0 or else solved on u's domain."""
+    """The --instance u, and v0 from --v0 or else solved on u's domain.
+    A --v0 from another lattice or domain raises DomainMismatchError."""
     u = load_instance(Path(args.instance))
-    v0 = (load_instance(Path(args.v0)) if args.v0
-          else solve_dirichlet(u.domain, 1.0, 0.0)[0])
+    if not args.v0:
+        return u, solve_dirichlet(u.domain, 1.0, 0.0)[0]
+    v0 = load_instance(Path(args.v0))
+    if not (u.domain.same_lattice(v0.domain)
+            and u.domain.shape.spec() == v0.domain.shape.spec()):
+        raise DomainMismatchError(f"--v0 {args.v0} is not on the instance's lattice")
     return u, v0
 
 
@@ -527,13 +539,15 @@ def _decay_report(args, p: float, eps_bar: float | None = None, levels: int = 2)
 
 def _cmd_sections(args) -> int:
     u, v0 = _load_u_v0(args)
+    chain_resolution = (_DIM_CHAIN_RESOLUTION[u.domain.n]
+                        if args.chain_resolution is None else args.chain_resolution)
     chains = []
     for spec in args.center:
         pt = np.array([float(x) for x in spec.split(",")])
         idx = u.domain.node_index(pt)
         chains.append(construct_section_chain(
             u, idx, sigma=args.sigma, k_max=args.levels, mu0=args.mu0,
-            chain_resolution=args.chain_resolution, v0=v0))
+            chain_resolution=chain_resolution, v0=v0))
     write_json(Path(args.out_chain), [c.to_dict() for c in chains])
     print(f"built {len(chains)} chains -> {args.out_chain}")
     return 0
@@ -624,7 +638,7 @@ def main(argv=None) -> int:
                     help="boundary profile; default cos3 for n=1, harmonic for n=2")
     sp.add_argument("--radius", type=float, default=1.0)
     sp.add_argument("--f-expr", dest="f_expr", default=None)
-    sp.add_argument("--newton-tol", dest="newton_tol", type=float, default=1e-8)
+    sp.add_argument("--newton-tol", dest="newton_tol", type=float, default=NEWTON_TOL)
     sp.add_argument("--out", default=None)
     sp.add_argument("--csv", action="store_true")
     sp.add_argument("--report", default=None)
@@ -635,10 +649,10 @@ def main(argv=None) -> int:
     sp.add_argument("--v0", default=None)
     sp.add_argument("--center", action="append", required=True,
                     help="comma-separated coordinates; repeatable")
-    sp.add_argument("--sigma", type=float, default=0.2)
-    sp.add_argument("--mu0", type=float, default=0.1)
+    sp.add_argument("--sigma", type=float, default=ExperimentConfig.sigma)
+    sp.add_argument("--mu0", type=float, default=ExperimentConfig.mu0)
     sp.add_argument("--levels", type=int, default=3)
-    sp.add_argument("--chain-resolution", dest="chain_resolution", type=int, default=49)
+    sp.add_argument("--chain-resolution", dest="chain_resolution", type=int)
     sp.add_argument("--out-chain", dest="out_chain", required=True)
     sp.set_defaults(func=_cmd_sections)
 
@@ -679,14 +693,14 @@ def main(argv=None) -> int:
     sp = sub.add_parser("pipeline", help="full experiment pipeline")
     sp.add_argument("--config", default=None)
     sp.add_argument("--out-dir", dest="out_dir", required=True)
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--resolution", type=int, default=65)
-    sp.add_argument("--gamma", type=float, default=0.05)
-    sp.add_argument("--eps", type=float, default=0.01)
-    sp.add_argument("--sigma", type=float, default=0.2)
-    sp.add_argument("--k-max", dest="k_max", type=int, default=3)
-    sp.add_argument("--stride", type=int, default=4)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--n", type=int, default=ExperimentConfig.n)
+    sp.add_argument("--resolution", type=int, default=ExperimentConfig.resolution)
+    sp.add_argument("--gamma", type=float, default=ExperimentConfig.gamma)
+    sp.add_argument("--eps", type=float, default=ExperimentConfig.eps)
+    sp.add_argument("--sigma", type=float, default=ExperimentConfig.sigma)
+    sp.add_argument("--k-max", dest="k_max", type=int, default=ExperimentConfig.k_max)
+    sp.add_argument("--stride", type=int, default=ExperimentConfig.stride)
+    sp.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     sp.set_defaults(func=_cmd_pipeline)
 
     args = parser.parse_args(argv)

@@ -152,9 +152,9 @@ def maximal_function(f_values: np.ndarray, family: SectionFamily,
 
 def weak_11_certificate(f_values: np.ndarray, family: SectionFamily,
                         region: np.ndarray | None = None,
-                        t_values: tuple | None = None,
                         slack: float = 0.1) -> dict:
-    """Dyadic sweep of m{M|f| > t} <= (1+slack) 10^d ||f||_L1 / t."""
+    """Dyadic sweep of m{M|f| > t} <= (1+slack) 10^d ||f||_L1 / t over
+    t = 2^-4 .. 2^4."""
     d = family.ndim
     h = family.members[0].h
     if region is None:
@@ -162,11 +162,9 @@ def weak_11_certificate(f_values: np.ndarray, family: SectionFamily,
     M = maximal_function(np.abs(f_values), family, region)
     l1 = float(np.nansum(np.abs(f_values)[region]) * h ** d)
     constant = 10.0 ** d
-    if t_values is None:
-        t_values = tuple(2.0 ** k for k in range(-4, 5))
     rows = []
     ok_all = True
-    for t in t_values:
+    for t in (2.0 ** k for k in range(-4, 5)):
         level = float(np.sum((M > t) & region) * h ** d)
         bound = (1.0 + slack) * constant * l1 / t
         ok = level <= bound
@@ -176,11 +174,11 @@ def weak_11_certificate(f_values: np.ndarray, family: SectionFamily,
 
 
 def measure_comparison(X: np.ndarray, Y: np.ndarray, family: SectionFamily,
-                       eps_bar: float, mu0: float,
-                       top_range: tuple[float, float] | None = None) -> dict:
+                       eps_bar: float, mu0: float) -> dict:
     """Verdict for m(X) <= 12^d eps_bar m(Y) with enumerated hypotheses.
 
-    Hypothesis 1: members at top heights meet X in density < eps_bar.
+    Hypothesis 1: members at top heights (mu0/484 to mu0/4) meet X in
+    density < eps_bar.
     Hypothesis 2: members of density >= eps_bar with mu <= mu0/2 lie in Y
     (one-cell slack).  A hypothesis violation is recorded and the conclusion
     left untested.
@@ -189,14 +187,12 @@ def measure_comparison(X: np.ndarray, Y: np.ndarray, family: SectionFamily,
         raise ValueError("eps_bar must lie in (0, 1)")
     d = family.ndim
     h = family.members[0].h
-    if top_range is None:
-        top_range = (mu0 / 484.0, mu0 / 4.0)
 
     hyp1_violations = []
     hyp2_violations = []
     for i, m in enumerate(family.members):
         dens = float((m.mask & X).sum()) / max(1, m.node_count())
-        if top_range[0] <= m.mu <= top_range[1] and dens >= eps_bar:
+        if mu0 / 484.0 <= m.mu <= mu0 / 4.0 and dens >= eps_bar:
             hyp1_violations.append(i)
         if dens >= eps_bar and m.mu <= mu0 / 2.0 and not inclusion_with_slack(m.mask, Y):
             hyp2_violations.append(i)

@@ -6,7 +6,7 @@ class CmalabError(Exception):
 
 
 class MemoryCapError(CmalabError):
-    """Requested resolution exceeds the configured memory cap."""
+    """Requested resolution needs more than the fixed 2 GiB memory cap."""
 
 
 class StencilViolationError(CmalabError):
@@ -43,7 +43,8 @@ class LinearSolveError(CmalabError):
 
 
 class DegeneracyError(CmalabError):
-    """Plurisubharmonicity was lost and damping could not repair it, or the
+    """The solver's initial guess is not strictly plurisubharmonic, a Newton
+    step lost plurisubharmonicity and damping could not repair it, or the
     domain has no interior node to solve on."""
 
 

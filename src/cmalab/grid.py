@@ -31,6 +31,7 @@ from .errors import (
 
 CACHE_MAGIC = b"CMAG"
 CACHE_VERSION = 1
+_MEMORY_CAP_BYTES = 2 << 30     # largest solve footprint build_domain accepts
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +318,7 @@ class GridDomain:
         )
 
 
-def build_domain(n: int, shape_spec, resolution: int,
-                 memory_cap_bytes: int = 2 << 30) -> GridDomain:
+def build_domain(n: int, shape_spec, resolution: int) -> GridDomain:
     """Discretize a near-ball domain in C^n on a symmetric box.
 
     The box half-width is the shape's outer radius, so an exact unit ball at
@@ -334,10 +334,10 @@ def build_domain(n: int, shape_spec, resolution: int,
     d = 2 * n
     # A handful of full-box float64 arrays are alive during a solve.
     footprint = 12 * 8 * resolution ** d
-    if footprint > memory_cap_bytes:
+    if footprint > _MEMORY_CAP_BYTES:
         raise MemoryCapError(
             f"resolution {resolution} in {d} real dimensions needs about "
-            f"{footprint / 1e9:.1f} GB (> cap {memory_cap_bytes / 1e9:.1f} GB)")
+            f"{footprint / 1e9:.1f} GB (> cap {_MEMORY_CAP_BYTES / 1e9:.1f} GB)")
 
     L = shape.outer_radius()
     box = np.array([[-L, L]] * d)
@@ -605,12 +605,11 @@ class GridFunction:
     values: np.ndarray
 
     @classmethod
-    def from_callable(cls, domain: GridDomain, fn, where: str = "valued") -> "GridFunction":
+    def from_callable(cls, domain: GridDomain, fn) -> "GridFunction":
         pts = domain.coords()
         vals = np.asarray(fn(pts), dtype=float).reshape((domain.resolution,) * domain.d)
         out = np.full_like(vals, np.nan)
-        mask = domain.valued_mask if where == "valued" else np.ones_like(vals, dtype=bool)
-        out[mask] = vals[mask]
+        out[domain.valued_mask] = vals[domain.valued_mask]
         return cls(domain, out)
 
     @classmethod
@@ -688,9 +687,6 @@ class HermitianMatrix:
 
     def det(self) -> float:
         return float(np.linalg.det(self.entries).real)
-
-    def is_positive_definite(self, floor: float = 0.0) -> bool:
-        return bool(self.eigenvalues().min() > floor)
 
     def normalized(self) -> "HermitianMatrix":
         """Scale to unit determinant (requires positive determinant)."""
@@ -798,11 +794,11 @@ def laplacian(u: GridFunction, x: tuple) -> float:
     return float(4.0 * complex_hessian(u, x).entries.trace().real)
 
 
-def trace_inverse(u: GridFunction, x: tuple, floor: float = 0.0) -> float:
+def trace_inverse(u: GridFunction, x: tuple) -> float:
     """Trace of the inverse complex Hessian (sum of 1/eigenvalue)."""
     H = complex_hessian(u, x)
     lam = H.eigenvalues()
-    if lam.min() <= floor:
+    if lam.min() <= 0.0:
         raise DegenerateHessianError(
             f"complex Hessian not positive definite at {tuple(x)}", float(lam.min()))
     return float(np.sum(1.0 / lam))

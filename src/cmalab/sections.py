@@ -31,7 +31,7 @@ from .grid import (
     complex_hessian,
     holomorphic_hessian,
 )
-from .solver import SolveConfig, solve_dirichlet
+from .solver import NEWTON_TOL, solve_dirichlet
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +326,19 @@ def taylor_split(v: GridFunction, x0: tuple) -> tuple[PluriharmonicPoly, Hermiti
     return PluriharmonicPoly(center, lin, quad), A
 
 
-def normalize_transform(A: HermitianMatrix, det_tol: float = 0.2) -> HermitianTransform:
+def normalize_transform(A: HermitianMatrix) -> HermitianTransform:
     """Transform T = U diag(lambda^-1/2) U* mapping B_r onto {<Az,z> <= r^2}.
 
-    A must be positive definite with determinant near 1; eigenvalues are
-    rescaled to unit product so |det T| = 1 exactly up to roundoff.
+    A must be positive definite with determinant within 0.2 of 1;
+    eigenvalues are rescaled to unit product so |det T| = 1 exactly up to
+    roundoff.
     """
     lam, U = np.linalg.eigh(A.entries)
     if lam.min() <= 0:
         raise DegenerateHessianError(
             "cannot normalize a non-positive-definite form", float(lam.min()))
     det = float(np.prod(lam))
-    if abs(det - 1.0) > det_tol:
+    if abs(det - 1.0) > 0.2:
         raise ValueError(f"determinant {det:.4f} too far from 1 to normalize")
     lam_hat = lam / det ** (1.0 / lam.size)
     T = U @ np.diag(lam_hat ** -0.5) @ U.conj().T
@@ -464,15 +465,15 @@ def rescale_to_unit(u: GridFunction, x0: tuple, mu: float,
     return GridFunction(new_dom, out)
 
 
-def allowed_top_height(dom: GridDomain, x0: tuple, cap: float = 0.25) -> float:
-    """Largest safe first-level height at a node: the level-one section must
-    stay well inside the domain."""
+def allowed_top_height(dom: GridDomain, x0: tuple) -> float:
+    """Largest safe first-level height at a node, at most 0.25: the
+    level-one section must stay well inside the domain."""
     pt = dom.coords(tuple(x0))
     depth = -float(dom.shape.signed(pt[None, :])[0])
     room = depth - 3.0 * dom.h
     if room <= 0:
         return 0.0
-    return min(cap, (room / 1.15) ** 2)
+    return min(0.25, (room / 1.15) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +481,7 @@ def allowed_top_height(dom: GridDomain, x0: tuple, cap: float = 0.25) -> float:
 
 
 def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
-                            k_max: int, cfg: SolveConfig | None = None,
+                            k_max: int, newton_tol: float = NEWTON_TOL,
                             mu0: float = 0.1, mu_top: float | None = None,
                             chain_resolution: int = 49,
                             v0: GridFunction | None = None) -> SectionChain:
@@ -501,7 +502,6 @@ def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
         raise ValueError("practical level ratio mu0 must lie in [0.01, 0.25]")
     if chain_resolution % 2 == 0:
         raise ValueError("chain_resolution must be odd (origin must be a node)")
-    cfg = cfg or SolveConfig()
     dom = u.domain
     x0 = tuple(x0)
     if not dom.interior_mask[x0]:
@@ -521,7 +521,7 @@ def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
                          paper_mu0=mu0_from_sigma(sigma, sigma))
 
     if v0 is None:
-        v0, _ = solve_dirichlet(dom, 1.0, 0.0, cfg)
+        v0, _ = solve_dirichlet(dom, 1.0, 0.0, newton_tol)
 
     w = u
     w_dom = dom
@@ -537,7 +537,7 @@ def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
 
         if k > 1:
             try:
-                v_level, v_rep = solve_dirichlet(w_dom, 1.0, 0.0, cfg)
+                v_level, v_rep = solve_dirichlet(w_dom, 1.0, 0.0, newton_tol)
             except CmalabError as exc:
                 raise ChainBrokenError(f"level {k} Dirichlet solve failed: {exc}", k) from exc
             solve_iters, solve_res = v_rep.iterations, v_rep.residual

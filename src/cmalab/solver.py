@@ -6,7 +6,8 @@ nodes; boundary nodes are eliminated through their linear extrapolation
 constraints (anchored at continuum cut points), which keeps the inner linear
 system elliptic and interior-only.  A plurisubharmonicity guard halves the
 step whenever the smallest complex-Hessian eigenvalue would drop below the
-configured floor.
+fixed floor _PSH_FLOOR.  The residual target newton_tol is the solver's
+only setting.
 """
 
 from __future__ import annotations
@@ -37,24 +38,9 @@ from .grid import (
 )
 
 
-@dataclass
-class SolveConfig:
-    newton_tol: float = 1e-8
-    max_iters: int = 30
-    damping: float = 1.0
-    psh_floor: float = 1e-6
-    init_mode: str = "quadratic-plus-harmonic"
-    init_values: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
-        if self.psh_floor <= 0:
-            raise ValueError("psh_floor must be positive")
-        if self.init_mode not in ("quadratic-plus-harmonic", "supplied"):
-            raise ValueError(f"unknown init_mode {self.init_mode!r}")
+NEWTON_TOL = 1e-8          # default residual target max|log det - log f|
+_MAX_ITERS = 30
+_PSH_FLOOR = 1e-6          # smallest complex-Hessian eigenvalue kept in a step
 
 
 @dataclass
@@ -296,16 +282,19 @@ def harmonic_extension(dom: GridDomain, cut_values: np.ndarray) -> np.ndarray:
 # The solver
 
 
-def solve_dirichlet(domain: GridDomain, f, g, cfg: SolveConfig | None = None
+def solve_dirichlet(domain: GridDomain, f, g, newton_tol: float = NEWTON_TOL
                     ) -> tuple[GridFunction, SolveReport]:
     """Solve det(u_{i jbar}) = f in the domain with Dirichlet data g.
 
     f may be a GridFunction, callable, or scalar (positive on the interior);
     g a callable/scalar/GridFunction sampled at the continuum cut points.
+    Newton starts from |z|^2 - r^2 plus the harmonic extension of the
+    boundary gap and stops once max|log det - log f| <= newton_tol.
     Returns the solution and a residual certificate.  Raises
     NonConvergenceError, DegeneracyError or LinearSolveError on failure.
     """
-    cfg = cfg or SolveConfig()
+    if newton_tol <= 0:
+        raise ValueError("newton_tol must be positive")
     t0 = time.perf_counter()
     asm = _get_assembly(domain)
     int_flat = asm["int_flat"]
@@ -322,19 +311,14 @@ def solve_dirichlet(domain: GridDomain, f, g, cfg: SolveConfig | None = None
     g_off = asm["coef_c"] * g_cut
 
     q = _reference_quadratic(domain)
-    if cfg.init_mode == "supplied":
-        if cfg.init_values is None:
-            raise ValueError("init_mode 'supplied' needs init_values")
-        u_flat = np.asarray(cfg.init_values, dtype=float).ravel().copy()
-    else:
-        pts = domain.coords()
-        u_flat = np.full(pts.shape[0], np.nan)
-        valued = domain.valued_mask.ravel()
-        u_flat[valued] = q(pts[valued])
-        gap = g_cut - q(domain.bc_table["cuts"])
-        if np.max(np.abs(gap)) > 1e-13:
-            ext = harmonic_extension(domain, gap)
-            u_flat[valued] += ext[valued]
+    pts = domain.coords()
+    u_flat = np.full(pts.shape[0], np.nan)
+    valued = domain.valued_mask.ravel()
+    u_flat[valued] = q(pts[valued])
+    gap = g_cut - q(domain.bc_table["cuts"])
+    if np.max(np.abs(gap)) > 1e-13:
+        ext = harmonic_extension(domain, gap)
+        u_flat[valued] += ext[valued]
     _set_boundary(domain, u_flat, g_off)
 
     shape_nd = (domain.resolution,) * domain.d
@@ -347,30 +331,30 @@ def solve_dirichlet(domain: GridDomain, f, g, cfg: SolveConfig | None = None
         return fields, lam_min.ravel()[int_flat], det.ravel()[int_flat]
 
     fields, lam_min, det = interior_state(u_flat)
-    if np.nanmin(lam_min) <= cfg.psh_floor:
+    if np.nanmin(lam_min) <= _PSH_FLOOR:
         raise DegeneracyError(
             "initial guess is not strictly plurisubharmonic "
             f"(min eigenvalue {np.nanmin(lam_min):.3e})")
 
     residual = float(np.max(np.abs(np.log(det) - log_f)))
     iters = 0
-    while residual > cfg.newton_tol:
-        if iters >= cfg.max_iters:
+    while residual > newton_tol:
+        if iters >= _MAX_ITERS:
             raise NonConvergenceError(
-                f"Newton did not reach {cfg.newton_tol:.1e} in {cfg.max_iters} "
+                f"Newton did not reach {newton_tol:.1e} in {_MAX_ITERS} "
                 f"iterations (last residual {residual:.3e})", residual, iters)
         weights = _hessian_weights(domain, fields, int_flat)
         A_int, _ = _assemble(domain, weights)
         delta = _linear_solve(domain, A_int, -(np.log(det) - log_f))
 
-        step = cfg.damping
+        step = 1.0
         halvings = 0
         while True:
             u_try = u_flat.copy()
             u_try[int_flat] += step * delta
             _set_boundary(domain, u_try, g_off)
             fields_try, lam_try, det_try = interior_state(u_try)
-            if np.nanmin(lam_try) > cfg.psh_floor and np.all(det_try > 0.0):
+            if np.nanmin(lam_try) > _PSH_FLOOR and np.all(det_try > 0.0):
                 break
             halvings += 1
             if halvings > 5:

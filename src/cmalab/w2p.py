@@ -54,11 +54,11 @@ def complex_trace_field(u: GridFunction) -> np.ndarray:
     return out
 
 
-def inverse_trace_field(u: GridFunction, floor: float = 0.0) -> np.ndarray:
+def inverse_trace_field(u: GridFunction) -> np.ndarray:
     """Trace of the inverse complex Hessian; NaN where not positive definite."""
     fields = hessian_fields(u)
     lam_min, lam_max = hessian_eigen_fields(fields)
-    pd = lam_min > floor
+    pd = lam_min > 0.0
     safe_min = np.where(pd, lam_min, 1.0)
     out = 1.0 / safe_min
     if "h22" in fields:

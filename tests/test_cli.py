@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cmalab import badset, cli, grid
+from cmalab.errors import DomainMismatchError, NonConvergenceError
 
 
 # -- expression language -----------------------------------------------------------
@@ -52,6 +53,12 @@ def test_config_validates_before_compute(tmp_path):
         cli.ExperimentConfig(mu0=0.5)
     with pytest.raises(ValueError):
         cli.ExperimentConfig(eps_bar="bogus")
+    with pytest.raises(ValueError):
+        cli.ExperimentConfig(newton_tol=0.0)
+    with pytest.raises(ValueError):
+        cli.ExperimentConfig(chain_levels=0)
+    with pytest.raises(ValueError):
+        cli.ExperimentConfig(chain_resolution=7)
     assert not list(tmp_path.iterdir())
 
 
@@ -115,6 +122,13 @@ def test_solve_subcommand_profile_fits_dimension(tmp_path):
     assert meta["shape"] == {"kind": "perturbed_ball", "gamma": 0.05, "profile": "harmonic"}
     with pytest.raises(ValueError):
         cli.main(["solve", "--n", "2", "--profile", "cos3"])
+
+
+def test_solve_subcommand_passes_newton_tol():
+    # A target below roundoff reaches the solve and is never met.
+    with pytest.raises(NonConvergenceError):
+        cli.main(["solve", "--n", "1", "--resolution", "17",
+                  "--f-expr", "1 + 0.1*x1*x1", "--newton-tol", "1e-300"])
 
 
 # -- sections / engulf subcommands ----------------------------------------------------
@@ -287,9 +301,9 @@ def test_badset_and_w2p_subcommands(tmp_path):
             == json.loads((tmp_path / "np.json").read_text()))
 
 
-@pytest.mark.parametrize("cmd", ["badset", "w2p"])
+@pytest.mark.parametrize("cmd", ["badset", "w2p", "sections"])
 def test_decay_subcommands_use_the_pipeline_chain_resolution(tmp_path, monkeypatch, cmd):
-    # At n=2 the subcommands sample chains on the lattice the n=2 pipeline
+    # At n=2 the subcommands build chains on the lattice the n=2 pipeline
     # uses, not on the planar one.
     base = tmp_path / "inst"
     cli.main(["solve", "--n", "2", "--resolution", "9", "--out", str(base)])
@@ -299,9 +313,39 @@ def test_decay_subcommands_use_the_pipeline_chain_resolution(tmp_path, monkeypat
         seen.append(kwargs.get("chain_resolution"))
         return [badset.NodeSections((4, 4, 4, 4), [])]
 
+    class ChainStub:
+        def to_dict(self):
+            return {}
+
+    def record_chain(u, idx, **kwargs):
+        seen.append(kwargs.get("chain_resolution"))
+        return ChainStub()
+
     monkeypatch.setattr(badset, "sample_badset_chains", record)
-    cli.main([cmd, "--instance", str(base), "--k-max", "1"])
+    monkeypatch.setattr(cli, "construct_section_chain", record_chain)
+    extra = (["--center", "0,0,0,0", "--out-chain", str(tmp_path / "c.json")]
+             if cmd == "sections" else ["--k-max", "1"])
+    cli.main([cmd, "--instance", str(base), *extra])
     assert seen == [cli.ExperimentConfig(n=2).chain_resolution]
+
+
+@pytest.mark.parametrize("v0_args", [
+    ["--resolution", "21", "--gamma", "0.05"],
+    ["--resolution", "17"],
+    ["--resolution", "17", "--radius", "1.05"],
+], ids=["other-resolution", "other-box", "same-lattice-other-shape"])
+def test_v0_from_another_domain_is_refused(tmp_path, v0_args):
+    # A --v0 solved on another lattice or shape would be read node by node
+    # as if it were the instance's own.
+    base = tmp_path / "inst"
+    cli.main(["solve", "--n", "1", "--resolution", "17", "--gamma", "0.05",
+              "--out", str(base)])
+    cli.main(["solve", "--n", "1", *v0_args, "--out", str(tmp_path / "v0")])
+    for cmd, *extra in (["badset"], ["w2p"],
+                        ["sections", "--center", "0,0", "--out-chain", str(tmp_path / "c.json")]):
+        with pytest.raises(DomainMismatchError):
+            cli.main([cmd, "--instance", str(base), "--v0", str(tmp_path / "v0"), *extra])
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_pipeline_plot_exports(pipeline_runs):

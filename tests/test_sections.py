@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmalab import cli, grid, sections
-from cmalab.errors import ChainBrokenError, LinearSolveError, SectionEscapeError
+from cmalab.errors import (
+    ChainBrokenError,
+    LinearSolveError,
+    NonConvergenceError,
+    SectionEscapeError,
+)
 from cmalab.grid import GridFunction, HermitianMatrix
 
 
@@ -340,6 +345,18 @@ def test_chain_margin_precondition(ball_n1):
     with pytest.raises(ValueError):
         sections.construct_section_chain(u, dom.node_index((0.0, 0.0)), sigma=0.2,
                                          k_max=1, v0=u, mu_top=0.3)
+
+
+def test_chain_solves_to_the_given_newton_tol(ball_n1):
+    # newton_tol reaches the level-2 solve: a target below roundoff breaks
+    # the chain there, with the solver's failure as the cause.
+    dom, u, _ = ball_n1
+    with pytest.raises(ChainBrokenError) as err:
+        sections.construct_section_chain(
+            u, dom.node_index((0.25, -0.125)), sigma=0.2, k_max=2,
+            newton_tol=1e-300, v0=u, chain_resolution=33)
+    assert err.value.level == 2
+    assert isinstance(err.value.__cause__, NonConvergenceError)
 
 
 @pytest.mark.parametrize("stage, exc, expected", [

@@ -118,43 +118,46 @@ def test_rejects_nonpositive_f():
 
 
 def test_nonconvergence_carries_last_residual():
+    # A residual target below roundoff is never met: the iteration cap
+    # raises, carrying the last residual.
     dom = grid.build_domain(1, "ball:1.0", 33)
-    cfg = solver.SolveConfig(newton_tol=1e-14, max_iters=1)
     with pytest.raises(NonConvergenceError) as err:
-        solver.solve_dirichlet(dom, lambda p: 1.0 + 0.1 * np.atleast_2d(p)[:, 0] ** 2, 0.0, cfg)
+        solver.solve_dirichlet(dom, lambda p: 1.0 + 0.1 * np.atleast_2d(p)[:, 0] ** 2,
+                               0.0, newton_tol=1e-300)
     assert err.value.last_residual > 0
+    assert err.value.iterations == 30
 
 
 def test_degenerate_init_raises():
-    dom = grid.build_domain(1, "ball:1.0", 33)
-    pts = dom.coords()
-    bad = np.where(dom.valued_mask.ravel(), pts[:, 0] ** 2 - pts[:, 1] ** 2, np.nan)
-    cfg = solver.SolveConfig(init_mode="supplied", init_values=bad)
-    with pytest.raises(DegeneracyError):
-        solver.solve_dirichlet(dom, 1.0, 0.0, cfg)
+    # g = 2(|z1|^2 - |z2|^2) is harmonic but not pluriharmonic, so the
+    # initial guess |z|^2 - 1 + (harmonic extension of g - |z|^2 + 1) has
+    # complex Hessian diag(3, -1): not plurisubharmonic.
+    dom = grid.build_domain(2, "ball:1.0", 9)
+
+    def g(p):
+        p = np.atleast_2d(p)
+        return 2.0 * (p[:, 0] ** 2 + p[:, 1] ** 2 - p[:, 2] ** 2 - p[:, 3] ** 2)
+
+    with pytest.raises(DegeneracyError, match="initial guess"):
+        solver.solve_dirichlet(dom, 1.0, g)
 
 
 def test_solve_report_invariant(perturbed_n1):
     # On success: residual below newton_tol, minimum eigenvalue above the
     # floor, boundary constraints satisfied to roundoff.
     _, u, _ = perturbed_n1
-    cfg = solver.SolveConfig()
-    _, rep = solver.solve_dirichlet(u.domain, 1.0, 0.0, cfg)
+    _, rep = solver.solve_dirichlet(u.domain, 1.0, 0.0)
     assert rep.converged
-    assert rep.residual <= cfg.newton_tol
-    assert rep.min_eigenvalue >= cfg.psh_floor
+    assert rep.residual <= solver.NEWTON_TOL
+    assert rep.min_eigenvalue >= solver._PSH_FLOOR
     assert rep.boundary_max_error <= 1e-10
 
 
 def test_solve_config_validation():
-    with pytest.raises(ValueError):
-        solver.SolveConfig(newton_tol=0.0)
-    with pytest.raises(ValueError):
-        solver.SolveConfig(damping=1.5)
-    with pytest.raises(ValueError):
-        solver.SolveConfig(psh_floor=-1.0)
-    with pytest.raises(ValueError):
-        solver.SolveConfig(init_mode="bogus")
+    dom = grid.build_domain(1, "ball:1.0", 9)
+    for tol in (0.0, -1e-8):
+        with pytest.raises(ValueError):
+            solver.solve_dirichlet(dom, 1.0, 0.0, newton_tol=tol)
 
 
 def test_boundary_support_cycle_raises_typed_error():
