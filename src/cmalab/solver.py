@@ -4,14 +4,18 @@ Damped Newton on G(u) = log det u_{i jbar} - log f.  Each step solves the
 linearized equation sum_ij u^{i jbar} d_{i jbar}(delta) = -G(u) over interior
 nodes; boundary nodes are eliminated through their linear extrapolation
 constraints (anchored at continuum cut points), which keeps the inner linear
-system elliptic and interior-only.  A plurisubharmonicity guard halves the
-step whenever the smallest complex-Hessian eigenvalue would drop below the
-fixed floor _PSH_FLOOR.  The residual target newton_tol is the solver's
-only setting.
+system elliptic and interior-only.  At n = 1 that system is solved directly;
+at n = 2 by GMRES preconditioned with a geometric-multigrid V-cycle of the
+domain's Laplacian, built once per domain.  A plurisubharmonicity guard
+halves the step whenever the smallest complex-Hessian eigenvalue would drop
+below the fixed floor _PSH_FLOOR.  The residual target newton_tol is the
+solver's only setting.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -41,6 +45,9 @@ from .grid import (
 NEWTON_TOL = 1e-8          # default residual target max|log det - log f|
 _MAX_ITERS = 30
 _PSH_FLOOR = 1e-6          # smallest complex-Hessian eigenvalue kept in a step
+_JACOBI_OMEGA = 0.8        # damping of the V-cycle's Jacobi smoother
+_JACOBI_SWEEPS = 2         # pre- and post-smoothing sweeps per level
+_COARSEST_RES = 5          # fewest nodes per axis of a coarse lattice
 
 
 @dataclass
@@ -175,20 +182,86 @@ def _laplacian(dom: GridDomain) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return dom._cache["laplacian"]
 
 
+def _prolongation(mask: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Multilinear interpolation P from the lattice of spacing 2h to the
+    unknowns of mask (rows), and the mask of the coarse unknowns (columns).
+
+    A coarse unknown is an even-index node whose fine twin is an unknown
+    (injection), so P holds an identity block and has full column rank.
+    """
+    d = mask.ndim
+    cmask = mask[(slice(None, None, 2),) * d]
+    ccol = np.full(cmask.size, -1, dtype=np.int64)
+    ccol[np.flatnonzero(cmask)] = np.arange(np.count_nonzero(cmask))
+    idx = np.argwhere(mask)
+    odd = idx % 2 == 1
+    rows, cols, vals = [], [], []
+    for corner in itertools.product((0, 1), repeat=d):
+        # An even fine index sits on a coarse node; an odd one between two.
+        use = np.flatnonzero(np.all(odd | (np.array(corner) == 0), axis=1))
+        col = ccol[np.ravel_multi_index(((idx[use] + corner) // 2).T, cmask.shape)]
+        keep = col >= 0
+        rows.append(use[keep])
+        cols.append(col[keep])
+        vals.append(0.5 ** np.count_nonzero(odd[use[keep]], axis=1))
+    P = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(idx.shape[0], np.count_nonzero(cmask))).tocsr()
+    return P, cmask
+
+
+def _cycle(levels: list, coarsest, b: np.ndarray, lvl: int = 0) -> np.ndarray:
+    """One V-cycle for levels[lvl] from a zero guess: damped-Jacobi sweeps
+    around the correction from the next level, a direct solve at the end."""
+    if lvl == len(levels):
+        return coarsest.solve(b)
+    A, P, dinv = levels[lvl]
+    x = np.zeros_like(b)
+    for _ in range(_JACOBI_SWEEPS):
+        x += _JACOBI_OMEGA * dinv * (b - A @ x)
+    x += P @ _cycle(levels, coarsest, P.T @ (b - A @ x), lvl + 1)
+    for _ in range(_JACOBI_SWEEPS):
+        x += _JACOBI_OMEGA * dinv * (b - A @ x)
+    return x
+
+
+def _multigrid(dom: GridDomain):
+    """V-cycle preconditioner for the domain's negated Laplacian.
+
+    Coarse operators are Galerkin, P^T A P, so every level inherits the fine
+    boundary substitution.  A lattice with an odd node count per axis
+    coarsens while its coarse twin keeps _COARSEST_RES nodes per axis and at
+    least one unknown; the coarsest operator is factored once.  A domain that
+    cannot coarsen gets a one-level hierarchy: the direct solve.
+    """
+    A = (-_laplacian(dom)[0]).tocsr()
+    mask = dom.interior_mask
+    levels = []
+    while mask.shape[0] % 2 == 1 and (mask.shape[0] + 1) // 2 >= _COARSEST_RES:
+        P, cmask = _prolongation(mask)
+        if P.shape[1] == 0:
+            break
+        levels.append((A, P, 1.0 / A.diagonal()))
+        A = (P.T @ A @ P).tocsr()
+        mask = cmask
+    # A module-level function, not a closure over itself, so the hierarchy
+    # is freed with its domain by reference counting.
+    return functools.partial(_cycle, levels, spla.splu(A.tocsc()))
+
+
 def _linear_solve(dom: GridDomain, A: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
     """Solve the interior system A x = rhs on the domain.
 
     Planar (n = 1) grids go direct.  4-dimensional grids run GMRES on -A,
-    preconditioned by one ILU of the domain's negated Laplacian shared by
-    every solve there; a miss of max|A x - rhs| <= 1e-10 max|rhs| raises
-    LinearSolveError.
+    preconditioned by one multigrid V-cycle of the domain's negated
+    Laplacian shared by every solve there; a miss of
+    max|A x - rhs| <= 1e-10 max|rhs| raises LinearSolveError.
     """
     if dom.n == 1:
         return spla.spsolve(A.tocsc(), rhs)
-    if "ilu" not in dom._cache:
-        dom._cache["ilu"] = spla.spilu((-_laplacian(dom)[0]).tocsc(),
-                                       drop_tol=1e-4, fill_factor=15)
-    M = spla.LinearOperator(A.shape, dom._cache["ilu"].solve)
+    if "multigrid" not in dom._cache:
+        dom._cache["multigrid"] = _multigrid(dom)
+    M = spla.LinearOperator(A.shape, dom._cache["multigrid"], dtype=A.dtype)
     x, info = spla.gmres((-A).tocsr(), -rhs, M=M, rtol=1e-13, atol=0.0,
                          maxiter=400, restart=80)
     residual = float(np.max(np.abs(A @ x - rhs)))

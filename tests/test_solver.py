@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from cmalab import grid, solver
 from cmalab.errors import (
@@ -185,16 +186,74 @@ def test_domain_without_interior_raises_degeneracy():
 
 def test_one_preconditioner_per_n2_domain(monkeypatch):
     # The harmonic extension and every Newton step of the v0 and u solves
-    # on one n = 2 domain share a single ILU of its Laplacian.
+    # on one n = 2 domain share a single multigrid hierarchy, whose one
+    # factorization is that of its coarsest operator.
     calls = []
-    real = solver.spla.spilu
-    monkeypatch.setattr(solver.spla, "spilu",
+    real = solver.spla.splu
+    monkeypatch.setattr(solver.spla, "splu",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     dom = grid.build_domain(2, "perturbed:0.05:harmonic", 9)
     _, v_rep = solver.solve_dirichlet(dom, 1.0, 0.0)
     _, u_rep = solver.solve_dirichlet(dom, lambda p: 1.0 + 0.01 * np.cos(np.pi * p[:, 0]), 0.0)
     assert v_rep.iterations >= 1 and u_rep.iterations >= 1
     assert len(calls) == 1
+
+
+def _f_n2(pts):
+    pts = np.atleast_2d(pts)
+    return 1.0 + 0.01 * np.cos(np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, 2])
+
+
+def test_multigrid_solve_matches_direct_solve(monkeypatch):
+    # The V-cycle only preconditions: the n = 2 solve equals one whose
+    # linear systems are solved directly, Newton step for Newton step.
+    u, rep = solver.solve_dirichlet(
+        grid.build_domain(2, "perturbed:0.05:harmonic", 9), _f_n2, 0.0)
+    monkeypatch.setattr(solver, "_linear_solve",
+                        lambda dom, A, rhs: spla.spsolve(A.tocsc(), rhs))
+    ref, ref_rep = solver.solve_dirichlet(
+        grid.build_domain(2, "perturbed:0.05:harmonic", 9), _f_n2, 0.0)
+    assert np.array_equal(np.isnan(u.values), np.isnan(ref.values))
+    assert np.nanmax(np.abs(u.values - ref.values)) <= 1e-12
+    assert rep.iterations == ref_rep.iterations
+
+
+def test_gmres_iterations_do_not_grow_with_resolution(monkeypatch):
+    # Halving h leaves the preconditioned Krylov iteration count about
+    # level: the V-cycle's contraction rate does not depend on h.
+    counts = []
+    real = solver.spla.gmres
+
+    def counting(A, b, **kw):
+        counts.append(0)
+
+        def tick(_):
+            counts[-1] += 1
+
+        return real(A, b, callback=tick, callback_type="pr_norm", **kw)
+
+    monkeypatch.setattr(solver.spla, "gmres", counting)
+    worst = {}
+    for res in (9, 17):
+        counts.clear()
+        solver.solve_dirichlet(grid.build_domain(2, "perturbed:0.05:harmonic", res),
+                               _f_n2, 0.0)
+        worst[res] = max(counts)
+    assert worst[17] <= 1.5 * worst[9]
+
+
+def test_lattice_without_coarse_twin_solves_directly(monkeypatch):
+    # An even resolution has no nested coarse lattice: the hierarchy is one
+    # level, factored whole, on the same GMRES path.
+    shapes = []
+    real = solver.spla.splu
+    monkeypatch.setattr(solver.spla, "splu",
+                        lambda A, *a, **k: shapes.append(A.shape) or real(A, *a, **k))
+    dom = grid.build_domain(2, "perturbed:0.05:harmonic", 10)
+    _, rep = solver.solve_dirichlet(dom, _f_n2, 0.0)
+    n_int = int(dom.interior_mask.sum())
+    assert shapes == [(n_int, n_int)]
+    assert rep.converged and rep.residual <= solver.NEWTON_TOL
 
 
 def test_krylov_failure_raises_typed_error(monkeypatch):
