@@ -65,6 +65,8 @@ def section_ball_radii(u: GridFunction, chain: SectionChain) -> NodeSections:
 def _stride_lattice(dom: GridDomain, stride: int) -> tuple[np.ndarray, np.ndarray]:
     """Interior nodes whose every index is a multiple of stride (index rows
     in row-major order) and their distances from the origin."""
+    if stride < 1:
+        raise ValueError("stride must be at least 1")
     idx = np.argwhere(dom.interior_mask)
     idx = idx[np.all(idx % stride == 0, axis=1)]
     pts = np.column_stack([ax[i] for ax, i in zip(dom.axes, idx.T)])
@@ -175,6 +177,8 @@ def badset_decay_experiment(u: GridFunction, node_sections: list[NodeSections],
     volume: m(B_0.7) and m(B_0.6) all of them, m(A_k) the sampled nodes
     that are bad.  Empty rows pass vacuously and are flagged.
     """
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
     dom = u.domain
     d = dom.d
     cell = (stride * dom.h) ** d

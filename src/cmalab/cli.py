@@ -278,6 +278,30 @@ def _sample_base_points(dom: GridDomain, rng, count: int):
     return pts
 
 
+def build_chains(cfg: ExperimentConfig, u: GridFunction, v0: GridFunction,
+                 centres) -> list[SectionChain]:
+    """The sections stage: a chain of cfg.chain_levels levels at each centre
+    (a node index of u's lattice)."""
+    return [construct_section_chain(
+                u, idx, sigma=cfg.sigma, k_max=cfg.chain_levels,
+                newton_tol=cfg.newton_tol, mu0=cfg.mu0,
+                chain_resolution=cfg.chain_resolution, v0=v0)
+            for idx in centres]
+
+
+def decay_report(cfg: ExperimentConfig, u: GridFunction, v0: GridFunction,
+                 params: dict | None = None) -> badset_mod.BadSetReport:
+    """The badset stage: chains at the stride-lattice nodes inside B_{r_1}
+    and the decay rows up to cfg.k_max, with eps_bar taken at the first p."""
+    node_sections = badset_mod.sample_badset_chains(
+        u, v0, stride=cfg.stride, levels=cfg.chain_levels,
+        sigma=cfg.sigma, mu0=cfg.mu0,
+        chain_resolution=cfg.chain_resolution, newton_tol=cfg.newton_tol)
+    return badset_mod.badset_decay_experiment(
+        u, node_sections, cfg.eps_bar_value(cfg.p_list[0]), cfg.k_max,
+        stride=cfg.stride, params=params)
+
+
 def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
     """Run solve -> chains -> engulf/cover -> badset -> w2p, writing all
     artifacts plus a hash manifest.  Stage failures are recorded in the
@@ -327,13 +351,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
         manifest["stages"]["certificates"] = "ok"
 
         stage = "sections"
-        base_pts = _sample_base_points(dom, rng, cfg.chain_points)
-        chains = []
-        for idx in base_pts:
-            chains.append(construct_section_chain(
-                u, idx, sigma=cfg.sigma, k_max=cfg.chain_levels,
-                newton_tol=cfg.newton_tol, mu0=cfg.mu0,
-                chain_resolution=cfg.chain_resolution, v0=v0))
+        chains = build_chains(cfg, u, v0, _sample_base_points(dom, rng, cfg.chain_points))
         write_json(out / "chains.json", [c.to_dict() for c in chains])
         files.append(out / "chains.json")
         manifest["stages"]["sections"] = "ok"
@@ -372,28 +390,17 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
         manifest["stages"]["cover"] = "ok"
 
         stage = "badset"
-        p0 = cfg.p_list[0]
-        eps_bar = cfg.eps_bar_value(p0)
-        node_sections = badset_mod.sample_badset_chains(
-            u, v0, stride=cfg.stride, levels=cfg.chain_levels,
-            sigma=cfg.sigma, mu0=cfg.mu0,
-            chain_resolution=cfg.chain_resolution, newton_tol=cfg.newton_tol)
-        report = badset_mod.badset_decay_experiment(
-            u, node_sections, eps_bar, cfg.k_max, stride=cfg.stride,
-            params={"eps": cfg.eps, "gamma": cfg.gamma, "sigma": cfg.sigma})
-        write_json(out / "badset.json", report.to_dict())
-        _write_badset_csv(out / "badset.csv", report)
+        report = decay_report(cfg, u, v0, params={"eps": cfg.eps, "gamma": cfg.gamma,
+                                                  "sigma": cfg.sigma})
+        write_badset(out / "badset.json", report)
         _write_two_column_csv(out / "plot_decay.csv", "k", "measure",
                               [(r.k, r.measure) for r in report.rows])
         files += [out / "badset.json", out / "badset.csv", out / "plot_decay.csv"]
         manifest["stages"]["badset"] = "ok"
 
         stage = "w2p"
-        norm_out = {}
-        for p in cfg.p_list:
-            nr = w2p_mod.norm_report(u, report, p)
-            norm_out[str(p)] = nr.to_dict()
-        write_json(out / "w2p.json", norm_out)
+        write_json(out / "w2p.json", {str(p): w2p_mod.norm_report(u, report, p).to_dict()
+                                      for p in cfg.p_list})
         files.append(out / "w2p.json")
         manifest["stages"]["w2p"] = "ok"
     except Exception as exc:
@@ -431,7 +438,6 @@ def _engulf_pairs(u: GridFunction, chains: list, rng, pairs: int) -> tuple[dict,
 def _random_ball_family(dom: GridDomain, rng):
     members = 24
     pts = dom.coords()
-    r = np.linalg.norm(pts, axis=1).reshape(dom.interior_mask.shape)
     rad_lo = 2.5 * dom.h
     rad_hi = max(4.5 * dom.h, 0.3)
     ctr_range = max(0.1, 0.9 - rad_hi - 2 * dom.h)
@@ -444,7 +450,8 @@ def _random_ball_family(dom: GridDomain, rng):
         idx = dom.node_index(ctr)
         if not dom.interior_mask[idx]:
             continue
-        dist = np.linalg.norm(pts - dom.coords(idx), axis=1).reshape(r.shape)
+        dist = np.linalg.norm(pts - dom.coords(idx), axis=1).reshape(
+            dom.interior_mask.shape)
         mask = (dist <= rad) & dom.interior_mask
         if not mask[idx]:
             continue
@@ -461,8 +468,10 @@ def _random_ball_family(dom: GridDomain, rng):
     return fam, X
 
 
-def _write_badset_csv(path: Path, report) -> None:
-    with open(path, "w", newline="") as fh:
+def write_badset(path: Path, report) -> None:
+    """The decay report as JSON at path and as a CSV table beside it."""
+    write_json(path, report.to_dict())
+    with open(path.with_suffix(".csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "r_k", "measure", "measure_b06", "bound", "ratio",
                     "passed", "vacuous"])
@@ -511,43 +520,29 @@ def _shape_from_args(args) -> str:
     return f"ball:{args.radius}"
 
 
-def _load_u_v0(args) -> tuple[GridFunction, GridFunction]:
-    """The --instance u, and v0 from --v0 or else solved on u's domain.
-    A --v0 from another lattice or domain raises DomainMismatchError."""
+def _stage_inputs(args, **settings) -> tuple[ExperimentConfig, GridFunction, GridFunction]:
+    """The ExperimentConfig of the given settings at the --instance's n, the
+    instance u, and v0 from --v0 or else solved on u's domain.  The config
+    is checked before v0 is read or solved; a --v0 from another lattice or
+    domain raises DomainMismatchError."""
     u = load_instance(Path(args.instance))
+    cfg = ExperimentConfig(n=u.domain.n, **settings)
     if not args.v0:
-        return u, solve_dirichlet(u.domain, 1.0, 0.0)[0]
+        return cfg, u, solve_dirichlet(u.domain, 1.0, 0.0, cfg.newton_tol)[0]
     v0 = load_instance(Path(args.v0))
     if not (u.domain.same_lattice(v0.domain)
             and u.domain.shape.spec() == v0.domain.shape.spec()):
         raise DomainMismatchError(f"--v0 {args.v0} is not on the instance's lattice")
-    return u, v0
-
-
-def _decay_report(args, p: float, eps_bar: float | None = None, levels: int = 2):
-    """u and its bad-set decay report from chains at every stride-th node;
-    eps_bar defaults to the recipe value for p."""
-    u, v0 = _load_u_v0(args)
-    if eps_bar is None:
-        eps_bar = w2p_mod.eps_bar_recipe(p, u.domain.n)
-    ns = badset_mod.sample_badset_chains(
-        u, v0, stride=args.stride, levels=levels,
-        chain_resolution=_DIM_CHAIN_RESOLUTION[u.domain.n])
-    return u, badset_mod.badset_decay_experiment(u, ns, eps_bar, args.k_max,
-                                                 stride=args.stride)
+    return cfg, u, v0
 
 
 def _cmd_sections(args) -> int:
-    u, v0 = _load_u_v0(args)
-    chain_resolution = (_DIM_CHAIN_RESOLUTION[u.domain.n]
-                        if args.chain_resolution is None else args.chain_resolution)
-    chains = []
-    for spec in args.center:
-        pt = np.array([float(x) for x in spec.split(",")])
-        idx = u.domain.node_index(pt)
-        chains.append(construct_section_chain(
-            u, idx, sigma=args.sigma, k_max=args.levels, mu0=args.mu0,
-            chain_resolution=chain_resolution, v0=v0))
+    cfg, u, v0 = _stage_inputs(args, sigma=args.sigma, mu0=args.mu0,
+                               chain_levels=args.levels,
+                               chain_resolution=args.chain_resolution)
+    centres = [u.domain.node_index(np.array([float(x) for x in spec.split(",")]))
+               for spec in args.center]
+    chains = build_chains(cfg, u, v0, centres)
     write_json(Path(args.out_chain), [c.to_dict() for c in chains])
     print(f"built {len(chains)} chains -> {args.out_chain}")
     return 0
@@ -590,10 +585,13 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_badset(args) -> int:
-    _, report = _decay_report(args, args.recipe_p, args.eps_bar, args.levels)
+    cfg, u, v0 = _stage_inputs(
+        args, eps_bar="recipe" if args.eps_bar is None else args.eps_bar,
+        p_list=(args.recipe_p,), k_max=args.k_max, stride=args.stride,
+        chain_levels=args.levels)
+    report = decay_report(cfg, u, v0)
     if args.report:
-        write_json(Path(args.report), report.to_dict())
-        _write_badset_csv(Path(args.report).with_suffix(".csv"), report)
+        write_badset(Path(args.report), report)
     for r in report.rows:
         print(f"k={r.k} r_k={r.r_k:.4f} m={r.measure:.5f} bound={r.bound:.5f} "
               f"passed={r.passed} vacuous={r.vacuous}")
@@ -601,8 +599,9 @@ def _cmd_badset(args) -> int:
 
 
 def _cmd_w2p(args) -> int:
-    u, report = _decay_report(args, args.p)
-    nr = w2p_mod.norm_report(u, report, args.p)
+    cfg, u, v0 = _stage_inputs(args, p_list=(args.p,), k_max=args.k_max,
+                               stride=args.stride)
+    nr = w2p_mod.norm_report(u, decay_report(cfg, u, v0), args.p)
     if args.report:
         write_json(Path(args.report), nr.to_dict())
     print(f"p={args.p}: direct={nr.direct_trace:.4f} "
@@ -651,7 +650,7 @@ def main(argv=None) -> int:
                     help="comma-separated coordinates; repeatable")
     sp.add_argument("--sigma", type=float, default=ExperimentConfig.sigma)
     sp.add_argument("--mu0", type=float, default=ExperimentConfig.mu0)
-    sp.add_argument("--levels", type=int, default=3)
+    sp.add_argument("--levels", type=int, default=ExperimentConfig.chain_levels)
     sp.add_argument("--chain-resolution", dest="chain_resolution", type=int)
     sp.add_argument("--out-chain", dest="out_chain", required=True)
     sp.set_defaults(func=_cmd_sections)
@@ -659,7 +658,7 @@ def main(argv=None) -> int:
     sp = sub.add_parser("engulf", help="engulfing verdict sweep")
     _add_instance_args(sp)
     sp.add_argument("--chains", required=True)
-    sp.add_argument("--pairs", type=int, default=100)
+    sp.add_argument("--pairs", type=int, default=ExperimentConfig.engulf_pairs)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--report", default=None)
     sp.set_defaults(func=_cmd_engulf)
@@ -675,9 +674,9 @@ def main(argv=None) -> int:
     sp.add_argument("--v0", default=None)
     sp.add_argument("--eps-bar", dest="eps_bar", type=float, default=None)
     sp.add_argument("--recipe-p", dest="recipe_p", type=float, default=2.0)
-    sp.add_argument("--k-max", dest="k_max", type=int, default=4)
-    sp.add_argument("--stride", type=int, default=2)
-    sp.add_argument("--levels", type=int, default=2)
+    sp.add_argument("--k-max", dest="k_max", type=int, default=ExperimentConfig.k_max)
+    sp.add_argument("--stride", type=int, default=ExperimentConfig.stride)
+    sp.add_argument("--levels", type=int, default=ExperimentConfig.chain_levels)
     sp.add_argument("--report", default=None)
     sp.set_defaults(func=_cmd_badset)
 
@@ -685,8 +684,8 @@ def main(argv=None) -> int:
     _add_instance_args(sp)
     sp.add_argument("--v0", default=None)
     sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--k-max", dest="k_max", type=int, default=4)
-    sp.add_argument("--stride", type=int, default=4)
+    sp.add_argument("--k-max", dest="k_max", type=int, default=ExperimentConfig.k_max)
+    sp.add_argument("--stride", type=int, default=ExperimentConfig.stride)
     sp.add_argument("--report", default=None)
     sp.set_defaults(func=_cmd_w2p)
 

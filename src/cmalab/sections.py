@@ -113,9 +113,6 @@ class Ellipsoid:
         w = pts[:, 0::2] + 1j * pts[:, 1::2] - self.center
         return np.einsum("mi,ij,mj->m", w.conj(), self.coeff.entries, w).real
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        return self.quadratic_form(pts) <= self.mu
-
     def dilate(self, c: float) -> "Ellipsoid":
         """Dilation about the center: same coefficients, height c^2 mu."""
         if c <= 0:
@@ -179,8 +176,6 @@ class Section:
     mu: float
     shift: PluriharmonicPoly
     mask: np.ndarray
-    fitted: Ellipsoid | None = None
-    transform: HermitianTransform | None = None
 
     @property
     def center_point(self) -> np.ndarray:
@@ -483,8 +478,8 @@ def allowed_top_height(dom: GridDomain, x0: tuple) -> float:
 def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
                             k_max: int, newton_tol: float = NEWTON_TOL,
                             mu0: float = 0.1, mu_top: float | None = None,
-                            chain_resolution: int = 49,
-                            v0: GridFunction | None = None) -> SectionChain:
+                            chain_resolution: int = 49, *,
+                            v0: GridFunction) -> SectionChain:
     """Build k_max levels of sections at x0 with shape tolerance sigma.
 
     Each level solves the unit-determinant Dirichlet problem on the current
@@ -519,9 +514,6 @@ def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
 
     chain = SectionChain(dom, x0, sigma, mu0, mu_top,
                          paper_mu0=mu0_from_sigma(sigma, sigma))
-
-    if v0 is None:
-        v0, _ = solve_dirichlet(dom, 1.0, 0.0, newton_tol)
 
     w = u
     w_dom = dom

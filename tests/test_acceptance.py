@@ -197,6 +197,7 @@ def test_acceptance_covering():
 
         if size <= 12:
             # Brute-force oracle: greedy's selection must be a valid one.
+            dilated = [engulfing.dilated_mask(m, 10.0) for m in members]
             valid = []
             for rset in range(1, 1 << size):
                 idxs = [i for i in range(size) if rset & (1 << i)]
@@ -207,7 +208,7 @@ def test_acceptance_covering():
                     continue
                 cover = np.zeros_like(target)
                 for i in idxs:
-                    cover |= engulfing.dilated_mask(members[i], 10.0)
+                    cover |= dilated[i]
                 if engulfing.inclusion_with_slack(target, cover):
                     valid.append(sorted(idxs))
             if sorted(sel.indices) in valid:

@@ -97,6 +97,26 @@ def test_decay_exact_ball_all_rows_pass(exact_ball_experiment):
         assert row.measure == 0.0
 
 
+def test_stride_and_k_max_below_one_are_refused(exact_ball_experiment, monkeypatch):
+    # Stride 0 made every interior node of B_{r_1} a chain node (idx % 0)
+    # and a zero cell measure; k_max 0 gave a report with no rows.
+    dom, u, ns = exact_ball_experiment
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain was built")
+
+    monkeypatch.setattr(badset, "construct_section_chain", no_chain)
+    for stride in (0, -1):
+        with pytest.raises(ValueError, match="stride"):
+            badset._stride_lattice(dom, stride)
+        with pytest.raises(ValueError, match="stride"):
+            badset.sample_badset_chains(u, u, stride=stride)
+        with pytest.raises(ValueError, match="stride"):
+            badset.badset_decay_experiment(u, ns, 1e-3, k_max=2, stride=stride)
+    with pytest.raises(ValueError, match="k_max"):
+        badset.badset_decay_experiment(u, ns, 1e-3, k_max=0, stride=4)
+
+
 def _default_instance(**kw):
     cfg = cli.ExperimentConfig(**kw)
     dom = grid.build_domain(1, cfg.shape_spec(), cfg.resolution)

@@ -1,6 +1,9 @@
 """Expression language, config validation, subcommands, pipeline artifacts."""
 
+import importlib.util
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +245,34 @@ def test_pipeline_artifacts_content(pipeline_runs):
     assert lines[0].startswith("k,r_k,measure")
 
 
+def test_compare_artifacts_tool(pipeline_runs, tmp_path, capsys):
+    # Two runs of one config compare identical; one perturbed JSON float
+    # shows up as exactly its own difference.
+    spec = importlib.util.spec_from_file_location(
+        "compare_artifacts",
+        Path(__file__).resolve().parents[1] / "tools" / "compare_artifacts.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    d1, d2, m1, _ = pipeline_runs
+    assert tool.main([str(d1), str(d2)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sorted(line.split()[0] for line in lines) == sorted([*m1["files"], "manifest.json"])
+    assert all(line.split()[1:] == ["identical"] for line in lines)
+
+    copy = tmp_path / "perturbed"
+    shutil.copytree(d2, copy)
+    data = json.loads((copy / "badset.json").read_text())
+    before = data["m_b07"]
+    data["m_b07"] = before * (1 + 1e-9)
+    (copy / "badset.json").write_text(cli._canonical_json(data))
+    assert tool.main([str(d1), str(copy)]) == 0
+    report = {line.split()[0]: line.split(None, 1)[1]
+              for line in capsys.readouterr().out.splitlines()}
+    assert report.pop("badset.json") == (
+        f"max|d| {abs(data['m_b07'] - before):.3g}, 0 other differences")
+    assert set(report.values()) == {"identical"}
+
+
 def test_pipeline_n2_runs_every_stage(tmp_path):
     # At this n = 2 res-17 config the level-2 chain domains need boundary
     # constraints resting on interior nodes only; then every stage runs.
@@ -327,6 +358,53 @@ def test_decay_subcommands_use_the_pipeline_chain_resolution(tmp_path, monkeypat
              if cmd == "sections" else ["--k-max", "1"])
     cli.main([cmd, "--instance", str(base), *extra])
     assert seen == [cli.ExperimentConfig(n=2).chain_resolution]
+
+
+def test_stage_subcommands_reproduce_the_pipeline_artifacts(tmp_path):
+    # With their defaults, the stage subcommands run the pipeline's own stage
+    # code on its saved instance and write the pipeline's numbers.
+    run = tmp_path / "run"
+    cli.run_pipeline(cli.ExperimentConfig(n=1, resolution=33, chain_points=2,
+                                          engulf_pairs=4, cover_families=1), run)
+    inputs = ["--instance", str(run / "u"), "--v0", str(run / "v0")]
+
+    assert cli.main(["badset", *inputs, "--report", str(tmp_path / "bs.json")]) == 0
+    got = json.loads((tmp_path / "bs.json").read_text())
+    want = json.loads((run / "badset.json").read_text())
+    assert got.pop("params") == {}
+    want.pop("params")
+    assert got == want
+    assert (tmp_path / "bs.csv").read_bytes() == (run / "badset.csv").read_bytes()
+
+    assert cli.main(["w2p", *inputs, "--report", str(tmp_path / "np.json")]) == 0
+    assert (json.loads((tmp_path / "np.json").read_text())
+            == json.loads((run / "w2p.json").read_text())["2.0"])
+
+    centres = [f"--center={','.join(repr(x) for x in c['center'])}"
+               for c in json.loads((run / "chains.json").read_text())]
+    assert cli.main(["sections", *inputs, *centres,
+                     "--out-chain", str(tmp_path / "chains.json")]) == 0
+    assert (tmp_path / "chains.json").read_bytes() == (run / "chains.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["badset", "--stride", "0"],
+    ["badset", "--k-max", "0"],
+    ["w2p", "--stride", "0"],
+    ["w2p", "--k-max", "0"],
+], ids=["badset-stride", "badset-k-max", "w2p-stride", "w2p-k-max"])
+def test_stage_subcommands_check_stride_and_k_max(tmp_path, monkeypatch, argv):
+    # Stride 0 used to sample a chain at every node and report every row
+    # passed with cell measure 0; k_max 0 reported no rows.  Both exited 0.
+    base = tmp_path / "inst"
+    cli.main(["solve", "--n", "1", "--resolution", "17", "--out", str(base)])
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain was built")
+
+    monkeypatch.setattr(badset, "construct_section_chain", no_chain)
+    with pytest.raises(ValueError):
+        cli.main([*argv, "--instance", str(base), "--v0", str(base)])
 
 
 @pytest.mark.parametrize("v0_args", [
