@@ -9,8 +9,6 @@ from .grid import (  # noqa: F401
     HermitianMatrix,
     build_domain,
     complex_hessian,
-    laplacian,
-    trace_inverse,
 )
 from .solver import (  # noqa: F401
     SolveReport,

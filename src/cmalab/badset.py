@@ -179,6 +179,8 @@ def badset_decay_experiment(u: GridFunction, node_sections: list[NodeSections],
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    if not 0.0 < eps_bar < 1.0:
+        raise ValueError("eps_bar must lie in (0, 1)")
     dom = u.domain
     d = dom.d
     cell = (stride * dom.h) ** d

@@ -166,8 +166,11 @@ class ExperimentConfig:
             raise ValueError("chain_levels must be at least 1")
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
-        if isinstance(self.eps_bar, str) and self.eps_bar != "recipe":
-            raise ValueError("eps_bar must be a float or 'recipe'")
+        if isinstance(self.eps_bar, str):
+            if self.eps_bar != "recipe":
+                raise ValueError("eps_bar must be a float or 'recipe'")
+        elif not 0.0 < self.eps_bar < 1.0:
+            raise ValueError("eps_bar must lie in (0, 1)")
         if any(p < 1 for p in self.p_list):
             raise ValueError("every p must be at least 1")
         self.p_list = tuple(float(p) for p in self.p_list)

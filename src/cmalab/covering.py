@@ -9,12 +9,12 @@ selection collapses; everything else follows the classical pattern with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CoverageError
-from .engulfing import PointedSet, dilated_mask, inclusion_with_slack
+from .engulfing import PointedSet, in_dilations, inclusion_with_slack
 
 _UNIT_BALL_VOLUME = {
     1: 2.0,
@@ -62,9 +62,6 @@ class SectionFamily:
             out |= m.mask
         return out
 
-    def measure_of(self, mask: np.ndarray) -> float:
-        return float(mask.sum()) * self.members[0].h ** self.ndim
-
 
 @dataclass
 class VitaliSelection:
@@ -72,7 +69,6 @@ class VitaliSelection:
     witnesses: list[tuple[float, float]]    # (sup of admissible sqrt-mu, chosen)
     covered: bool
     disjoint: bool
-    coverage_mask: np.ndarray = field(repr=False, default=None)
 
 
 def vitali_select(family: SectionFamily, target: np.ndarray) -> VitaliSelection:
@@ -102,33 +98,14 @@ def vitali_select(family: SectionFamily, target: np.ndarray) -> VitaliSelection:
             if np.any(family.members[j].mask & pm):
                 alive[j] = False
 
-    cover = np.zeros_like(target)
-    for i in selected:
-        cover |= dilated_mask(family.members[i], 10.0)
-    covered = inclusion_with_slack(target, cover)
+    covered = in_dilations(target, [family.members[i] for i in selected], 10.0)
     disjoint = True
     for a in range(len(selected)):
         for b in range(a + 1, len(selected)):
             if np.any(family.members[selected[a]].mask
                       & family.members[selected[b]].mask):
                 disjoint = False
-    return VitaliSelection(selected, witnesses, covered, disjoint, cover)
-
-
-def selection_measure_sanity(family: SectionFamily, sel: VitaliSelection,
-                             target: np.ndarray) -> dict:
-    """Selected total measure against m(target)/10^d (coverage implies it
-    up to dilation slack)."""
-    d = family.ndim
-    total = sum(family.members[i].measure() for i in sel.indices)
-    m_target = family.measure_of(target)
-    return {
-        "selected_measure": total,
-        "target_measure": m_target,
-        "lower_bound": m_target / 10 ** d,
-        "ok": bool(total >= m_target / 10 ** d - 2 * family.members[0].h ** d
-                   * max(1, int(0.05 * target.sum()))),
-    }
+    return VitaliSelection(selected, witnesses, covered, disjoint)
 
 
 def maximal_function(f_values: np.ndarray, family: SectionFamily,
@@ -217,38 +194,3 @@ def measure_comparison(X: np.ndarray, Y: np.ndarray, family: SectionFamily,
         verdict["passed"] = None
         verdict["status"] = "hypothesis-violation"
     return verdict
-
-
-def lebesgue_differentiation_report(f_values: np.ndarray,
-                                    families: list[SectionFamily],
-                                    sample_mask: np.ndarray,
-                                    tol: float = 0.5) -> dict:
-    """Finite-resolution proxy of the differentiation property.
-
-    families must be ordered by decreasing height scale; for each sampled
-    node the member-average at the smallest scale containing it is compared
-    against the node value.  Reported, never asserted: the true limit is
-    not reachable on a lattice.
-    """
-    rows = []
-    for fam in families:
-        hits = 0
-        total = 0
-        for idxt in np.argwhere(sample_mask):
-            idxt = tuple(idxt)
-            best = None
-            for m in fam.members:
-                if m.mask[idxt]:
-                    avg = float(np.mean(f_values[m.mask]))
-                    best = avg if best is None else best
-            if best is None:
-                continue
-            total += 1
-            if abs(best - float(f_values[idxt])) < tol:
-                hits += 1
-        rows.append({
-            "scale": float(np.mean([m.mu for m in fam.members])),
-            "sampled": total,
-            "close_fraction": hits / total if total else float("nan"),
-        })
-    return {"rows": rows, "tol": tol}

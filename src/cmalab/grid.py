@@ -18,7 +18,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from operator import add
 
 import numpy as np
@@ -297,6 +297,9 @@ class GridDomain:
     def node_index(self, point) -> tuple:
         """Index tuple of the lattice node nearest to a physical point."""
         point = np.asarray(point, dtype=float)
+        if point.shape != (self.d,):
+            raise ValueError(f"a point of this lattice has {self.d} coordinates, "
+                             f"got shape {point.shape}")
         idx = np.rint((point - self.box[:, 0]) / self.h).astype(int)
         idx = np.clip(idx, 0, self.resolution - 1)
         return tuple(int(i) for i in idx)
@@ -618,10 +621,6 @@ class GridFunction:
         vals[domain.valued_mask] = value
         return cls(domain, vals)
 
-    def check_finite(self) -> None:
-        if not np.all(np.isfinite(self.values[self.domain.valued_mask])):
-            raise ValueError("grid function has non-finite values on valued nodes")
-
     def copy(self) -> "GridFunction":
         return GridFunction(self.domain, self.values.copy())
 
@@ -789,21 +788,6 @@ def holomorphic_hessian(u: GridFunction, x: tuple) -> np.ndarray:
     return B
 
 
-def laplacian(u: GridFunction, x: tuple) -> float:
-    """Delta u = 4 * trace of the complex Hessian."""
-    return float(4.0 * complex_hessian(u, x).entries.trace().real)
-
-
-def trace_inverse(u: GridFunction, x: tuple) -> float:
-    """Trace of the inverse complex Hessian (sum of 1/eigenvalue)."""
-    H = complex_hessian(u, x)
-    lam = H.eigenvalues()
-    if lam.min() <= 0.0:
-        raise DegenerateHessianError(
-            f"complex Hessian not positive definite at {tuple(x)}", float(lam.min()))
-    return float(np.sum(1.0 / lam))
-
-
 # Vectorized Hessian components over the whole box (NaN where unsupported).
 
 
@@ -849,45 +833,3 @@ def hessian_det_field(fields: dict) -> np.ndarray:
     if "h22" not in fields:
         return fields["h11"]
     return fields["h11"] * fields["h22"] - (fields["h12re"] ** 2 + fields["h12im"] ** 2)
-
-
-# ---------------------------------------------------------------------------
-# Interpolation estimate check
-
-
-def _deriv_tensor_max(u: GridFunction, x: tuple, order: int) -> float:
-    """Max absolute entry of the order-th derivative tensor at a node, from
-    nested centered first differences on the window of radius order."""
-    window = u.values[tuple(slice(max(i - order, 0), i + order + 1) for i in x)]
-    at = tuple(min(i, order) for i in x)
-    best = 0.0
-    for axes in combinations_with_replacement(range(u.domain.d), order):
-        field = window
-        for a in reversed(axes):
-            field = first_diff_field(field, a, u.domain.h)
-        if math.isnan(field[at]):
-            raise StencilViolationError("derivative stencil leaves domain")
-        best = max(best, abs(field[at]))
-    return best
-
-
-def interpolation_check(u: GridFunction, mu: float, lam: float, C: float,
-                        r0: float, slack: float = 2.0) -> dict:
-    """Check |D^m u(0)| <= slack * C * (lam^(4-m) + mu/lam^m) for m = 1, 2, 3.
-
-    mu bounds |u| and C bounds |D^4 u| on the ball of radius r0; lam is the
-    free scale in (0, r0).  Pure report; never raises on failure.
-    """
-    if not 0.0 < lam < r0:
-        raise ValueError("need 0 < lam < r0")
-    dom = u.domain
-    center = dom.node_index(np.zeros(dom.d))
-    rows = []
-    ok_all = True
-    for m in (1, 2, 3):
-        lhs = _deriv_tensor_max(u, center, m)
-        rhs = slack * C * (lam ** (4 - m) + mu / lam ** m)
-        ok = bool(lhs <= rhs)
-        ok_all &= ok
-        rows.append({"order": m, "lhs": float(lhs), "rhs": float(rhs), "ok": ok})
-    return {"ok": ok_all, "rows": rows, "mu": mu, "lambda": lam, "C": C, "slack": slack}

@@ -113,12 +113,6 @@ class Ellipsoid:
         w = pts[:, 0::2] + 1j * pts[:, 1::2] - self.center
         return np.einsum("mi,ij,mj->m", w.conj(), self.coeff.entries, w).real
 
-    def dilate(self, c: float) -> "Ellipsoid":
-        """Dilation about the center: same coefficients, height c^2 mu."""
-        if c <= 0:
-            raise ValueError("dilation factor must be positive")
-        return Ellipsoid(self.center, self.coeff, c * c * self.mu)
-
 
 @dataclass(eq=False)
 class HermitianTransform:
@@ -139,12 +133,6 @@ class HermitianTransform:
 
     def det_abs(self) -> float:
         return float(abs(np.linalg.det(self.matrix)))
-
-    def op_norm(self) -> float:
-        return float(np.linalg.svd(self.matrix, compute_uv=False)[0])
-
-    def inverse(self) -> "HermitianTransform":
-        return HermitianTransform(np.linalg.inv(self.matrix))
 
     def compose(self, other: "HermitianTransform") -> "HermitianTransform":
         return HermitianTransform(self.matrix @ other.matrix)
@@ -237,11 +225,6 @@ class SectionChain:
 
     def section(self, u: GridFunction, mu: float) -> Section:
         return build_section(u, self.center_idx, mu, self.shift_for_height(mu))
-
-    def measured_cprime(self) -> float:
-        """max ||T_k - I|| / sigma^(1/2) over levels."""
-        dev = max((lv.transform_deviation for lv in self.levels), default=0.0)
-        return dev / math.sqrt(self.sigma)
 
     def to_dict(self) -> dict:
         return {

@@ -13,6 +13,7 @@ import numpy as np
 from cmalab import badset, cli, covering, engulfing, grid, sections, solver, w2p
 from cmalab.errors import CmalabError
 from cmalab.grid import GridFunction
+from oracle import dilated_mask
 
 
 def _report(name, passed, detail):
@@ -151,7 +152,7 @@ def test_acceptance_engulfing(perturbed_n1, ball_n1):
                                 sections.taylor_split(bu, bdom.node_index((0.2, 0.0)))[0])
     b2 = sections.build_section(bu, bdom.node_index((0.0, 0.1)), 0.02,
                                 sections.taylor_split(bu, bdom.node_index((0.0, 0.1)))[0])
-    strict = engulfing.dilated_mask(engulfing.PointedSet.from_section(b2), 10.0)
+    strict = dilated_mask(engulfing.PointedSet.from_section(b2), 10.0)
     analytic_ok = bool(np.all(strict[b1.mask]))
 
     ok = tested >= 200 and passed == tested and analytic_ok
@@ -197,7 +198,7 @@ def test_acceptance_covering():
 
         if size <= 12:
             # Brute-force oracle: greedy's selection must be a valid one.
-            dilated = [engulfing.dilated_mask(m, 10.0) for m in members]
+            dilated = [dilated_mask(m, 10.0) for m in members]
             valid = []
             for rset in range(1, 1 << size):
                 idxs = [i for i in range(size) if rset & (1 << i)]

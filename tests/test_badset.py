@@ -115,6 +115,9 @@ def test_stride_and_k_max_below_one_are_refused(exact_ball_experiment, monkeypat
             badset.badset_decay_experiment(u, ns, 1e-3, k_max=2, stride=stride)
     with pytest.raises(ValueError, match="k_max"):
         badset.badset_decay_experiment(u, ns, 1e-3, k_max=0, stride=4)
+    for eps_bar in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="eps_bar"):
+            badset.badset_decay_experiment(u, ns, eps_bar, k_max=2, stride=4)
 
 
 def _default_instance(**kw):

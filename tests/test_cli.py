@@ -56,6 +56,9 @@ def test_config_validates_before_compute(tmp_path):
         cli.ExperimentConfig(mu0=0.5)
     with pytest.raises(ValueError):
         cli.ExperimentConfig(eps_bar="bogus")
+    for eps_bar in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="eps_bar"):
+            cli.ExperimentConfig(eps_bar=eps_bar)
     with pytest.raises(ValueError):
         cli.ExperimentConfig(newton_tol=0.0)
     with pytest.raises(ValueError):
@@ -405,6 +408,17 @@ def test_stage_subcommands_check_stride_and_k_max(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(badset, "construct_section_chain", no_chain)
     with pytest.raises(ValueError):
         cli.main([*argv, "--instance", str(base), "--v0", str(base)])
+
+
+def test_sections_center_with_too_few_coordinates_is_refused(tmp_path):
+    # At n = 1 a one-coordinate --center was broadcast over both axes: the
+    # subcommand exited 0 with a chain at (0.125, 0.125).
+    base = tmp_path / "inst"
+    cli.main(["solve", "--n", "1", "--resolution", "17", "--out", str(base)])
+    with pytest.raises(ValueError, match="2 coordinates"):
+        cli.main(["sections", "--instance", str(base), "--center", "0.1",
+                  "--out-chain", str(tmp_path / "c.json")])
+    assert not (tmp_path / "c.json").exists()
 
 
 @pytest.mark.parametrize("v0_args", [

@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from cmalab import covering, engulfing, grid
+from cmalab import cli, covering, engulfing, grid
 from cmalab.errors import CoverageError
+from oracle import dilated_mask
 
 
 def make_disc_domain():
@@ -87,7 +88,7 @@ def test_vitali_1d_toy_against_bruteforce():
             continue
         cover = np.zeros_like(target)
         for i in idxs:
-            cover |= engulfing.dilated_mask(members[i], 10.0)
+            cover |= dilated_mask(members[i], 10.0)
         if engulfing.inclusion_with_slack(target, cover):
             valid.append(sorted(idxs))
     assert sorted(sel.indices) in valid
@@ -126,17 +127,6 @@ def test_vitali_deterministic_tiebreak(disc):
     sel2 = covering.vitali_select(fam, target)
     assert sel.indices == sel2.indices
     assert sel.witnesses == sel2.witnesses
-
-
-def test_selection_measure_sanity(disc):
-    rng = np.random.default_rng(4)
-    members = [ball_member(disc, rng.uniform(-0.5, 0.5, 2), rng.uniform(0.1, 0.3))
-               for _ in range(15)]
-    fam = covering.SectionFamily(members)
-    target = members[0].mask | members[7].mask
-    sel = covering.vitali_select(fam, target)
-    out = covering.selection_measure_sanity(fam, sel, target)
-    assert out["ok"]
 
 
 # -- maximal function -----------------------------------------------------------
@@ -246,26 +236,55 @@ def test_measure_comparison_hypothesis_violation_reported(disc_fine):
     assert out["hypothesis_1_violations"]
 
 
-def test_lebesgue_differentiation_proxy(disc):
-    # Family averages of a half-space indicator approach the node value for
-    # most nodes as the scale shrinks; reported, not asserted.
-    pts = disc.coords()
-    f = (pts[:, 0] > 0).astype(float).reshape(disc.interior_mask.shape)
-    fams = []
-    for rad in (0.3, 0.15, 0.075):
-        members = []
-        for cx in np.linspace(-0.5, 0.5, 9):
-            for cy in np.linspace(-0.5, 0.5, 9):
-                m = ball_member(disc, (cx, cy), rad)
-                if m.node_count() > 4:
-                    members.append(m)
-        fams.append(covering.SectionFamily(members))
-    sample = np.zeros_like(disc.interior_mask)
-    rng = np.random.default_rng(3)
-    for p in rng.uniform(-0.4, 0.4, size=(60, 2)):
-        sample[disc.node_index(p)] = True
-    rep = covering.lebesgue_differentiation_report(f, fams, sample)
-    assert len(rep["rows"]) == 3
-    finest = rep["rows"][-1]
-    assert finest["sampled"] > 0
-    assert 0.0 <= finest["close_fraction"] <= 1.0
+def test_n2_verdicts_and_coverage_match_the_full_box_oracle():
+    # n = 2, res 13: engulfing verdicts, Vitali `covered` flags and the
+    # dilation inclusion they share equal what the full-box 10-dilation
+    # gives through inclusion_with_slack.  At this resolution every member's
+    # 10-dilation leaves the box.
+    dom = grid.build_domain(2, "ball:1.0", 13)
+    rng = np.random.default_rng(0)
+    escaped = 0
+    inclusions = set()
+    for _ in range(2):
+        fam, X = cli._random_ball_family(dom, rng)
+        members = fam.members
+        ten = {}
+
+        def dilated_ten(i):
+            if i not in ten:
+                ten[i] = dilated_mask(members[i], 10.0)
+            return ten[i]
+
+        for i, j in rng.integers(0, len(members), size=(20, 2)):
+            p1, p2 = members[int(i)], members[int(j)]
+            if p1.mu > 4.0 * p2.mu:
+                continue
+            if not engulfing.sets_intersect(p1, p2):
+                want = "not-applicable"
+            else:
+                inside = engulfing.inclusion_with_slack(p1.mask, dilated_ten(int(j)))
+                want = "pass" if inside else "fail"
+                reach = np.asarray(p2.center_idx) + 10.0 * (
+                    np.argwhere(p2.mask) - np.asarray(p2.center_idx))
+                escaped += bool(reach.min() < 0 or reach.max() > dom.resolution - 1)
+            assert engulfing.check_engulfing(p1, p2) == want
+
+        for target in (X, fam.union_mask()):
+            sel = covering.vitali_select(fam, target)
+            cover = np.zeros_like(target)
+            for i in sel.indices:
+                cover |= dilated_ten(i)
+            assert sel.covered == engulfing.inclusion_with_slack(target, cover)
+
+        # Smaller factors, where the inclusion can fail.
+        for c in (1.0, 1.5):
+            sets = [members[int(i)] for i in rng.choice(len(members), 3, replace=False)]
+            for inner in (sets[0].mask | sets[1].mask, X):
+                cover = np.zeros_like(X)
+                for s in sets:
+                    cover |= dilated_mask(s, c)
+                want = engulfing.inclusion_with_slack(inner, cover)
+                assert engulfing.in_dilations(inner, sets, c) == want
+                inclusions.add(want)
+    assert escaped >= 1
+    assert inclusions == {True, False}
