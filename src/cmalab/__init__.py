@@ -14,11 +14,8 @@ from .solver import (  # noqa: F401
     SolveReport,
     comparison_sandwich,
     solve_dirichlet,
-    stability_gap,
 )
 from .sections import (  # noqa: F401
-    Ellipsoid,
-    HermitianTransform,
     PluriharmonicPoly,
     Section,
     SectionChain,

@@ -28,7 +28,7 @@ from . import engulfing as engulfing_mod
 from . import w2p as w2p_mod
 from .errors import CmalabError, DomainMismatchError
 from .grid import GridDomain, GridFunction, build_domain, read_cache
-from .sections import SectionChain, construct_section_chain
+from .sections import Section, SectionChain, construct_section_chain
 from .solver import NEWTON_TOL, comparison_sandwich, solve_dirichlet
 
 _FUNCS = {
@@ -458,11 +458,7 @@ def _random_ball_family(dom: GridDomain, rng):
         mask = (dist <= rad) & dom.interior_mask
         if not mask[idx]:
             continue
-        try:
-            fam_members.append(engulfing_mod.PointedSet.from_mask(
-                dom, idx, mask, mu=rad * rad))
-        except ValueError:
-            continue
+        fam_members.append(Section.from_mask(dom, idx, mask, rad * rad))
     fam = covering_mod.SectionFamily(fam_members, comparability=8.0)
     k = max(2, len(fam_members) // 3)
     X = np.zeros_like(dom.interior_mask)
@@ -562,20 +558,26 @@ def _cmd_engulf(args) -> int:
     return 0 if verdicts["fail"] == 0 else 1
 
 
+def _node_mask(shape: tuple, idx, what: str) -> np.ndarray:
+    """Mask of the listed node indices (rows); an index off the lattice
+    raises instead of wrapping to the far side of the box."""
+    idx = np.array(idx, dtype=int, ndmin=2)
+    if idx.shape[1] != len(shape) or np.any((idx < 0) | (idx >= shape)):
+        raise ValueError(f"{what} lists a node off the {shape} lattice")
+    mask = np.zeros(shape, dtype=bool)
+    mask[tuple(idx.T)] = True
+    return mask
+
+
 def _cmd_cover(args) -> int:
     data = json.loads(Path(args.family).read_text())
     shape = tuple(data["shape"])
-    members = []
-    for m in data["members"]:
-        mask = np.zeros(shape, dtype=bool)
-        idx = np.array(m["nodes"], dtype=int)
-        mask[tuple(idx.T)] = True
-        members.append(engulfing_mod.PointedSet(
-            tuple(m["center"]), mask, np.array(data["lo"]), data["h"], mu=m["mu"]))
+    members = [Section(m["center"], _node_mask(shape, m["nodes"], f"member {i}"),
+                       data["lo"], data["h"], m["mu"])
+               for i, m in enumerate(data["members"])]
     fam = covering_mod.SectionFamily(members)
-    target = np.zeros(shape, dtype=bool)
-    tgt = np.loadtxt(Path(args.target_set), delimiter=",", dtype=int, ndmin=2)
-    target[tuple(tgt.T)] = True
+    target = _node_mask(shape, np.loadtxt(Path(args.target_set), delimiter=",",
+                                          dtype=int, ndmin=2), "--target-set")
     sel = covering_mod.vitali_select(fam, target)
     result = {"selected": sel.indices, "disjoint": sel.disjoint,
               "covered": sel.covered,

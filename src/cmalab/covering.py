@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError
-from .engulfing import PointedSet, in_dilations, inclusion_with_slack
+from .engulfing import in_dilations, inclusion_with_slack
+from .sections import Section
 
 _UNIT_BALL_VOLUME = {
     1: 2.0,
@@ -30,9 +31,9 @@ def ball_volume(d: int, radius: float) -> float:
 
 @dataclass
 class SectionFamily:
-    """Finite family of pointed sets with ball-comparable volumes."""
+    """Finite family of sections with ball-comparable volumes."""
 
-    members: list[PointedSet]
+    members: list[Section]
     comparability: float = 4.0
 
     def __post_init__(self):
@@ -41,8 +42,6 @@ class SectionFamily:
         d = self.members[0].ndim
         shape = self.members[0].mask.shape
         for i, m in enumerate(self.members):
-            if m.mu is None or m.mu <= 0:
-                raise ValueError(f"member {i} lacks a positive height")
             if m.mask.shape != shape:
                 raise ValueError("family members live on different lattices")
             ref = ball_volume(d, math.sqrt(m.mu))

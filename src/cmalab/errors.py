@@ -6,7 +6,9 @@ class CmalabError(Exception):
 
 
 class MemoryCapError(CmalabError):
-    """Requested resolution needs more than the fixed 2 GiB memory cap."""
+    """Requested resolution needs more than the fixed 2 GiB memory cap, by
+    a measured peak footprint per lattice node of a domain and its solves;
+    raised by build_domain before it allocates anything."""
 
 
 class StencilViolationError(CmalabError):

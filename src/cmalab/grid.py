@@ -32,6 +32,10 @@ from .errors import (
 CACHE_MAGIC = b"CMAG"
 CACHE_VERSION = 1
 _MEMORY_CAP_BYTES = 2 << 30     # largest solve footprint build_domain accepts
+# Peak RSS per lattice node of build_domain plus two Dirichlet solves, net of
+# the imports: n=1 grows with the LU fill from 1.4 KB at res 129 to 1.8 KB at
+# res 513; n=2 (multigrid) is 600 B at res 17 and 690 B at res 33.
+_BYTES_PER_NODE = {1: 1800, 2: 700}
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +339,7 @@ def build_domain(n: int, shape_spec, resolution: int) -> GridDomain:
         raise ValueError("resolution must be at least 9")
     shape = shape_from_spec(shape_spec)
     d = 2 * n
-    # A handful of full-box float64 arrays are alive during a solve.
-    footprint = 12 * 8 * resolution ** d
+    footprint = _BYTES_PER_NODE[n] * resolution ** d
     if footprint > _MEMORY_CAP_BYTES:
         raise MemoryCapError(
             f"resolution {resolution} in {d} real dimensions needs about "

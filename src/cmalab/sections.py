@@ -95,94 +95,75 @@ def _c2pairs(arr: np.ndarray) -> list:
     return [[float(v.real), float(v.imag)] for v in np.asarray(arr).ravel()]
 
 
-@dataclass(eq=False)
-class Ellipsoid:
-    """{z : sum A_ij (z-c)_i conj((z-c)_j) <= mu} with det A = 1."""
-
-    center: np.ndarray          # complex, (n,)
-    coeff: HermitianMatrix
-    mu: float
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=complex)
-        if self.mu <= 0:
-            raise ValueError("height mu must be positive")
-
-    def quadratic_form(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        w = pts[:, 0::2] + 1j * pts[:, 1::2] - self.center
-        return np.einsum("mi,ij,mj->m", w.conj(), self.coeff.entries, w).real
+def _c2floats(arr: np.ndarray) -> list:
+    return [v for pair in _c2pairs(arr) for v in pair]
 
 
-@dataclass(eq=False)
-class HermitianTransform:
-    """C-linear map with |det| = 1 sending round balls onto ellipsoids."""
-
-    matrix: np.ndarray          # complex, (n, n)
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @classmethod
-    def identity(cls, n: int) -> "HermitianTransform":
-        return cls(np.eye(n, dtype=complex))
-
-    def det_abs(self) -> float:
-        return float(abs(np.linalg.det(self.matrix)))
-
-    def compose(self, other: "HermitianTransform") -> "HermitianTransform":
-        return HermitianTransform(self.matrix @ other.matrix)
-
-    def apply(self, pts: np.ndarray) -> np.ndarray:
-        """Apply to real-coordinate points (m, 2n) -> (m, 2n)."""
-        pts = np.atleast_2d(pts)
-        z = pts[:, 0::2] + 1j * pts[:, 1::2]
-        w = z @ self.matrix.T
-        out = np.empty_like(pts)
-        out[:, 0::2] = w.real
-        out[:, 1::2] = w.imag
-        return out
-
-    def deviation_from_identity(self) -> float:
-        return float(np.linalg.svd(self.matrix - np.eye(self.n), compute_uv=False)[0])
-
-    def to_floats(self) -> list:
-        return [float(v) for pair in
-                ((x.real, x.imag) for x in self.matrix.ravel()) for v in pair]
+def _apply(T: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The C-linear map T on real-coordinate points (m, 2n) -> (m, 2n)."""
+    pts = np.atleast_2d(pts)
+    w = (pts[:, 0::2] + 1j * pts[:, 1::2]) @ T.T
+    out = np.empty_like(pts)
+    out[:, 0::2] = w.real
+    out[:, 1::2] = w.imag
+    return out
 
 
 @dataclass(eq=False)
 class Section:
-    """Connected sublevel component {u - h <= u(x0) + mu} on a grid."""
+    """Pointed lattice set: a node mask on a uniform lattice, a center node
+    that belongs to it, and the height mu > 0 of the section it stands for.
+    build_section cuts {u - h <= u(x0) + mu}; other families (balls, read
+    masks) are sections by fiat."""
 
-    domain: GridDomain
     center_idx: tuple
-    mu: float
-    shift: PluriharmonicPoly
     mask: np.ndarray
+    lo: np.ndarray              # lower corner coordinates per axis
+    h: float
+    mu: float
+
+    def __post_init__(self):
+        self.center_idx = tuple(self.center_idx)
+        self.lo = np.asarray(self.lo, dtype=float)
+        if self.mu <= 0:
+            raise ValueError("height mu must be positive")
+        if not all(0 <= i < s for i, s in zip(self.center_idx, self.mask.shape)):
+            raise ValueError(f"center node {self.center_idx} lies off the lattice")
+        if not self.mask[self.center_idx]:
+            raise ValueError("center node must belong to the set")
+
+    @classmethod
+    def from_mask(cls, dom: GridDomain, center_idx: tuple, mask: np.ndarray,
+                  mu: float) -> "Section":
+        return cls(center_idx, mask, dom.box[:, 0].copy(), dom.h, mu)
+
+    @property
+    def ndim(self) -> int:
+        return self.mask.ndim
+
+    @property
+    def axes(self) -> list[np.ndarray]:
+        return [self.lo[a] + self.h * np.arange(self.mask.shape[a])
+                for a in range(self.ndim)]
 
     @property
     def center_point(self) -> np.ndarray:
-        return self.domain.coords(self.center_idx)
+        return self.lo + self.h * np.asarray(self.center_idx, dtype=float)
 
     def node_count(self) -> int:
         return int(self.mask.sum())
 
     def measure(self) -> float:
-        return self.domain.measure(self.mask)
+        return self.node_count() * self.h ** self.ndim
 
 
 @dataclass
 class ChainLevel:
     k: int
     height: float
-    transform: HermitianTransform          # level increment, normalized coords
+    transform: np.ndarray                  # complex (n, n) level increment, normalized coords
     shift_increment: PluriharmonicPoly     # in level-(k-1) coordinates
-    composite_transform: HermitianTransform
+    composite_transform: np.ndarray        # complex (n, n)
     composite_shift: PluriharmonicPoly     # in original coordinates
     fit_in: float
     fit_out: float
@@ -237,8 +218,8 @@ class SectionChain:
                 {
                     "k": lv.k,
                     "height": lv.height,
-                    "transform": lv.transform.to_floats(),
-                    "composite_transform": lv.composite_transform.to_floats(),
+                    "transform": _c2floats(lv.transform),
+                    "composite_transform": _c2floats(lv.composite_transform),
                     "shift_increment": lv.shift_increment.coefficients(),
                     "composite_shift": lv.composite_shift.coefficients(),
                     "fit": [lv.fit_in, lv.fit_out],
@@ -271,10 +252,9 @@ class SectionChain:
         for lv in data["levels"]:
             chain.levels.append(ChainLevel(
                 k=lv["k"], height=float(lv["height"]),
-                transform=HermitianTransform(cplx(lv["transform"]).reshape(n, n)),
+                transform=cplx(lv["transform"]).reshape(n, n),
                 shift_increment=poly(lv["shift_increment"]),
-                composite_transform=HermitianTransform(
-                    cplx(lv["composite_transform"]).reshape(n, n)),
+                composite_transform=cplx(lv["composite_transform"]).reshape(n, n),
                 composite_shift=poly(lv["composite_shift"]),
                 fit_in=float(lv["fit"][0]), fit_out=float(lv["fit"][1]),
                 omega_r_in=float(lv["omega_radii"][0]),
@@ -304,8 +284,9 @@ def taylor_split(v: GridFunction, x0: tuple) -> tuple[PluriharmonicPoly, Hermiti
     return PluriharmonicPoly(center, lin, quad), A
 
 
-def normalize_transform(A: HermitianMatrix) -> HermitianTransform:
-    """Transform T = U diag(lambda^-1/2) U* mapping B_r onto {<Az,z> <= r^2}.
+def normalize_transform(A: HermitianMatrix) -> np.ndarray:
+    """C-linear map T = U diag(lambda^-1/2) U* (a complex (n, n) array)
+    mapping B_r onto {<Az,z> <= r^2}.
 
     A must be positive definite with determinant within 0.2 of 1;
     eigenvalues are rescaled to unit product so |det T| = 1 exactly up to
@@ -319,8 +300,7 @@ def normalize_transform(A: HermitianMatrix) -> HermitianTransform:
     if abs(det - 1.0) > 0.2:
         raise ValueError(f"determinant {det:.4f} too far from 1 to normalize")
     lam_hat = lam / det ** (1.0 / lam.size)
-    T = U @ np.diag(lam_hat ** -0.5) @ U.conj().T
-    return HermitianTransform(T)
+    return np.asarray(U @ np.diag(lam_hat ** -0.5) @ U.conj().T, dtype=complex)
 
 
 def mu0_from_sigma(sigma: float, gamma_n: float) -> float:
@@ -373,27 +353,25 @@ def build_section(u: GridFunction, x0: tuple, mu: float,
         if np.any(grown & sub_bnd):
             raise SectionEscapeError(
                 f"section at {x0} with height {mu} reaches the domain boundary")
-    return Section(dom, x0, mu, h, comp)
+    return Section.from_mask(dom, x0, comp, mu)
 
 
-def fit_ellipsoid(section: Section, A: HermitianMatrix) -> tuple[float, float]:
-    """Inner/outer dilation factors of the section against the ellipsoid
-    (A, mu) centered at the section's base point, by node enumeration.
+def fit_ellipsoid(dom: GridDomain, section: Section,
+                  A: HermitianMatrix) -> tuple[float, float]:
+    """Inner/outer dilation factors of a section of dom against the
+    ellipsoid {q <= mu}, q(z) = <A (z - c), z - c> about the section's base
+    point c, by node enumeration.
 
     c_in is the largest factor whose dilated ellipsoid stays inside the
-    section; c_out the smallest factor containing it.
+    section (the valued nodes outside it always include the boundary
+    collar); c_out the smallest factor containing it.
     """
-    dom = section.domain
-    ell = Ellipsoid(_complex_center(dom, section.center_idx), A, section.mu)
     pts = dom.coords()
-    q = ell.quadratic_form(pts).reshape(section.mask.shape)
+    w = pts[:, 0::2] + 1j * pts[:, 1::2] - _complex_center(dom, section.center_idx)
+    q = np.einsum("mi,ij,mj->m", w.conj(), A.entries, w).real.reshape(section.mask.shape)
     inside = section.mask
     c_out = float(np.sqrt(np.max(q[inside], initial=0.0) / section.mu))
-    candidates = dom.valued_mask & ~inside
-    if np.any(candidates):
-        c_in = float(np.sqrt(np.min(q[candidates]) / section.mu))
-    else:
-        c_in = float("inf")
+    c_in = float(np.sqrt(np.min(q[dom.valued_mask & ~inside]) / section.mu))
     return c_in, c_out
 
 
@@ -403,7 +381,7 @@ def _complex_center(dom: GridDomain, idx: tuple) -> np.ndarray:
 
 
 def rescale_to_unit(u: GridFunction, x0: tuple, mu: float,
-                    h: PluriharmonicPoly, T: HermitianTransform,
+                    h: PluriharmonicPoly, T: np.ndarray,
                     resolution: int = 49, box_halfwidth: float = 1.3
                     ) -> GridFunction:
     """Zoom the section (x0, mu, h) to unit scale.
@@ -423,9 +401,9 @@ def rescale_to_unit(u: GridFunction, x0: tuple, mu: float,
     axes_new = [np.linspace(-box_halfwidth, box_halfwidth, resolution)] * d
     mesh = np.meshgrid(*axes_new, indexing="ij")
     zeta = np.stack([m.ravel() for m in mesh], axis=1)
-    p = x0_pt + T.apply(zeta * math.sqrt(mu))
+    p = x0_pt + _apply(T, zeta * math.sqrt(mu))
     vals = u.interp(p)
-    pref = mu * T.det_abs() ** (2.0 / n)
+    pref = mu * float(abs(np.linalg.det(T))) ** (2.0 / n)
     w = (vals - h.evaluate(p) - u0 - mu) / pref
     w_nd = w.reshape((resolution,) * d)
 
@@ -502,7 +480,7 @@ def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
     w_dom = dom
     center = x0
     x0_complex = _complex_center(dom, x0)
-    T_comp = HermitianTransform.identity(dom.n)
+    T_comp = np.eye(dom.n, dtype=complex)
     H_comp = PluriharmonicPoly.zero(x0_complex)
     v_level = v0
 
@@ -527,7 +505,7 @@ def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
             raise ChainBrokenError(f"level {k} normalization failed: {exc}", k) from exc
 
         sec = build_section(w, center, level_mu, h_inc)
-        c_in, c_out = fit_ellipsoid(sec, A_hat)
+        c_in, c_out = fit_ellipsoid(w_dom, sec, A_hat)
         grid_slack = 2.0 * w_dom.h / math.sqrt(level_mu)
         if c_out > 1.0 + 0.5 * sigma + grid_slack or c_in < 1.0 - 0.5 * sigma - grid_slack:
             raise ChainBrokenError(
@@ -540,10 +518,10 @@ def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
             inc_global = PluriharmonicPoly(
                 x0_complex, h_inc.linear, h_inc.quad)
         else:
-            M = np.linalg.inv(T_comp.matrix) / math.sqrt(prev_height)
+            M = np.linalg.inv(T_comp) / math.sqrt(prev_height)
             inc_global = h_inc.shifted_compose(prev_height, M, x0_complex)
         H_comp = H_comp.add(inc_global)
-        T_comp = T_comp.compose(T_tilde)
+        T_comp = T_comp @ T_tilde
 
         w = rescale_to_unit(w, center, level_mu, h_inc, T_tilde,
                             resolution=chain_resolution,
@@ -561,12 +539,13 @@ def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
         chain.levels.append(ChainLevel(
             k=k, height=height_k,
             transform=T_tilde, shift_increment=h_inc,
-            composite_transform=HermitianTransform(T_comp.matrix.copy()),
+            composite_transform=T_comp,
             composite_shift=H_comp,
             fit_in=c_in, fit_out=c_out,
             omega_r_in=r_in, omega_r_out=r_out,
             solve_iterations=solve_iters, solve_residual=solve_res,
-            transform_deviation=T_tilde.deviation_from_identity(),
+            transform_deviation=float(np.linalg.svd(
+                T_tilde - np.eye(dom.n), compute_uv=False)[0]),
             center_value_error=center_err,
         ))
     return chain

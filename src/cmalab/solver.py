@@ -154,21 +154,17 @@ def _assemble(dom: GridDomain, weights: dict) -> tuple[sp.csr_matrix, sp.csr_mat
             mi = icol >= 0
             ri.append(irow[mi])
             ci.append(icol[mi])
-            vi.append(coef[mi] if isinstance(coef, np.ndarray) else np.full(mi.sum(), coef))
+            vi.append(coef[mi])
             mb = bcol >= 0
-            if np.any(mb):
-                rb.append(irow[mb])
-                cb.append(bcol[mb])
-                vb.append(coef[mb] if isinstance(coef, np.ndarray) else np.full(mb.sum(), coef))
+            rb.append(irow[mb])
+            cb.append(bcol[mb])
+            vb.append(coef[mb])
     A_II = sp.coo_matrix(
         (np.concatenate(vi), (np.concatenate(ri), np.concatenate(ci))),
         shape=(n_int, n_int)).tocsr()
-    if rb:
-        A_IB = sp.coo_matrix(
-            (np.concatenate(vb), (np.concatenate(rb), np.concatenate(cb))),
-            shape=(n_int, n_bnd)).tocsr()
-    else:
-        A_IB = sp.csr_matrix((n_int, n_bnd))
+    A_IB = sp.coo_matrix(
+        (np.concatenate(vb), (np.concatenate(rb), np.concatenate(cb))),
+        shape=(n_int, n_bnd)).tocsr()
     A_int = (A_II + A_IB @ asm["S"]).tocsr()
     return A_int, A_IB
 
@@ -508,23 +504,3 @@ def comparison_sandwich(u: GridFunction, v0: GridFunction, eps: float, n: int,
     bound = 4.0 * eps
     passed = viol_lower <= slack and viol_upper <= slack and max_diff <= bound + slack
     return SandwichCertificate(viol_lower, viol_upper, max_diff, bound, slack, passed)
-
-
-def stability_gap(u: GridFunction, v: GridFunction, f, g, q: float
-                  ) -> tuple[float, float]:
-    """Left and right side of the perturbation stability estimate.
-
-    lhs = sup_interior(v - u) - sup_boundary(v - u); rhs = ||f - g||_{L^q}^{1/n}.
-    The proportionality constant is measured by the caller, never asserted.
-    """
-    dom = u.domain
-    if not dom.same_lattice(v.domain):
-        raise DomainMismatchError("u and v live on different lattices")
-    if q <= 1:
-        raise ValueError("q must exceed 1")
-    diff = v.values - u.values
-    lhs = float(np.nanmax(diff[dom.interior_mask]) - np.nanmax(diff[dom.boundary_mask]))
-    f_int = _field_on_interior(dom, f)
-    g_int = _field_on_interior(dom, g)
-    lq = float(np.sum(np.abs(f_int - g_int) ** q) * dom.h ** dom.d) ** (1.0 / q)
-    return lhs, lq ** (1.0 / dom.n)

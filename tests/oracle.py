@@ -7,7 +7,7 @@ from cmalab import engulfing
 
 
 def dilated_mask(ps, c):
-    """Lattice mask of the c-dilation of a pointed set (membership of every
+    """Lattice mask of the c-dilation of a section (membership of every
     node of its box)."""
     mesh = np.meshgrid(*ps.axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)

@@ -152,7 +152,7 @@ def test_acceptance_engulfing(perturbed_n1, ball_n1):
                                 sections.taylor_split(bu, bdom.node_index((0.2, 0.0)))[0])
     b2 = sections.build_section(bu, bdom.node_index((0.0, 0.1)), 0.02,
                                 sections.taylor_split(bu, bdom.node_index((0.0, 0.1)))[0])
-    strict = dilated_mask(engulfing.PointedSet.from_section(b2), 10.0)
+    strict = dilated_mask(b2, 10.0)
     analytic_ok = bool(np.all(strict[b1.mask]))
 
     ok = tested >= 200 and passed == tested and analytic_ok
@@ -173,7 +173,7 @@ def test_acceptance_covering():
         ci = dom.node_index(ctr)
         dist = np.linalg.norm(pts - dom.coords(ci), axis=1)
         mask = (dist <= rad).reshape(dom.interior_mask.shape) & dom.interior_mask
-        return engulfing.PointedSet.from_mask(dom, ci, mask, mu=rad ** 2)
+        return sections.Section.from_mask(dom, ci, mask, mu=rad ** 2)
 
     all_ok = True
     oracle_checked = 0
@@ -239,7 +239,7 @@ def test_acceptance_weak_11():
         dist = np.linalg.norm(pts - dom.coords(ci), axis=1)
         mask = (dist <= rad).reshape(dom.interior_mask.shape) & dom.interior_mask
         if mask[ci]:
-            members.append(engulfing.PointedSet.from_mask(dom, ci, mask, mu=rad ** 2))
+            members.append(sections.Section.from_mask(dom, ci, mask, mu=rad ** 2))
     fam = covering.SectionFamily(members)
     worst = 0.0
     ok = True

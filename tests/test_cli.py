@@ -199,6 +199,24 @@ def test_cover_subcommand(tmp_path):
     assert rep["witnesses"]
 
 
+@pytest.mark.parametrize("member_node, target", [
+    ((8, 8), (-9, -9)),
+    ((-1, -1), (16, 16)),
+], ids=["target", "member"])
+def test_cover_refuses_nodes_off_the_lattice(tmp_path, member_node, target):
+    # A negative index wrapped to the far side of the box: target -9,-9 was
+    # read as the centre node (8, 8), and a member node -1,-1 became the
+    # corner (16, 16) and covered a corner target; both runs exited 0.
+    family = {"shape": [17, 17], "lo": [-1.0, -1.0], "h": 0.125, "members": [
+        {"center": [8, 8], "mu": 0.01, "nodes": [[8, 8], list(member_node)]}]}
+    fam_path = tmp_path / "family.json"
+    fam_path.write_text(json.dumps(family))
+    tgt_path = tmp_path / "target.csv"
+    tgt_path.write_text(",".join(str(i) for i in target) + "\n")
+    with pytest.raises(ValueError, match="off the"):
+        cli.main(["cover", "--family", str(fam_path), "--target-set", str(tgt_path)])
+
+
 # -- pipeline ---------------------------------------------------------------------------
 
 

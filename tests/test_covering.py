@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cmalab import cli, covering, engulfing, grid
+from cmalab import cli, covering, engulfing, grid, sections
 from cmalab.errors import CoverageError
 from oracle import dilated_mask
 
@@ -19,7 +19,7 @@ def ball_member(dom, center, radius):
     pts = dom.coords()
     dist = np.linalg.norm(pts - dom.coords(ci), axis=1).reshape(dom.interior_mask.shape)
     mask = (dist <= radius) & dom.interior_mask
-    return engulfing.PointedSet.from_mask(dom, ci, mask, mu=radius ** 2)
+    return sections.Section.from_mask(dom, ci, mask, mu=radius ** 2)
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +58,8 @@ def interval_set(lo_b, length, box_lo, h, n_nodes, center=None):
     i1 = int(round((lo_b + length - box_lo) / h))
     mask[i0:i1 + 1] = True
     ci = (i0 + i1) // 2 if center is None else int(round((center - box_lo) / h))
-    return engulfing.PointedSet((ci,), mask, np.array([box_lo]), h,
-                                mu=(length / 2) ** 2)
+    return sections.Section((ci,), mask, np.array([box_lo]), h,
+                            mu=(length / 2) ** 2)
 
 
 def test_vitali_1d_toy_against_bruteforce():

@@ -21,8 +21,8 @@ def ball_set(dom, r, center, radius, mu=None):
     ci = dom.node_index(center)
     dist = np.linalg.norm(dom.coords() - dom.coords(ci), axis=1).reshape(r.shape)
     mask = (dist <= radius) & dom.interior_mask
-    return engulfing.PointedSet.from_mask(dom, ci, mask,
-                                          mu=mu if mu is not None else radius ** 2)
+    return sections.Section.from_mask(dom, ci, mask,
+                                      mu=mu if mu is not None else radius ** 2)
 
 
 def test_dilate_identity(disc129):
@@ -49,7 +49,7 @@ def test_dilate_measure_scaling_anisotropic():
     mu = 0.36
     q = 4.0 * pts[:, 0] ** 2 + 0.25 * pts[:, 1] ** 2
     mask = (q <= mu).reshape(dom.interior_mask.shape) & dom.interior_mask
-    ps = engulfing.PointedSet.from_mask(dom, dom.node_index((0.0, 0.0)), mask, mu=mu)
+    ps = sections.Section.from_mask(dom, dom.node_index((0.0, 0.0)), mask, mu=mu)
     for c in (1.5, 2.0):
         ratio = dilated_mask(ps, c).sum() / ps.node_count()
         assert ratio == pytest.approx(c ** 2, rel=0.03)
@@ -61,7 +61,7 @@ def test_dilate_semigroup(disc129):
     for a, b in ((0.5, 2.0), (2.0, 0.5), (0.5, 3.0)):
         if a * b * 0.2 > 0.9:
             continue
-        inner = engulfing.PointedSet(ps.center_idx, dilated_mask(ps, a), ps.lo, ps.h)
+        inner = sections.Section(ps.center_idx, dilated_mask(ps, a), ps.lo, ps.h, a * a * ps.mu)
         lhs = dilated_mask(inner, b)
         rhs = dilated_mask(ps, a * b)
         assert engulfing.inclusion_with_slack(lhs, rhs)
@@ -133,7 +133,7 @@ def test_sandwich_dilation_between_heights(ball_n1):
         mu0=0.24, mu_top=0.24)
     mu = chain.mu_top / 121.0
     assert math.sqrt(mu) >= 2 * dom.h
-    s_small = engulfing.PointedSet.from_section(chain.section(u, mu))
+    s_small = chain.section(u, mu)
     s_big = chain.section(u, 121.0 * mu)
     ten = dilated_mask(s_small, 10.0)
     twelve = dilated_mask(s_small, 12.0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,6 +52,20 @@ def test_build_domain_validation():
         grid.build_domain(1, "perturbed:0.6:cos3", 33)
     with pytest.raises(MemoryCapError):
         grid.build_domain(2, "ball:1.0", 129)
+
+
+def test_n2_res65_is_refused_before_allocating():
+    # 17.85M nodes at the measured ~700 B per node need about 12 GB.  A
+    # guess of 96 B per node put them under the 2 GiB cap, so the domain
+    # was built and the solve ran the host out of memory.
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryCapError):
+            grid.build_domain(2, "ball:1.0", 65)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # -- boundary cut points -------------------------------------------------------
@@ -127,6 +142,48 @@ def test_lattice_cut_off_box_counts_as_outside():
     # The face cuts sit on the face nodes themselves.
     nodes = dom.coords()[table["flat"][on_face]]
     assert np.abs(table["cuts"][on_face] - nodes).max() <= 1e-14
+
+
+def _row_domain(run: int):
+    """A 9x9 lattice with one boundary node b = (5, 2) and `run` interior
+    nodes to its right.  The cut on b -> x1 falls 1e-9 of a step short of
+    x1, so x1 is disqualified as a support; the row is the only direction
+    with an interior x1."""
+    res = 9
+    axes = [np.linspace(-1.0, 1.0, res)] * 2
+    signed = np.ones((res, res))
+    for k in range(run):
+        signed[5, 3 + k] = -1e-9 if k == 0 else -1.0
+    boundary = np.zeros((res, res), dtype=bool)
+    boundary[5, 2] = True
+    return grid.GridDomain(
+        n=1, resolution=res, h=0.25, box=np.array([[-1.0, 1.0]] * 2),
+        shape=grid.SublevelShape(axes, signed), interior_mask=signed < 0.0,
+        boundary_mask=boundary), signed
+
+
+@pytest.mark.parametrize("run, supports, exact_on", [
+    (3, [(5, 4), (5, 5)], lambda x, y: 1.0 + 0.3 * x - 0.7 * y
+     + 0.5 * x * x - 0.2 * x * y + 0.9 * y * y),
+    (2, [(5, 4), None], lambda x, y: 1.0 + 0.3 * x - 0.7 * y),
+    (1, [None, None], lambda x, y: 1.7 + 0.0 * x),
+], ids=["quad23", "lin2", "anchor"])
+def test_rare_boundary_constraint_forms(run, supports, exact_on):
+    # Skipping x1 leaves the three-point form on (x2, x3), the two-point
+    # form on x2, or the cut value alone; each is exact on the polynomials
+    # of its order.
+    dom, signed = _row_domain(run)
+    table = grid._build_bc_table(dom, signed)
+    flat = [-1 if nd is None else np.ravel_multi_index(nd, signed.shape)
+            for nd in supports]
+    assert [table["idx1"][0], table["idx2"][0]] == flat
+    pts = dom.coords()
+    vals = exact_on(pts[:, 0], pts[:, 1])
+    cut = table["cuts"][0]
+    got = (table["coef_c"][0] * exact_on(cut[0], cut[1])
+           + sum(table[f"coef_{k}"][0] * vals[f] for k, f in ((1, flat[0]), (2, flat[1]))
+                 if f >= 0))
+    assert got == pytest.approx(vals[table["flat"][0]], abs=1e-9)
 
 
 # -- complex Hessian ---------------------------------------------------------

@@ -2,8 +2,9 @@
 
 A reader is a use of the name anywhere in the library, the benchmark, the
 tools or the acceptance tests, other than its own definition: a name, an
-attribute, an import, or a component of a dotted ``cmalab.`` string (the
-benchmark wraps functions by such paths).  Methods are matched by
+attribute, or a component of a dotted ``cmalab.`` string (the benchmark
+wraps functions by such paths).  An import is not a reader: a name that is
+only imported or re-exported is computed for nobody.  Methods are matched by
 attribute only (``.name``).  Unit tests do not count: a helper that only
 its own unit test calls computes something nothing reads.
 """
@@ -52,8 +53,6 @@ def _read_names():
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attrs.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.asname or node.name)
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and re.fullmatch(r"cmalab(\.\w+)+", node.value)):
                 attrs.update(node.value.split(".")[1:])
