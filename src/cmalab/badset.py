@@ -23,7 +23,7 @@ from .grid import (
     GridDomain,
     GridFunction,
     complex_hessian,
-    first_diff_field,
+    node_first_differences,
     real_hessian_field,
     shift,
 )
@@ -321,20 +321,48 @@ def ma_measure(gamma: GridFunction, E: np.ndarray) -> float:
 
     The subgradient image of a lower-hull vertex is the convex hull of the
     gradients of its incident lower facets; a cell of rank below d has
-    volume 0, and nodes that are not hull vertices carry no measure.
-    Raises ValueError when gamma exceeds its own lower hull, i.e. is not
-    convex.
+    volume 0, and nodes that are not hull vertices carry no measure.  At
+    n = 1 (d = 2) each cell is the polygon of the facet gradients taken in
+    the angular order of the facets about the vertex, its area the shoelace
+    sum; at n = 2 each cell is a Qhull hull of its gradients.  Raises
+    ValueError when gamma exceeds its own lower hull, i.e. is not convex.
     """
-    from scipy.spatial import ConvexHull
-
     region = ~np.isnan(gamma.values)
     env, grads, simplices = _lower_hull(gamma, region)
     excess = float(np.max(gamma.values[region] - env, initial=0.0))
     if excess > _CONVEXITY_TOL:
         raise ValueError(f"function is not convex (exceeds its hull by {excess:.2e})")
+    in_E = E[region]
+    if grads.shape[1] != 2:
+        return _hull_cell_measure(grads, simplices, in_E)
+
+    # (vertex, facet) incidences at vertices in E, each vertex's facets in
+    # the order of their centroids' angles about it: the fan order, open at
+    # region-boundary vertices, whose gradients run round the cell polygon.
+    vert = simplices.ravel()
+    facet = np.repeat(np.arange(len(simplices)), simplices.shape[1])
+    keep = in_E[vert]
+    vert, facet = vert[keep], facet[keep]
+    if vert.size == 0:
+        return 0.0
+    pts = gamma.domain.coords()[region.ravel()]
+    rel = pts[simplices].mean(axis=1)[facet] - pts[vert]
+    order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), vert))
+    vert, g = vert[order], grads[facet[order]]
+    starts = np.flatnonzero(np.r_[True, vert[1:] != vert[:-1]])
+    nxt = np.arange(1, vert.size + 1)
+    nxt[np.r_[starts[1:], vert.size] - 1] = starts
+    cross = g[:, 0] * g[nxt, 1] - g[:, 1] * g[nxt, 0]
+    return float(np.sum(np.abs(np.add.reduceat(cross, starts)))) / 2.0
+
+
+def _hull_cell_measure(grads: np.ndarray, simplices: np.ndarray,
+                       in_E: np.ndarray) -> float:
+    """Sum over the hull vertices in E of the Qhull volume of the convex
+    hull of their incident facets' gradients (rank-d cells only)."""
+    from scipy.spatial import ConvexHull
 
     d = grads.shape[1]
-    in_E = E[region]
     flat = simplices.ravel()
     order = np.argsort(flat, kind="stable")
     verts, starts = np.unique(flat[order], return_index=True)
@@ -380,14 +408,14 @@ def touching_paraboloid_opening(u: GridFunction, x0: tuple,
 
     # Supporting slope of u - kappa |z - x0|^2 for every kappa: the
     # paraboloid's gradient vanishes at the center, so this is the centered
-    # gradient of u.
-    slope = np.array([first_diff_field(u.values, a, dom.h)[x0] for a in range(dom.d)])
+    # gradient of u.  Where it is NaN no opening is admissible.
+    slope = node_first_differences(u.values, x0, dom.h)
+    gap0 = vals - u0 - (pts - x0_pt) @ slope
 
     geom_tol = 1e-12 * max(1.0, abs(u0))
 
     def admissible(kappa):
-        gap = vals - u0 - (pts - x0_pt) @ slope - kappa * r2
-        return float(np.min(gap)) >= -geom_tol
+        return float(np.min(gap0 - kappa * r2)) >= -geom_tol
 
     if not admissible(1e-9):
         return ParaboloidResult(0.0, False, slope)
@@ -448,20 +476,14 @@ def subdeterminant_check(u0: GridFunction, v0: GridFunction,
     ok = contact & ~(np.isnan(Hu).any(axis=(-2, -1))
                      | np.isnan(Hv).any(axis=(-2, -1))
                      | np.isnan(Hg).any(axis=(-2, -1)))
-    idxs = np.argwhere(ok)
-    checked = 0
-    worst = -math.inf
-    for it in idxs:
-        it = tuple(it)
-        mats = (Hg[it], Hv[it], Hu[it])
-        eigs = [np.linalg.eigvalsh(m) for m in mats]
-        if any(e.min() < -1e-8 for e in eigs):
-            continue
-        checked += 1
-        roots = [np.prod(np.clip(e, 0.0, None)) ** (1.0 / (2 * dom.n)) for e in eigs]
-        worst = max(worst, roots[0] + roots[1] - roots[2])
+    eigs = [np.linalg.eigvalsh(H[ok]) for H in (Hg, Hv, Hu)]
+    psd = np.all([e.min(axis=1) >= -1e-8 for e in eigs], axis=0)
+    roots = [np.prod(np.clip(e[psd], 0.0, None), axis=1) ** (1.0 / (2 * dom.n))
+             for e in eigs]
+    checked = int(psd.sum())
+    worst = float(np.max(roots[0] + roots[1] - roots[2])) if checked else float("nan")
     return {
         "checked": checked,
-        "worst_excess": worst if checked else float("nan"),
+        "worst_excess": worst,
         "passed": bool(checked == 0 or worst <= 1e-6),
     }

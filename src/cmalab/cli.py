@@ -108,6 +108,15 @@ def compile_expression(expr: str, d: int):
 _DIM_PROFILE = {1: "cos3", 2: "harmonic"}
 # default section-chain lattice; 4 real dimensions cannot afford the planar one
 _DIM_CHAIN_RESOLUTION = {1: 33, 2: 13}
+# default experiment lattice; at n = 2 res 65 exceeds the memory cap
+_DIM_RESOLUTION = {1: 65, 2: 33}
+
+
+def _resolution_for(n: int, resolution: int | None) -> int:
+    """The experiment lattice resolution: the dimension's default when None."""
+    if n not in _DIM_RESOLUTION:
+        raise ValueError("n must be 1 or 2")
+    return _DIM_RESOLUTION[n] if resolution is None else resolution
 
 
 def _profile_for(n: int, profile: str | None) -> str:
@@ -125,7 +134,7 @@ def _profile_for(n: int, profile: str | None) -> str:
 @dataclass
 class ExperimentConfig:
     n: int = 1
-    resolution: int = 65
+    resolution: int | None = None
     gamma: float = 0.05
     profile: str | None = None
     eps: float = 0.01
@@ -145,8 +154,7 @@ class ExperimentConfig:
     newton_tol: float = NEWTON_TOL
 
     def __post_init__(self):
-        if self.n not in (1, 2):
-            raise ValueError("n must be 1 or 2")
+        self.resolution = _resolution_for(self.n, self.resolution)
         if self.resolution < 9:
             raise ValueError("resolution must be at least 9")
         if not 0.0 <= self.gamma < 0.5:
@@ -440,7 +448,7 @@ def _engulf_pairs(u: GridFunction, chains: list, rng, pairs: int) -> tuple[dict,
 
 def _random_ball_family(dom: GridDomain, rng):
     members = 24
-    pts = dom.coords()
+    pts = dom.coords().reshape(dom.interior_mask.shape + (dom.d,))
     rad_lo = 2.5 * dom.h
     rad_hi = max(4.5 * dom.h, 0.3)
     ctr_range = max(0.1, 0.9 - rad_hi - 2 * dom.h)
@@ -453,9 +461,13 @@ def _random_ball_family(dom: GridDomain, rng):
         idx = dom.node_index(ctr)
         if not dom.interior_mask[idx]:
             continue
-        dist = np.linalg.norm(pts - dom.coords(idx), axis=1).reshape(
-            dom.interior_mask.shape)
-        mask = (dist <= rad) & dom.interior_mask
+        # the ball's nodes lie within ceil(rad/h) index steps of its center;
+        # one step more absorbs the rounding of the axis coordinates
+        reach = math.ceil(rad / dom.h) + 1
+        win = tuple(slice(max(i - reach, 0), i + reach + 1) for i in idx)
+        dist = np.linalg.norm(pts[win] - dom.coords(idx), axis=-1)
+        mask = np.zeros_like(dom.interior_mask)
+        mask[win] = (dist <= rad) & dom.interior_mask[win]
         if not mask[idx]:
             continue
         fam_members.append(Section.from_mask(dom, idx, mask, rad * rad))
@@ -498,7 +510,8 @@ def _add_instance_args(sp):
 
 
 def _cmd_solve(args) -> int:
-    dom = build_domain(args.n, _shape_from_args(args), args.resolution)
+    dom = build_domain(args.n, _shape_from_args(args),
+                       _resolution_for(args.n, args.resolution))
     f = compile_expression(args.f_expr, dom.d) if args.f_expr else 1.0
     u, rep = solve_dirichlet(dom, f, 0.0, args.newton_tol)
     if args.out:
@@ -636,7 +649,8 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("solve", help="Dirichlet solve on a near-ball domain")
     sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--resolution", type=int, default=65)
+    sp.add_argument("--resolution", type=int, default=None,
+                    help="default 65 for n=1, 33 for n=2")
     sp.add_argument("--gamma", type=float, default=0.0)
     sp.add_argument("--profile", default=None,
                     help="boundary profile; default cos3 for n=1, harmonic for n=2")
@@ -698,7 +712,8 @@ def main(argv=None) -> int:
     sp.add_argument("--config", default=None)
     sp.add_argument("--out-dir", dest="out_dir", required=True)
     sp.add_argument("--n", type=int, default=ExperimentConfig.n)
-    sp.add_argument("--resolution", type=int, default=ExperimentConfig.resolution)
+    sp.add_argument("--resolution", type=int, default=None,
+                    help="default 65 for n=1, 33 for n=2")
     sp.add_argument("--gamma", type=float, default=ExperimentConfig.gamma)
     sp.add_argument("--eps", type=float, default=ExperimentConfig.eps)
     sp.add_argument("--sigma", type=float, default=ExperimentConfig.sigma)

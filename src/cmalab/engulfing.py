@@ -8,6 +8,10 @@ All set inclusions are lattice statements "up to one-cell slack": an
 offending node must lie within lattice (Chebyshev) distance 1 of the target
 set.  Two sets intersect when they share a node or sit within lattice
 distance 1, symmetric with the inclusion slack.
+
+The one-cell slack reaches one node, so every dilation by the Moore
+structure runs only on a mask's bounding box padded by one node (clipped to
+the lattice); the verdicts are those of full-box dilations.
 """
 
 from __future__ import annotations
@@ -19,8 +23,22 @@ from .grid import interp_multilinear
 from .sections import Section
 
 
-def _moore(ndim: int) -> np.ndarray:
-    return ndimage.generate_binary_structure(ndim, ndim)
+def _grow(mask: np.ndarray) -> np.ndarray:
+    """The mask dilated by one node in every direction (Moore structure)."""
+    return ndimage.binary_dilation(
+        mask, structure=ndimage.generate_binary_structure(mask.ndim, mask.ndim))
+
+
+def _window(mask: np.ndarray) -> tuple[slice, ...] | None:
+    """The mask's bounding box padded by one node and clipped to the
+    lattice; None for an empty mask."""
+    out = []
+    for a in range(mask.ndim):
+        hit = np.flatnonzero(mask.any(axis=tuple(b for b in range(mask.ndim) if b != a)))
+        if hit.size == 0:
+            return None
+        out.append(slice(max(hit[0] - 1, 0), hit[-1] + 2))
+    return tuple(out)
 
 
 def dilate_membership(sec: Section, c: float, pts: np.ndarray) -> np.ndarray:
@@ -36,8 +54,8 @@ def dilate_membership(sec: Section, c: float, pts: np.ndarray) -> np.ndarray:
 
 def inclusion_with_slack(inner: np.ndarray, outer: np.ndarray) -> bool:
     """inner subset of outer, up to one-cell slack."""
-    grown = ndimage.binary_dilation(outer, structure=_moore(outer.ndim))
-    return bool(np.all(grown[inner]))
+    win = _window(inner)
+    return win is None or bool(np.all(_grow(outer[win])[inner[win]]))
 
 
 def in_dilations(inner: np.ndarray, sets: list[Section], c: float) -> bool:
@@ -49,21 +67,27 @@ def in_dilations(inner: np.ndarray, sets: list[Section], c: float) -> bool:
     again once a set holds it.  The verdict is that of inclusion_with_slack
     against the union of the full-box dilations.
     """
+    win = _window(inner)
+    if win is None:
+        return True
+    # from here on every mask and index is the window's
+    corner = np.array([w.start for w in win])
+    inner = inner[win]
     hit = np.zeros_like(inner)
-    todo = ndimage.binary_dilation(inner, structure=_moore(inner.ndim))
+    todo = _grow(inner)
     for sec in sets:
         idx = np.argwhere(todo)
         if idx.size == 0:
             break
-        hit[tuple(idx.T)] = dilate_membership(sec, c, sec.lo + sec.h * idx)
+        hit[tuple(idx.T)] = dilate_membership(sec, c, sec.lo + sec.h * (idx + corner))
         todo &= ~hit
     return inclusion_with_slack(inner, hit)
 
 
 def sets_intersect(a: Section, b: Section) -> bool:
     """Shared node, or within lattice distance 1."""
-    grown = ndimage.binary_dilation(a.mask, structure=_moore(a.mask.ndim))
-    return bool(np.any(grown & b.mask))
+    win = _window(a.mask)
+    return bool(np.any(_grow(a.mask[win]) & b.mask[win]))
 
 
 def check_engulfing(s1: Section, s2: Section) -> str:

@@ -804,6 +804,18 @@ def first_diff_field(values: np.ndarray, a: int, h: float) -> np.ndarray:
     return _differences(partial(shift, values), values.ndim, h)[0](a)
 
 
+def node_first_differences(values: np.ndarray, x: tuple, h: float) -> np.ndarray:
+    """Centered first differences at node x along every axis: first_diff_field
+    read at x, NaN where the stencil leaves the box or meets a NaN value."""
+    def at(off):
+        y = tuple(map(add, x, off))
+        inside = all(0 <= i < s for i, s in zip(y, values.shape))
+        return values[y] if inside else np.nan
+
+    D1, _ = _differences(at, values.ndim, h)
+    return np.array([D1(a) for a in range(values.ndim)])
+
+
 def hessian_fields(u: GridFunction) -> dict:
     """Complex Hessian components as full-box arrays.
 

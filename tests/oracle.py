@@ -1,9 +1,14 @@
 """Full-box oracles for the tests: quantities the library computes only
-where something reads them, computed here on every lattice node."""
+where something reads them, or one array at a time, computed here on every
+lattice node or one node at a time."""
+
+import math
 
 import numpy as np
+from scipy import ndimage
 
 from cmalab import engulfing
+from cmalab.grid import real_hessian_field
 
 
 def dilated_mask(ps, c):
@@ -12,3 +17,45 @@ def dilated_mask(ps, c):
     mesh = np.meshgrid(*ps.axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     return engulfing.dilate_membership(ps, c, pts).reshape(ps.mask.shape)
+
+
+def _grown(mask):
+    """The Moore dilation of a mask over the whole box."""
+    return ndimage.binary_dilation(
+        mask, structure=ndimage.generate_binary_structure(mask.ndim, mask.ndim))
+
+
+def inclusion_with_slack(inner, outer):
+    """inner subset of outer up to one-cell slack, judged on the whole box."""
+    return bool(np.all(_grown(outer)[inner]))
+
+
+def sets_intersect(a, b):
+    """Shared node or lattice distance 1, judged on the whole box."""
+    return bool(np.any(_grown(a.mask) & b.mask))
+
+
+def subdeterminant_check(u0, v0, gamma, contact):
+    """The subdeterminant inequality one contact node at a time."""
+    dom = u0.domain
+    Hu = real_hessian_field(u0.values, dom.h)
+    Hv = 0.5 * real_hessian_field(v0.values, dom.h)
+    Hg = real_hessian_field(gamma.values, dom.h)
+    ok = contact & ~(np.isnan(Hu).any(axis=(-2, -1))
+                     | np.isnan(Hv).any(axis=(-2, -1))
+                     | np.isnan(Hg).any(axis=(-2, -1)))
+    checked = 0
+    worst = -math.inf
+    for it in np.argwhere(ok):
+        it = tuple(it)
+        eigs = [np.linalg.eigvalsh(m) for m in (Hg[it], Hv[it], Hu[it])]
+        if any(e.min() < -1e-8 for e in eigs):
+            continue
+        checked += 1
+        roots = [np.prod(np.clip(e, 0.0, None)) ** (1.0 / (2 * dom.n)) for e in eigs]
+        worst = max(worst, roots[0] + roots[1] - roots[2])
+    return {
+        "checked": checked,
+        "worst_excess": worst if checked else float("nan"),
+        "passed": bool(checked == 0 or worst <= 1e-6),
+    }

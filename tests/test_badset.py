@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.spatial import ConvexHull
 
 from cmalab import badset, cli, grid, sections, solver, w2p
 from cmalab.errors import ChainBrokenError, SectionEscapeError
 from cmalab.grid import GridFunction
+import oracle
 
 
 def region_ball(dom, radius):
@@ -331,6 +333,31 @@ def test_subdeterminant_inequality_at_contact(perturbed_n1):
     assert out["passed"], out
 
 
+def test_subdeterminant_check_matches_the_node_loop(perturbed_n1, perturbed_n2):
+    # Stacked eigenvalues give the dict of the one-node-at-a-time loop, with
+    # and without nodes that fail positive semidefiniteness.
+    dom, u, v0 = perturbed_n1
+    region, r = region_ball(dom, 0.9)
+    w = GridFunction(dom, np.where(region, u.values - 0.5 * v0.values, np.nan))
+    env = badset.convex_envelope(w, region)
+    cs = badset.contact_set(w, env, tol=1e-9)
+    raw = GridFunction(dom, np.where(region, u.values - 1.1 * v0.values, np.nan))
+    cases = [(env, cs & (r <= 0.5)), (raw, region), (env, np.zeros_like(region))]
+    dom2, u2, v02 = perturbed_n2
+    w2 = GridFunction(dom2, np.where(dom2.valued_mask, u2.values - 0.5 * v02.values, np.nan))
+    for gam, contact in cases:
+        want = oracle.subdeterminant_check(u, v0, gam, contact)
+        got = badset.subdeterminant_check(u, v0, gam, contact)
+        assert got.keys() == want.keys()
+        assert got["checked"] == want["checked"]
+        assert got["passed"] == want["passed"]
+        assert np.array_equal(got["worst_excess"], want["worst_excess"], equal_nan=True)
+    want = oracle.subdeterminant_check(u2, v02, w2, dom2.interior_mask)
+    assert want["checked"] > 0
+    assert badset.subdeterminant_check(u2, v02, w2, dom2.interior_mask) == want
+    assert oracle.subdeterminant_check(u, v0, raw, region)["checked"] < region.sum()
+
+
 # -- Monge-Ampere measure ------------------------------------------------------------
 
 
@@ -392,6 +419,55 @@ def test_ma_measure_rejects_nonconvex():
     gam = GridFunction(dom, np.where(region, -(r ** 2), np.nan))
     with pytest.raises(ValueError):
         badset.ma_measure(gam, region)
+
+
+def _hull_cell_reference(gam, E):
+    """ma_measure through one Qhull cell per hull vertex, the path d > 2 takes."""
+    region = ~np.isnan(gam.values)
+    _, grads, simplices = badset._lower_hull(gam, region)
+    return badset._hull_cell_measure(grads, simplices, E[region])
+
+
+@pytest.mark.parametrize("case", ["double_well", "r2", "r2_floor", "whole_region"])
+def test_ma_measure_polygon_cells_match_the_hull_cells(case):
+    # At d = 2 the cells are polygons summed by the shoelace formula; they
+    # agree with the per-vertex hull volumes up to float64 rounding over
+    # about 10^4 terms, also on the open fans of region-boundary vertices.
+    dom = grid.build_domain(1, "ball:1.0", 65)
+    region, r = region_ball(dom, 0.9)
+    pts = dom.coords()
+    if case == "double_well":
+        a = np.array([0.35, 0.0])
+        wv = np.minimum(np.sum((pts - a) ** 2, axis=1),
+                        np.sum((pts + a) ** 2, axis=1)).reshape(r.shape)
+        gam = badset.convex_envelope(GridFunction(dom, np.where(region, wv, np.nan)),
+                                     region)
+        Es = [(r <= 0.5) & region]
+    else:
+        wv = r ** 2 if case != "r2_floor" else np.maximum(r ** 2, 0.25)
+        gam = GridFunction(dom, np.where(region, wv, np.nan))
+        Es = [(r <= 0.4) & region, (r >= 0.6) & (r <= 0.8) & region]
+    if case == "whole_region":
+        Es = [region]
+        rim = region & ~ndimage.binary_erosion(region)
+        _, _, simplices = badset._lower_hull(gam, region)
+        assert np.any(rim[region][np.unique(simplices)])
+    refs = []
+    for E in Es:
+        refs.append(_hull_cell_reference(gam, E))
+        assert badset.ma_measure(gam, E) == pytest.approx(refs[-1], rel=1e-12, abs=0.0)
+    assert max(refs) > 0.1
+
+
+def test_ma_measure_is_exactly_zero_without_cells():
+    dom = grid.build_domain(1, "ball:1.0", 33)
+    region, r = region_ball(dom, 0.9)
+    pts = dom.coords()
+    bowl = GridFunction(dom, np.where(region, r ** 2, np.nan))
+    plane = GridFunction(dom, np.where(region, (0.3 * pts[:, 0] - 0.1 * pts[:, 1]
+                                                ).reshape(r.shape), np.nan))
+    assert badset.ma_measure(bowl, np.zeros_like(region)) == 0.0
+    assert badset.ma_measure(plane, region) == 0.0
 
 
 def test_ma_measure_n2_det_fallback():
@@ -461,6 +537,22 @@ def test_paraboloid_on_perturbed_contact_nodes(perturbed_n1):
             good += 1
     eps, gamma = 0.01, 0.05
     assert good / len(idxs) >= 1.0 - 1.0 * (math.sqrt(eps) + math.sqrt(gamma))
+
+
+def test_paraboloid_slope_is_the_centred_difference_at_x0(perturbed_n1):
+    # The slope is the full-box centred difference read at x0; where its
+    # stencil meets an unvalued node it is NaN and the opening unsupported.
+    dom, u, _ = perturbed_n1
+    region, r = region_ball(dom, 0.9)
+    field = np.stack([grid.first_diff_field(u.values, a, dom.h) for a in range(dom.d)],
+                     axis=-1)
+    for it in np.argwhere(region & (r <= 0.6))[::97]:
+        res = badset.touching_paraboloid_opening(u, tuple(it), region)
+        assert np.array_equal(res.slope, field[tuple(it)])
+    edge = tuple(np.argwhere(dom.boundary_mask & np.isnan(field).any(axis=-1))[0])
+    res = badset.touching_paraboloid_opening(u, edge, dom.valued_mask)
+    assert np.array_equal(res.slope, field[edge], equal_nan=True)
+    assert not res.supported and res.kappa == 0.0
 
 
 # -- Hessian bounds on good sets -------------------------------------------------------

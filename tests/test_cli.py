@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmalab import badset, cli, grid
+from cmalab import badset, cli, grid, sections
 from cmalab.errors import DomainMismatchError, NonConvergenceError
 
 
@@ -77,6 +77,40 @@ def test_config_profile_fits_dimension():
         cli.ExperimentConfig(n=2, resolution=17, profile="cos3")
     with pytest.raises(ValueError):
         cli.ExperimentConfig(profile="harmonic")
+
+
+def test_config_resolution_defaults_by_dimension():
+    # n = 2 gets a lattice whose domain and solves fit in memory; the n = 1
+    # default, and with it the n = 1 config hash, stays as it was.
+    assert cli.ExperimentConfig().resolution == 65
+    assert cli.ExperimentConfig().to_dict() == cli.ExperimentConfig(resolution=65).to_dict()
+    assert cli.ExperimentConfig(n=2).resolution == 33
+    assert cli.ExperimentConfig(n=2, resolution=17).resolution == 17
+
+
+@pytest.mark.parametrize("n, res", [(1, 65), (2, 33)])
+def test_subcommand_resolution_defaults_by_dimension(tmp_path, monkeypatch, n, res):
+    # `solve` and `pipeline` with no --resolution resolve it by the config's rule.
+    seen = {}
+
+    class Stop(Exception):
+        pass
+
+    def build(n_, shape, resolution):
+        seen["solve"] = resolution
+        raise Stop
+
+    def run(cfg, out_dir):
+        seen["pipeline"] = cfg.resolution
+        raise Stop
+
+    monkeypatch.setattr(cli, "build_domain", build)
+    monkeypatch.setattr(cli, "run_pipeline", run)
+    with pytest.raises(Stop):
+        cli.main(["solve", "--n", str(n)])
+    with pytest.raises(Stop):
+        cli.main(["pipeline", "--n", str(n), "--out-dir", str(tmp_path / "p")])
+    assert seen == {"solve": res, "pipeline": res}
 
 
 def test_config_eps_bar_recipe():
@@ -164,6 +198,54 @@ def test_sections_and_engulf_subcommands(tmp_path):
 
 
 # -- cover subcommand ------------------------------------------------------------------
+
+
+def _full_box_ball_family(dom, rng):
+    """_random_ball_family as it was, with each try's distances taken over
+    the whole box."""
+    members = 24
+    pts = dom.coords()
+    rad_lo = 2.5 * dom.h
+    rad_hi = max(4.5 * dom.h, 0.3)
+    ctr_range = max(0.1, 0.9 - rad_hi - 2 * dom.h)
+    fam_members = []
+    tries = 0
+    while len(fam_members) < members and tries < 100 * members:
+        tries += 1
+        ctr = rng.uniform(-ctr_range, ctr_range, size=dom.d)
+        rad = float(rng.uniform(rad_lo, rad_hi))
+        idx = dom.node_index(ctr)
+        if not dom.interior_mask[idx]:
+            continue
+        dist = np.linalg.norm(pts - dom.coords(idx), axis=1).reshape(
+            dom.interior_mask.shape)
+        mask = (dist <= rad) & dom.interior_mask
+        if not mask[idx]:
+            continue
+        fam_members.append(sections.Section.from_mask(dom, idx, mask, rad * rad))
+    k = max(2, len(fam_members) // 3)
+    X = np.zeros_like(dom.interior_mask)
+    for i in rng.choice(len(fam_members), size=k, replace=False):
+        X |= fam_members[int(i)].mask
+    return fam_members, X
+
+
+@pytest.mark.parametrize("n, res", [(1, 129), (2, 17)])
+def test_random_ball_family_matches_the_full_box(n, res):
+    # Distances taken in a window around each candidate ball give the same
+    # members, heights and target set, and leave the generator where the
+    # full-box draws leave it.
+    dom = grid.build_domain(n, "ball:1.0", res)
+    for seed in (0, 1):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        fam, X = cli._random_ball_family(dom, rng)
+        ref, ref_X = _full_box_ball_family(dom, ref_rng)
+        assert len(fam.members) == len(ref)
+        for m, r in zip(fam.members, ref):
+            assert m.center_idx == r.center_idx and m.mu == r.mu
+            assert np.array_equal(m.mask, r.mask)
+        assert np.array_equal(X, ref_X)
+        assert rng.random() == ref_rng.random()
 
 
 def test_cover_subcommand(tmp_path):

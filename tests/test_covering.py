@@ -7,6 +7,7 @@ import pytest
 
 from cmalab import cli, covering, engulfing, grid, sections
 from cmalab.errors import CoverageError
+import oracle
 from oracle import dilated_mask
 
 
@@ -239,8 +240,8 @@ def test_measure_comparison_hypothesis_violation_reported(disc_fine):
 def test_n2_verdicts_and_coverage_match_the_full_box_oracle():
     # n = 2, res 13: engulfing verdicts, Vitali `covered` flags and the
     # dilation inclusion they share equal what the full-box 10-dilation
-    # gives through inclusion_with_slack.  At this resolution every member's
-    # 10-dilation leaves the box.
+    # gives through the full-box inclusion and intersection oracles.  At this
+    # resolution every member's 10-dilation leaves the box.
     dom = grid.build_domain(2, "ball:1.0", 13)
     rng = np.random.default_rng(0)
     escaped = 0
@@ -259,10 +260,10 @@ def test_n2_verdicts_and_coverage_match_the_full_box_oracle():
             p1, p2 = members[int(i)], members[int(j)]
             if p1.mu > 4.0 * p2.mu:
                 continue
-            if not engulfing.sets_intersect(p1, p2):
+            if not oracle.sets_intersect(p1, p2):
                 want = "not-applicable"
             else:
-                inside = engulfing.inclusion_with_slack(p1.mask, dilated_ten(int(j)))
+                inside = oracle.inclusion_with_slack(p1.mask, dilated_ten(int(j)))
                 want = "pass" if inside else "fail"
                 reach = np.asarray(p2.center_idx) + 10.0 * (
                     np.argwhere(p2.mask) - np.asarray(p2.center_idx))
@@ -274,7 +275,7 @@ def test_n2_verdicts_and_coverage_match_the_full_box_oracle():
             cover = np.zeros_like(target)
             for i in sel.indices:
                 cover |= dilated_ten(i)
-            assert sel.covered == engulfing.inclusion_with_slack(target, cover)
+            assert sel.covered == oracle.inclusion_with_slack(target, cover)
 
         # Smaller factors, where the inclusion can fail.
         for c in (1.0, 1.5):
@@ -283,7 +284,7 @@ def test_n2_verdicts_and_coverage_match_the_full_box_oracle():
                 cover = np.zeros_like(X)
                 for s in sets:
                     cover |= dilated_mask(s, c)
-                want = engulfing.inclusion_with_slack(inner, cover)
+                want = oracle.inclusion_with_slack(inner, cover)
                 assert engulfing.in_dilations(inner, sets, c) == want
                 inclusions.add(want)
     assert escaped >= 1

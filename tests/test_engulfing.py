@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cmalab import engulfing, grid, sections
+import oracle
 from oracle import dilated_mask
 
 
@@ -139,3 +140,59 @@ def test_sandwich_dilation_between_heights(ball_n1):
     twelve = dilated_mask(s_small, 12.0)
     assert engulfing.inclusion_with_slack(ten, s_big.mask)
     assert engulfing.inclusion_with_slack(s_big.mask, twelve)
+
+
+def _blobs(shape, rng, count):
+    """Random small boxes with holes; every third one is pressed against a
+    face of the lattice box."""
+    out = []
+    for k in range(count):
+        lo = rng.integers(0, shape)
+        ext = rng.integers(1, 5, size=len(shape))
+        if k % 3 == 0:
+            a = int(rng.integers(len(shape)))
+            lo[a] = 0 if k % 2 else shape[a] - 1
+        box = tuple(slice(lo[a], lo[a] + ext[a]) for a in range(len(shape)))
+        m = np.zeros(shape, dtype=bool)
+        m[box] = rng.random(m[box].shape) < 0.8
+        out.append(m)
+    return out
+
+
+@pytest.mark.parametrize("n, res", [(1, 17), (2, 9)])
+def test_windowed_dilations_match_the_full_box(n, res):
+    # sets_intersect, inclusion_with_slack and in_dilations dilate only a
+    # padded bounding box; their verdicts equal the full-box ones, also for
+    # masks on a face of the box and for an empty mask.
+    dom = grid.build_domain(n, "ball:1.0", res)
+    shape = dom.interior_mask.shape
+    masks = [np.zeros(shape, dtype=bool)] + _blobs(shape, np.random.default_rng(3), 24)
+    on_face = [m for m in masks if any(
+        np.any(np.take(m, [0, -1], axis=a)) for a in range(m.ndim))]
+    assert len(on_face) >= 8
+
+    seen = set()
+    for a in masks:
+        for b in masks:
+            want = oracle.inclusion_with_slack(a, b)
+            assert engulfing.inclusion_with_slack(a, b) == want
+            seen.add(("inclusion", want))
+
+    sets = [sections.Section.from_mask(dom, tuple(np.argwhere(m)[0]), m, mu=0.01)
+            for m in masks if m.any()]
+    for s in sets:
+        for t in sets:
+            want = oracle.sets_intersect(s, t)
+            assert engulfing.sets_intersect(s, t) == want
+            seen.add(("intersect", want))
+
+    for c in (1.0, 2.5):
+        for i in range(0, len(sets) - 1, 2):
+            pair = sets[i:i + 2]
+            cover = dilated_mask(pair[0], c) | dilated_mask(pair[1], c)
+            for inner in (masks[0], masks[-1 - i], pair[0].mask | pair[1].mask):
+                want = oracle.inclusion_with_slack(inner, cover)
+                assert engulfing.in_dilations(inner, pair, c) == want
+                seen.add(("dilations", want))
+    assert seen == {(kind, v) for kind in ("inclusion", "intersect", "dilations")
+                    for v in (True, False)}
