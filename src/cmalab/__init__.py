@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .grid import (  # noqa: F401
     GridDomain,
     GridFunction,
-    HermitianMatrix,
     build_domain,
     complex_hessian,
 )

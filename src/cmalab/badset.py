@@ -23,7 +23,7 @@ from .grid import (
     GridDomain,
     GridFunction,
     complex_hessian,
-    node_first_differences,
+    node_differences,
     real_hessian_field,
     shift,
 )
@@ -388,13 +388,12 @@ class ParaboloidResult:
 
 
 def touching_paraboloid_opening(u: GridFunction, x0: tuple,
-                                region: np.ndarray,
-                                tol: float = 1e-6) -> ParaboloidResult:
+                                region: np.ndarray) -> ParaboloidResult:
     """Largest opening of a paraboloid touching u from below at x0.
 
     The affine part is the centered-difference supporting slope at x0; the
-    opening is found by bisection to the requested tolerance.  Returns 0
-    with supported=False when no positive opening works.
+    opening is found by bisection to within 1e-6.  Returns 0 with
+    supported=False when no positive opening works.
     """
     dom = u.domain
     x0 = tuple(x0)
@@ -409,7 +408,8 @@ def touching_paraboloid_opening(u: GridFunction, x0: tuple,
     # Supporting slope of u - kappa |z - x0|^2 for every kappa: the
     # paraboloid's gradient vanishes at the center, so this is the centered
     # gradient of u.  Where it is NaN no opening is admissible.
-    slope = node_first_differences(u.values, x0, dom.h)
+    D1, _ = node_differences(u.values, x0, dom.h)
+    slope = np.array([D1(a) for a in range(dom.d)])
     gap0 = vals - u0 - (pts - x0_pt) @ slope
 
     geom_tol = 1e-12 * max(1.0, abs(u0))
@@ -424,7 +424,7 @@ def touching_paraboloid_opening(u: GridFunction, x0: tuple,
     while admissible(hi) and hi < 1e6:
         lo = hi
         hi *= 2.0
-    while hi - lo > tol:
+    while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         if admissible(mid):
             lo = mid
@@ -448,7 +448,7 @@ def hessian_bounds_on_Dk(u: GridFunction, nodes: list[tuple], k: int,
     worst_high = -math.inf
     violations = 0
     for idx in nodes:
-        lam = complex_hessian(u, tuple(idx)).eigenvalues()
+        lam = np.linalg.eigvalsh(complex_hessian(u, tuple(idx)))
         worst_low = min(worst_low, float(lam.min()))
         worst_high = max(worst_high, float(lam.max()))
         if lam.min() < lo or lam.max() > hi:

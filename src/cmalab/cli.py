@@ -313,10 +313,20 @@ def decay_report(cfg: ExperimentConfig, u: GridFunction, v0: GridFunction,
         stride=cfg.stride, params=params)
 
 
+def _eps_f(cfg: ExperimentConfig, dom: GridDomain, f) -> float:
+    """Distance eps_f of f from 1: max|f - 1| over the interior nodes for an
+    f_expr, eps for the default f (its amplitude by construction)."""
+    if cfg.f_expr is None:
+        return cfg.eps
+    return float(np.max(np.abs(f(dom.coords(dom.interior_mask.ravel())) - 1.0)))
+
+
 def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
     """Run solve -> chains -> engulf/cover -> badset -> w2p, writing all
     artifacts plus a hash manifest.  Stage failures are recorded in the
-    manifest and re-raised with the stage name."""
+    manifest and re-raised with the stage name.  The manifest records eps_f,
+    which the sandwich certifies against; eps_f > 0.2 is refused before
+    either solve."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
@@ -333,7 +343,12 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
     try:
         stage = "solve"
         dom = build_domain(cfg.n, cfg.shape_spec(), cfg.resolution)
-        u, urep = solve_dirichlet(dom, cfg.f_function(), 0.0, cfg.newton_tol)
+        f = cfg.f_function()
+        eps_f = manifest["eps_f"] = _eps_f(cfg, dom, f)
+        if not eps_f <= 0.2:
+            raise ValueError(f"eps_f = max|f - 1| = {eps_f:.4g} on the interior nodes "
+                             f"must lie in [0, 0.2] (perturbative regime)")
+        u, urep = solve_dirichlet(dom, f, 0.0, cfg.newton_tol)
         v0, vrep = solve_dirichlet(dom, 1.0, 0.0, cfg.newton_tol)
         save_instance(u, out / "u", urep)
         save_instance(v0, out / "v0", vrep)
@@ -343,7 +358,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
         manifest["stages"]["solve"] = "ok"
 
         stage = "certificates"
-        cert = comparison_sandwich(u, v0, cfg.eps, cfg.n)
+        cert = comparison_sandwich(u, v0, eps_f, cfg.n)
         pts_int = dom.coords(dom.interior_mask.ravel())
         qv = np.sum(pts_int ** 2, axis=1) - 1.0
         vv = v0.values[dom.interior_mask]

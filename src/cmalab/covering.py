@@ -126,15 +126,13 @@ def maximal_function(f_values: np.ndarray, family: SectionFamily,
     return out
 
 
-def weak_11_certificate(f_values: np.ndarray, family: SectionFamily,
-                        region: np.ndarray | None = None,
-                        slack: float = 0.1) -> dict:
+def weak_11_certificate(f_values: np.ndarray, family: SectionFamily) -> dict:
     """Dyadic sweep of m{M|f| > t} <= (1+slack) 10^d ||f||_L1 / t over
-    t = 2^-4 .. 2^4."""
+    t = 2^-4 .. 2^4 on the family union, with slack 0.1."""
     d = family.ndim
     h = family.members[0].h
-    if region is None:
-        region = family.union_mask()
+    slack = 0.1
+    region = family.union_mask()
     M = maximal_function(np.abs(f_values), family, region)
     l1 = float(np.nansum(np.abs(f_values)[region]) * h ** d)
     constant = 10.0 ** d

@@ -8,7 +8,11 @@ anchored at cut points, so that boundary imposition stays second-order
 accurate (and exact on quadratics).
 
 Complex derivatives follow d/dz_i = (d/dx_i - i d/dy_i)/2; real coordinate
-axes are ordered (x_1, y_1, ..., x_n, y_n).
+axes are ordered (x_1, y_1, ..., x_n, y_n).  One set of centered
+differences serves the whole box (the fields) and a single node
+(node_differences, the fields read at that node): both are NaN where the
+stencil leaves the box or meets an unvalued node.  The complex Hessian at a
+node is a complex (n, n) array.
 """
 
 from __future__ import annotations
@@ -23,11 +27,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import (
-    DegenerateHessianError,
-    MemoryCapError,
-    StencilViolationError,
-)
+from .errors import MemoryCapError, StencilViolationError
 
 CACHE_MAGIC = b"CMAG"
 CACHE_VERSION = 1
@@ -307,12 +307,6 @@ class GridDomain:
         idx = np.rint((point - self.box[:, 0]) / self.h).astype(int)
         idx = np.clip(idx, 0, self.resolution - 1)
         return tuple(int(i) for i in idx)
-
-    def measure(self, mask_or_count) -> float:
-        """Grid measure: node count times h^(2n)."""
-        count = int(np.count_nonzero(mask_or_count)) if isinstance(
-            mask_or_count, np.ndarray) else int(mask_or_count)
-        return count * self.h ** self.d
 
     def interp(self, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
         return interp_multilinear(self.axes, values, pts)
@@ -624,9 +618,6 @@ class GridFunction:
         vals[domain.valued_mask] = value
         return cls(domain, vals)
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.domain, self.values.copy())
-
     def interp(self, pts: np.ndarray) -> np.ndarray:
         return self.domain.interp(self.values, pts)
 
@@ -667,37 +658,7 @@ def read_cache(path) -> tuple[int, int, float, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian matrices and complex differential calculus
-
-
-@dataclass(eq=False)
-class HermitianMatrix:
-    """n x n complex matrix stored exactly Hermitian."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
-        self.entries = 0.5 * (e + e.conj().T)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
-
-    def det(self) -> float:
-        return float(np.linalg.det(self.entries).real)
-
-    def normalized(self) -> "HermitianMatrix":
-        """Scale to unit determinant (requires positive determinant)."""
-        det = self.det()
-        if det <= 0:
-            raise DegenerateHessianError(
-                "cannot normalize a matrix with non-positive determinant",
-                float(self.eigenvalues().min()))
-        return HermitianMatrix(self.entries / det ** (1.0 / self.n))
+# Complex differential calculus
 
 
 def _differences(at, d: int, h: float):
@@ -720,19 +681,15 @@ def _differences(at, d: int, h: float):
     return D1, D2
 
 
-def _node_differences(u: GridFunction, x: tuple):
-    """Scalar D1, D2 at node x; raises StencilViolationError where the
-    stencil touches an unvalued node."""
-    vals = u.values
-    x = tuple(int(i) for i in x)
-
+def node_differences(values: np.ndarray, x: tuple, h: float):
+    """D1, D2 read at node x: first_diff_field and second_diff_field at x,
+    NaN where the stencil leaves the box or meets a NaN value."""
     def at(off):
-        v = vals[tuple(map(add, x, off))]
-        if math.isnan(v):
-            raise StencilViolationError(f"difference stencil leaves domain at {x}")
-        return v
+        y = tuple(map(add, x, off))
+        inside = all(0 <= i < s for i, s in zip(y, values.shape))
+        return values[y] if inside else np.nan
 
-    return _differences(at, vals.ndim, u.domain.h)
+    return _differences(at, values.ndim, h)
 
 
 def _hessian_parts(D, n: int) -> dict:
@@ -749,46 +706,25 @@ def _hessian_parts(D, n: int) -> dict:
     return parts
 
 
-def complex_hessian(u: GridFunction, x: tuple) -> HermitianMatrix:
-    """Mixed complex Hessian u_{z_i zbar_j} at an interior node.
+def complex_hessian(u: GridFunction, x: tuple) -> np.ndarray:
+    """Mixed complex Hessian u_{z_i zbar_j} at an interior node, as an
+    exactly Hermitian complex (n, n) array.
 
     Entry (i, j) is ((u_{x_i x_j} + u_{y_i y_j}) + i (u_{x_i y_j} - u_{y_i x_j}))/4
-    from centered differences; exact on quadratics.
+    from centered differences; exact on quadratics.  Raises
+    StencilViolationError where the stencil meets an unvalued node.
     """
     dom = u.domain
     x = tuple(x)
     if not dom.interior_mask[x]:
         raise StencilViolationError(f"node {x} is not interior")
-    p = _hessian_parts(_node_differences(u, x)[1], dom.n)
+    p = _hessian_parts(node_differences(u.values, x, dom.h)[1], dom.n)
+    if np.isnan(list(p.values())).any():
+        raise StencilViolationError(f"difference stencil leaves domain at {x}")
     if dom.n == 1:
-        return HermitianMatrix(np.array([[p["h11"]]], dtype=complex))
+        return np.array([[p["h11"]]], dtype=complex)
     h12 = complex(p["h12re"], p["h12im"])
-    return HermitianMatrix(np.array([[p["h11"], h12], [h12.conjugate(), p["h22"]]]))
-
-
-def complex_gradient(u: GridFunction, x: tuple) -> np.ndarray:
-    """d/dz_i u at a node: (u_{x_i} - i u_{y_i})/2 by centered differences."""
-    D1, _ = _node_differences(u, x)
-    out = np.zeros(u.domain.n, dtype=complex)
-    for i in range(u.domain.n):
-        out[i] = 0.5 * (D1(2 * i) - 1j * D1(2 * i + 1))
-    return out
-
-
-def holomorphic_hessian(u: GridFunction, x: tuple) -> np.ndarray:
-    """(2,0) derivatives u_{z_i z_j}: ((u_{x_i x_j} - u_{y_i y_j}) - i (u_{x_i y_j} + u_{y_i x_j}))/4."""
-    _, D = _node_differences(u, x)
-    n = u.domain.n
-    B = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            xi, yi = 2 * i, 2 * i + 1
-            xj, yj = 2 * j, 2 * j + 1
-            re = D(xi, xj) - D(yi, yj)
-            im = D(xi, yj) + D(yi, xj)
-            B[i, j] = 0.25 * (re - 1j * im)
-            B[j, i] = B[i, j]
-    return B
+    return np.array([[p["h11"], h12], [h12.conjugate(), p["h22"]]])
 
 
 # Vectorized Hessian components over the whole box (NaN where unsupported).
@@ -802,18 +738,6 @@ def second_diff_field(values: np.ndarray, a: int, b: int, h: float) -> np.ndarra
 def first_diff_field(values: np.ndarray, a: int, h: float) -> np.ndarray:
     """Centered first difference along axis a over the whole box."""
     return _differences(partial(shift, values), values.ndim, h)[0](a)
-
-
-def node_first_differences(values: np.ndarray, x: tuple, h: float) -> np.ndarray:
-    """Centered first differences at node x along every axis: first_diff_field
-    read at x, NaN where the stencil leaves the box or meets a NaN value."""
-    def at(off):
-        y = tuple(map(add, x, off))
-        inside = all(0 <= i < s for i, s in zip(y, values.shape))
-        return values[y] if inside else np.nan
-
-    D1, _ = _differences(at, values.ndim, h)
-    return np.array([D1(a) for a in range(values.ndim)])
 
 
 def hessian_fields(u: GridFunction) -> dict:

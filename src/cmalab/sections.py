@@ -3,8 +3,10 @@
 A section at base point x0 and height mu is the sublevel set
 {u - h <= u(x0) + mu} for a degree-2 pluriharmonic shift h.  Shifts come
 from Taylor-splitting the solution of the unit-determinant Dirichlet
-problem; the inductive chain re-solves that problem on each normalized
-section, accumulating a transform and shift per level.
+problem at a node, which also gives its Hermitian form: the complex
+Hessian, a complex (n, n) array like the transform it normalizes to.  The
+inductive chain re-solves that problem on each normalized section,
+accumulating a transform and shift per level.
 """
 
 from __future__ import annotations
@@ -20,16 +22,15 @@ from .errors import (
     CmalabError,
     DegenerateHessianError,
     SectionEscapeError,
+    StencilViolationError,
 )
 from .grid import (
     GridDomain,
     GridFunction,
-    HermitianMatrix,
     SublevelShape,
     build_domain,
-    complex_gradient,
     complex_hessian,
-    holomorphic_hessian,
+    node_differences,
 )
 from .solver import NEWTON_TOL, solve_dirichlet
 
@@ -270,29 +271,51 @@ class SectionChain:
 # Elementary operations
 
 
-def taylor_split(v: GridFunction, x0: tuple) -> tuple[PluriharmonicPoly, HermitianMatrix]:
+def taylor_split(v: GridFunction, x0: tuple) -> tuple[PluriharmonicPoly, np.ndarray]:
     """Split v near a node into pluriharmonic part and Hermitian form.
 
-    h collects the Re-linear and holomorphic-quadratic terms of the Taylor
-    expansion; the returned matrix is the complex Hessian at the node.
+    h collects the Re-linear terms 2 v_{z_i} and the holomorphic-quadratic
+    terms v_{z_i z_j} of the Taylor expansion, read from one node lookup;
+    the returned array is the complex Hessian at the node.
     """
     x0 = tuple(x0)
-    center = _complex_center(v.domain, x0)
-    lin = 2.0 * complex_gradient(v, x0)
-    quad = holomorphic_hessian(v, x0)
+    n = v.domain.n
+    D1, D = node_differences(v.values, x0, v.domain.h)
+    # v_{z_i} = (v_{x_i} - i v_{y_i})/2
+    lin = 2.0 * np.array([0.5 * (D1(2 * i) - 1j * D1(2 * i + 1)) for i in range(n)])
+    quad = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(i, n):
+            # v_{z_i z_j} = ((v_{x_i x_j} - v_{y_i y_j}) - i (v_{x_i y_j} + v_{y_i x_j}))/4
+            re = D(2 * i, 2 * j) - D(2 * i + 1, 2 * j + 1)
+            im = D(2 * i, 2 * j + 1) + D(2 * i + 1, 2 * j)
+            quad[i, j] = quad[j, i] = 0.25 * (re - 1j * im)
     A = complex_hessian(v, x0)
-    return PluriharmonicPoly(center, lin, quad), A
+    # The Hessian reads every node the gradient does, not the x_i, y_i diagonals.
+    if np.isnan(quad).any():
+        raise StencilViolationError(f"difference stencil leaves domain at {x0}")
+    return PluriharmonicPoly(_complex_center(v.domain, x0), lin, quad), A
 
 
-def normalize_transform(A: HermitianMatrix) -> np.ndarray:
+def unit_determinant(A: np.ndarray) -> np.ndarray:
+    """A Hermitian form scaled to unit determinant (requires det A > 0)."""
+    det = float(np.linalg.det(A).real)
+    if det <= 0:
+        raise DegenerateHessianError(
+            "cannot normalize a matrix with non-positive determinant",
+            float(np.linalg.eigvalsh(A).min()))
+    return A / det ** (1.0 / A.shape[0])
+
+
+def normalize_transform(A: np.ndarray) -> np.ndarray:
     """C-linear map T = U diag(lambda^-1/2) U* (a complex (n, n) array)
-    mapping B_r onto {<Az,z> <= r^2}.
+    mapping B_r onto {<Az,z> <= r^2}, for a Hermitian form A.
 
     A must be positive definite with determinant within 0.2 of 1;
     eigenvalues are rescaled to unit product so |det T| = 1 exactly up to
     roundoff.
     """
-    lam, U = np.linalg.eigh(A.entries)
+    lam, U = np.linalg.eigh(A)
     if lam.min() <= 0:
         raise DegenerateHessianError(
             "cannot normalize a non-positive-definite form", float(lam.min()))
@@ -357,7 +380,7 @@ def build_section(u: GridFunction, x0: tuple, mu: float,
 
 
 def fit_ellipsoid(dom: GridDomain, section: Section,
-                  A: HermitianMatrix) -> tuple[float, float]:
+                  A: np.ndarray) -> tuple[float, float]:
     """Inner/outer dilation factors of a section of dom against the
     ellipsoid {q <= mu}, q(z) = <A (z - c), z - c> about the section's base
     point c, by node enumeration.
@@ -368,7 +391,7 @@ def fit_ellipsoid(dom: GridDomain, section: Section,
     """
     pts = dom.coords()
     w = pts[:, 0::2] + 1j * pts[:, 1::2] - _complex_center(dom, section.center_idx)
-    q = np.einsum("mi,ij,mj->m", w.conj(), A.entries, w).real.reshape(section.mask.shape)
+    q = np.einsum("mi,ij,mj->m", w.conj(), A, w).real.reshape(section.mask.shape)
     inside = section.mask
     c_out = float(np.sqrt(np.max(q[inside], initial=0.0) / section.mu))
     c_in = float(np.sqrt(np.min(q[dom.valued_mask & ~inside]) / section.mu))
@@ -499,7 +522,7 @@ def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
 
         try:
             h_inc, A = taylor_split(v_level, center)
-            A_hat = A.normalized()
+            A_hat = unit_determinant(A)
             T_tilde = normalize_transform(A_hat)
         except (CmalabError, ValueError) as exc:
             raise ChainBrokenError(f"level {k} normalization failed: {exc}", k) from exc

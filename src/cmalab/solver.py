@@ -470,20 +470,19 @@ class SandwichCertificate:
         return self.__dict__.copy()
 
 
-def comparison_sandwich(u: GridFunction, v0: GridFunction, eps: float, n: int,
-                        slack: float | None = None) -> SandwichCertificate:
+def comparison_sandwich(u: GridFunction, v0: GridFunction, eps: float, n: int
+                        ) -> SandwichCertificate:
     """Certify (1+eps)^{1/n} v0 <= u <= (1-eps)^{1/n} v0 and |u - v0| <= 4 eps.
 
     Both functions must share the lattice and vanish on the continuum
-    boundary; violations are reported against the supplied slack (default
-    10 h^2).
+    boundary; violations are reported against the slack 10 h^2.
     """
     dom = u.domain
     if not dom.same_lattice(v0.domain):
         raise DomainMismatchError("u and v0 live on different lattices")
     if not 0.0 <= eps < 0.5:
         raise ValueError("eps must lie in [0, 0.5)")
-    slack = 10.0 * dom.h ** 2 if slack is None else slack
+    slack = 10.0 * dom.h ** 2
 
     cuts = dom.bc_table["cuts"]
     for name, fn in (("u", u), ("v0", v0)):

@@ -45,18 +45,16 @@ def lp_norm(values, p: float, region: np.ndarray, h: float, d: int) -> float:
     return float(np.sum(np.abs(picked) ** p) * h ** d) ** (1.0 / p)
 
 
-def complex_trace_field(u: GridFunction) -> np.ndarray:
-    """Trace of the complex Hessian (one quarter of the real Laplacian)."""
-    fields = hessian_fields(u)
+def complex_trace_field(fields: dict) -> np.ndarray:
+    """Trace of the complex Hessian fields (a quarter of the real Laplacian)."""
     out = fields["h11"].copy()
     if "h22" in fields:
         out = out + fields["h22"]
     return out
 
 
-def inverse_trace_field(u: GridFunction) -> np.ndarray:
-    """Trace of the inverse complex Hessian; NaN where not positive definite."""
-    fields = hessian_fields(u)
+def inverse_trace_field(fields: dict) -> np.ndarray:
+    """Trace of the inverse complex Hessian fields; NaN where not positive definite."""
     lam_min, lam_max = hessian_eigen_fields(fields)
     pd = lam_min > 0.0
     safe_min = np.where(pd, lam_min, 1.0)
@@ -190,8 +188,9 @@ def norm_report(u: GridFunction, report: BadSetReport, p: float) -> NormReport:
     dist = np.linalg.norm(pts, axis=1).reshape(u.values.shape)
     region = dom.interior_mask & (dist <= DYADIC_RADIUS)
 
-    tr = complex_trace_field(u)
-    itr = inverse_trace_field(u)
+    fields = hessian_fields(u)
+    tr = complex_trace_field(fields)
+    itr = inverse_trace_field(fields)
     ok = region & ~np.isnan(tr) & ~np.isnan(itr)
     direct_tr = lp_norm(np.nan_to_num(tr), p, ok, dom.h, dom.d) ** p
     direct_itr = lp_norm(np.nan_to_num(itr), p, ok, dom.h, dom.d) ** p

@@ -246,7 +246,7 @@ def test_acceptance_weak_11():
     for _ in range(20):
         f = np.where(dom.interior_mask,
                      np.abs(rng.standard_normal(dom.interior_mask.shape)), 0.0)
-        out = covering.weak_11_certificate(f, fam, slack=0.1)
+        out = covering.weak_11_certificate(f, fam)
         ok &= out["ok"]
         for row in out["rows"]:
             if row["bound"] > 0:

@@ -401,6 +401,31 @@ def test_pipeline_stage_error_recorded_in_manifest(tmp_path):
     assert manifest["stages"]["solve"] == "ok"
 
 
+def test_pipeline_refuses_f_far_from_one(tmp_path):
+    # exp(2 x1) lies 6.65 from 1 on the res-65 interior: outside the
+    # perturbative regime, refused before the solve writes anything.
+    from cmalab.errors import CmalabError
+
+    cfg = cli.ExperimentConfig(n=1, resolution=65, f_expr="exp(2*x1)")
+    with pytest.raises(CmalabError, match="eps_f"):
+        cli.run_pipeline(cfg, tmp_path / "far")
+    assert not (tmp_path / "far" / "u.bin").exists()
+    manifest = json.loads((tmp_path / "far" / "manifest.json").read_text())
+    assert manifest["eps_f"] == pytest.approx(6.65, abs=0.01)
+    assert "eps_f" in manifest["stages"]["solve"]
+
+
+def test_pipeline_sandwich_bound_uses_eps_f(tmp_path):
+    # An f_expr 0.15 from 1 is certified against 4 eps_f, not 4 eps.
+    cfg = cli.ExperimentConfig(n=1, resolution=17, gamma=0.0, eps=0.01,
+                               f_expr="1 + 0.15*cos(2*pi*x1)", chain_points=1,
+                               k_max=1, stride=8, engulf_pairs=0, cover_families=0)
+    m = cli.run_pipeline(cfg, tmp_path / "near")
+    assert m["eps_f"] == pytest.approx(0.15, abs=1e-12)
+    certs = json.loads((tmp_path / "near" / "certificates.json").read_text())
+    assert certs["sandwich"]["bound"] == 4.0 * m["eps_f"]
+
+
 def test_badset_and_w2p_subcommands(tmp_path):
     base = tmp_path / "inst"
     cli.main(["solve", "--n", "1", "--resolution", "49", "--out", str(base)])

@@ -86,7 +86,7 @@ def _chain_domain_n1(request):
     dom, u, _ = request.getfixturevalue("perturbed_n1")
     x0 = dom.node_index((-0.2, 0.15))
     hh, A = sections.taylor_split(u, x0)
-    T = sections.normalize_transform(A.normalized())
+    T = sections.normalize_transform(sections.unit_determinant(A))
     return sections.rescale_to_unit(u, x0, 0.05, hh, T, resolution=65)
 
 
@@ -95,7 +95,7 @@ def _chain_domain_n2(request):
     dom, u, v0 = request.getfixturevalue("perturbed_n2")
     x0 = (5, 10, 8, 7)
     hh, A = sections.taylor_split(v0, x0)
-    T = sections.normalize_transform(A.normalized())
+    T = sections.normalize_transform(sections.unit_determinant(A))
     mu = min(0.1, sections.allowed_top_height(dom, x0))
     return sections.rescale_to_unit(u, x0, mu, hh, T, resolution=13)
 
@@ -193,14 +193,14 @@ def test_hessian_of_squared_modulus_is_identity():
     dom = grid.build_domain(2, "ball:1.2", 17)
     u = grid.GridFunction.from_callable(dom, lambda p: np.sum(p ** 2, axis=1))
     H = grid.complex_hessian(u, dom.node_index((0.1, -0.2, 0.3, 0.0)))
-    assert np.allclose(H.entries, np.eye(2), atol=1e-12)
+    assert np.allclose(H, np.eye(2), atol=1e-12)
 
 
 def test_hessian_of_pluriharmonic_is_zero_exactly():
     dom = grid.build_domain(1, "ball:1.0", 33)
     u = grid.GridFunction.from_callable(dom, lambda p: p[:, 0] ** 2 - p[:, 1] ** 2)
     H = grid.complex_hessian(u, dom.node_index((0.3, 0.4)))
-    assert np.all(H.entries == 0.0)
+    assert np.all(H == 0.0)
 
 
 def test_hessian_quartic_against_symbolic_oracle():
@@ -215,8 +215,8 @@ def test_hessian_quartic_against_symbolic_oracle():
     u = grid.GridFunction.from_callable(
         dom, lambda p: (p[:, 0] ** 2 + p[:, 1] ** 2) ** 2)
     H = grid.complex_hessian(u, dom.node_index((1.0, 0.0, 0.0, 0.0)))
-    assert H.entries[0, 0].real == pytest.approx(expected, abs=10 * dom.h ** 2)
-    assert H.entries[1, 1].real == pytest.approx(0.0, abs=1e-12)
+    assert H[0, 0].real == pytest.approx(expected, abs=10 * dom.h ** 2)
+    assert H[1, 1].real == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hessian_order_of_accuracy():
@@ -231,7 +231,7 @@ def test_hessian_order_of_accuracy():
             H = grid.complex_hessian(u, tuple(idx))
             pt = dom.coords(tuple(idx))
             exact = 4.0 * (pt[0] ** 2 + pt[1] ** 2)
-            worst = max(worst, abs(H.entries[0, 0].real - exact))
+            worst = max(worst, abs(H[0, 0].real - exact))
         errs[res] = worst
     ratio = errs[13] / errs[25]
     assert 3.5 <= ratio <= 4.5
@@ -243,27 +243,65 @@ def test_hessian_hermitian_exactly():
     vals = rng.standard_normal((13,) * 4)
     u = grid.GridFunction(dom, np.where(dom.valued_mask, vals, np.nan))
     for idx in np.argwhere(dom.interior_mask)[:: 211]:
-        H = grid.complex_hessian(u, tuple(idx)).entries
+        H = grid.complex_hessian(u, tuple(idx))
         assert np.array_equal(H, H.conj().T)
 
 
 @pytest.mark.parametrize("n, res, spec", [(1, 33, "perturbed:0.05:cos3"),
                                           (2, 13, "perturbed:0.05:harmonic")])
 def test_pointwise_hessian_equals_field_hessian(n, res, spec):
-    # One formula: the node-wise complex Hessian is bit-for-bit the
-    # whole-box field at every interior node of non-quadratic data.
+    # One formula: the node-wise complex Hessian, and taylor_split's linear
+    # and quadratic coefficients, are bit-for-bit the whole-box fields at
+    # every interior node of non-quadratic data.  Where a field is NaN (the
+    # holomorphic part reads diagonals the Hessian stencil does not) the
+    # split is refused.
     dom = grid.build_domain(n, spec, res)
     rng = np.random.default_rng(5)
     vals = np.full((res,) * dom.d, np.nan)
     vals[dom.valued_mask] = rng.standard_normal(int(dom.valued_mask.sum()))
     u = grid.GridFunction(dom, vals)
     f = grid.hessian_fields(u)
+    D1 = [grid.first_diff_field(vals, a, dom.h) for a in range(dom.d)]
+    D2 = {(a, b): grid.second_diff_field(vals, a, b, dom.h)
+          for a in range(dom.d) for b in range(dom.d)}
+    lin = np.stack([2.0 * (0.5 * (D1[2 * i] - 1j * D1[2 * i + 1])) for i in range(n)], -1)
+    quad = np.empty(vals.shape + (n, n), dtype=complex)
+    for i in range(n):
+        for j in range(i, n):
+            xi, yi, xj, yj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
+            quad[..., i, j] = quad[..., j, i] = 0.25 * ((D2[xi, xj] - D2[yi, yj])
+                                                        - 1j * (D2[xi, yj] + D2[yi, xj]))
+    split = 0
     for idx in map(tuple, np.argwhere(dom.interior_mask)):
-        H = grid.complex_hessian(u, idx).entries
+        H = grid.complex_hessian(u, idx)
         assert H[0, 0] == f["h11"][idx]
         if n == 2:
             assert H[1, 1] == f["h22"][idx]
             assert H[0, 1] == complex(f["h12re"][idx], f["h12im"][idx])
+        if np.isnan(lin[idx]).any() or np.isnan(quad[idx]).any():
+            with pytest.raises(StencilViolationError):
+                sections.taylor_split(u, idx)
+            continue
+        h, A = sections.taylor_split(u, idx)
+        assert np.array_equal(A, H)
+        assert np.all(h.linear == lin[idx])
+        assert np.all(h.quad == quad[idx])
+        split += 1
+    assert split > 0
+
+
+def test_taylor_split_on_the_high_box_face_is_refused():
+    # A disk crossing the high x-face of the box: valued nodes on that face
+    # have their outward neighbor off the box, where the stencil reads NaN.
+    axes = [np.linspace(-1.3, 1.3, 17)] * 2
+    X, Y = np.meshgrid(*axes, indexing="ij")
+    shape = grid.SublevelShape(axes, (X - 1.0) ** 2 + Y ** 2 - 0.36)
+    dom = grid.build_domain(1, shape, 17)
+    u = grid.GridFunction.from_callable(dom, lambda p: np.sum(p ** 2, axis=1))
+    face = np.argwhere(dom.valued_mask[-1])
+    assert face.size
+    with pytest.raises(StencilViolationError):
+        sections.taylor_split(u, (16, int(face[0, 0])))
 
 
 def test_stencil_violation_raises():
@@ -301,13 +339,3 @@ def test_cache_magic_guard(tmp_path):
     bad.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValueError):
         grid.read_cache(bad)
-
-
-# -- measure -------------------------------------------------------------------
-
-
-def test_measure_is_count_times_cell():
-    dom = grid.build_domain(1, "ball:1.0", 33)
-    assert dom.measure(10) == pytest.approx(10 * dom.h ** 2)
-    assert dom.measure(dom.interior_mask) == pytest.approx(
-        int(dom.interior_mask.sum()) * dom.h ** 2)

@@ -7,6 +7,10 @@ wraps functions by such paths).  An import is not a reader: a name that is
 only imported or re-exported is computed for nobody.  Methods are matched by
 attribute only (``.name``).  Unit tests do not count: a helper that only
 its own unit test calls computes something nothing reads.
+
+Defaults are read the same way: each parameter with a default of a public
+top-level function must be passed, by keyword or by position, by some call
+in those files.  One that no reader sets is a constant, not an option.
 """
 
 import ast
@@ -68,3 +72,47 @@ def test_every_public_definition_has_a_reader():
     assert sorted(unread) == sorted(ALLOWED), (
         f"no reader outside the unit tests: {sorted(set(unread) - set(ALLOWED))}; "
         f"allowed but now read: {sorted(set(ALLOWED) - set(unread))}")
+
+
+# Defaults nothing in the reader files overrides, with the reason they stay.
+KNOBS_ALLOWED = {
+    "cli.main.argv": "entry point: the console script passes no argv, tests do",
+}
+
+
+def _defaulted_parameters():
+    """(qualified name, function name, parameter, position or None) of every
+    parameter with a default of every public top-level function."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for pos, arg in enumerate(positional[first:], first):
+                yield f"{path.stem}.{node.name}.{arg.arg}", node.name, arg.arg, pos
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield f"{path.stem}.{node.name}.{arg.arg}", node.name, arg.arg, None
+
+
+def test_every_default_is_set_by_a_reader():
+    # A parameter that every reader leaves at its default is a constant with
+    # the cost of an option.  Calls are matched by function name; a
+    # parameter counts as set when some call passes it by keyword or by
+    # position.
+    passed = set()
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            passed.update((name, kw.arg) for kw in node.keywords)
+            passed.update((name, pos) for pos in range(len(node.args)))
+    unset = [qual for qual, name, param, pos in _defaulted_parameters()
+             if (name, param) not in passed and (name, pos) not in passed]
+    assert sorted(unset) == sorted(KNOBS_ALLOWED), (
+        f"defaults no reader sets: {sorted(set(unset) - set(KNOBS_ALLOWED))}; "
+        f"allowed but now set: {sorted(set(KNOBS_ALLOWED) - set(unset))}")

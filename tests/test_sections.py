@@ -15,7 +15,7 @@ from cmalab.errors import (
     NonConvergenceError,
     SectionEscapeError,
 )
-from cmalab.grid import GridFunction, HermitianMatrix
+from cmalab.grid import GridFunction
 
 
 # -- taylor_split ---------------------------------------------------------------
@@ -29,7 +29,7 @@ def test_taylor_split_squared_modulus():
     x0c = sections._complex_center(dom, x0)
     assert np.allclose(h.linear, 2.0 * np.conj(x0c), atol=1e-10)
     assert np.allclose(h.quad, 0.0, atol=1e-10)
-    assert np.allclose(A.entries, np.eye(1), atol=1e-10)
+    assert np.allclose(A, np.eye(1), atol=1e-10)
 
 
 def test_taylor_split_pluriharmonic_reproduced():
@@ -39,7 +39,7 @@ def test_taylor_split_pluriharmonic_reproduced():
     h, A = sections.taylor_split(v, x0)
     assert np.allclose(h.linear, 0.0, atol=1e-12)
     assert np.allclose(h.quad, [[1.0]], atol=1e-10)
-    assert np.allclose(A.entries, 0.0, atol=1e-12)
+    assert np.allclose(A, 0.0, atol=1e-12)
     pts = dom.coords(dom.interior_mask.ravel())
     assert np.allclose(h.evaluate(pts), pts[:, 0] ** 2 - pts[:, 1] ** 2, atol=1e-10)
 
@@ -52,7 +52,7 @@ def test_taylor_split_sum_case():
     h, A = sections.taylor_split(v, x0)
     assert np.allclose(h.linear, 0.0, atol=1e-12)
     assert np.allclose(h.quad, [[1.0]], atol=1e-10)
-    assert np.allclose(A.entries, np.eye(1), atol=1e-10)
+    assert np.allclose(A, np.eye(1), atol=1e-10)
 
 
 def test_taylor_remainder_is_cubic():
@@ -65,7 +65,7 @@ def test_taylor_remainder_is_cubic():
         pts = x0_pt + rad * np.array([[1.0, 0.0], [0.0, 1.0], [-0.7, 0.7]])
         w = pts[:, 0::2] + 1j * pts[:, 1::2] - sections._complex_center(dom, x0)
         rem = (v.interp(pts) - float(v.values[x0]) - h.evaluate(pts)
-               - np.einsum("mi,ij,mj->m", w.conj(), A.entries, w).real)
+               - np.einsum("mi,ij,mj->m", w.conj(), A, w).real)
         # remainder O(rad^3) + interpolation O(h^2)
         assert np.max(np.abs(rem)) <= 2.0 * rad ** 3 + 5 * dom.h ** 2
 
@@ -78,7 +78,7 @@ def test_shift_has_zero_complex_hessian_on_grid():
     poly = sections.PluriharmonicPoly(np.zeros(2, complex), l, b)
     gf = GridFunction.from_callable(dom, poly.evaluate)
     H = grid.complex_hessian(gf, dom.node_index((0.0,) * 4))
-    assert np.allclose(H.entries, 0.0, atol=1e-10)
+    assert np.allclose(H, 0.0, atol=1e-10)
     assert poly.evaluate(np.zeros((1, 4)))[0] == pytest.approx(0.0, abs=1e-14)
 
 
@@ -86,12 +86,12 @@ def test_shift_has_zero_complex_hessian_on_grid():
 
 
 def test_normalize_identity():
-    T = sections.normalize_transform(HermitianMatrix(np.eye(2)))
+    T = sections.normalize_transform(np.eye(2))
     assert np.allclose(T, np.eye(2))
 
 
 def test_normalize_diagonal_eigen_bounds():
-    A = HermitianMatrix(np.diag([4.0, 0.25]))
+    A = np.diag([4.0, 0.25])
     T = sections.normalize_transform(A)
     assert np.allclose(T, np.diag([0.5, 2.0]))
     lam = np.array([4.0, 0.25])
@@ -107,20 +107,20 @@ def test_normalize_monte_carlo_membership_oracle():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     U, _ = np.linalg.qr(X)
-    A = HermitianMatrix(U @ np.diag([2.0, 0.5]) @ U.conj().T)
+    A = U @ np.diag([2.0, 0.5]) @ U.conj().T
     T = sections.normalize_transform(A)
     r = 0.37
     z = rng.standard_normal((1000, 2)) + 1j * rng.standard_normal((1000, 2))
     z = r * z / np.linalg.norm(z, axis=1)[:, None]
     w = z @ T.T
-    q = np.einsum("mi,ij,mj->m", w.conj(), A.entries, w).real
+    q = np.einsum("mi,ij,mj->m", w.conj(), A, w).real
     assert np.max(np.abs(q - r * r)) < 1e-10
 
 
 def test_normalize_rejects_nonpd():
     from cmalab.errors import DegenerateHessianError
     with pytest.raises(DegenerateHessianError):
-        sections.normalize_transform(HermitianMatrix(np.diag([1.0, -1.0])))
+        sections.normalize_transform(np.diag([1.0, -1.0]))
 
 
 # -- mu0 -------------------------------------------------------------------------
@@ -186,7 +186,7 @@ def test_fit_ellipsoid_ball_window(ball_n1):
     h, A = sections.taylor_split(u, x0)
     mu = 0.04
     sec = sections.build_section(u, x0, mu, h)
-    c_in, c_out = sections.fit_ellipsoid(dom, sec, A.normalized())
+    c_in, c_out = sections.fit_ellipsoid(dom, sec, sections.unit_determinant(A))
     slack = 2.0 * dom.h / math.sqrt(mu)
     assert 1.0 - slack <= c_in <= 1.0 + slack
     assert 1.0 - slack <= c_out <= 1.0 + slack
@@ -201,7 +201,7 @@ def test_fit_ellipsoid_square_aspect():
     square = ((np.abs(pts[:, 0]) <= side) & (np.abs(pts[:, 1]) <= side))
     square = square.reshape(dom.interior_mask.shape) & dom.interior_mask
     sec = sections.Section.from_mask(dom, x0, square, side ** 2)
-    c_in, c_out = sections.fit_ellipsoid(dom, sec, HermitianMatrix(np.eye(1)))
+    c_in, c_out = sections.fit_ellipsoid(dom, sec, np.eye(1))
     assert c_out / c_in == pytest.approx(math.sqrt(2.0), rel=3 * dom.h / side)
 
 
@@ -241,7 +241,7 @@ def test_rescale_det_residual(perturbed_n1):
     dom, u, _ = perturbed_n1
     x0 = dom.node_index((0.1, 0.0))
     hh, A = sections.taylor_split(u, x0)
-    T = sections.normalize_transform(A.normalized())
+    T = sections.normalize_transform(sections.unit_determinant(A))
     mu = 0.05
     res = 17
 
@@ -271,7 +271,7 @@ def test_rescale_vanishes_on_section_image(perturbed_n1):
     dom, u, _ = perturbed_n1
     x0 = dom.node_index((-0.2, 0.15))
     hh, A = sections.taylor_split(u, x0)
-    T = sections.normalize_transform(A.normalized())
+    T = sections.normalize_transform(sections.unit_determinant(A))
     w = sections.rescale_to_unit(u, x0, 0.05, hh, T, resolution=65)
     cuts = w.domain.bc_table["cuts"]
     vals = w.interp(cuts)
@@ -327,7 +327,7 @@ def test_chain_shift_telescoping(exact_chain):
         assert abs(shift.evaluate(x0_pt[None, :])[0]) <= 1e-12
         gf = GridFunction.from_callable(probe, shift.evaluate)
         H = grid.complex_hessian(gf, probe.node_index((0.0, 0.0)))
-        assert np.allclose(H.entries, 0.0, atol=1e-9)
+        assert np.allclose(H, 0.0, atol=1e-9)
 
 
 def test_chain_margin_precondition(ball_n1):
