@@ -56,7 +56,7 @@ def section_ball_radii(u: GridFunction, chain: SectionChain) -> NodeSections:
         if mu < mu_min:
             continue
         sec = chain.section(u, mu)
-        pts = dom.coords(sec.mask.ravel())
+        pts = dom.coords(sec.mask)
         rad = float(np.max(np.linalg.norm(pts - ctr, axis=1), initial=0.0))
         out.append((mu, rad))
     return NodeSections(chain.center_idx, out)

@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -325,8 +326,9 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
     """Run solve -> chains -> engulf/cover -> badset -> w2p, writing all
     artifacts plus a hash manifest.  Stage failures are recorded in the
     manifest and re-raised with the stage name.  The manifest records eps_f,
-    which the sandwich certifies against; eps_f > 0.2 is refused before
-    either solve."""
+    which the sandwich certifies against and the bad-set parameters record;
+    eps_f > 0.2 is refused before either solve.  timings.json holds the wall
+    seconds of each completed stage; the manifest does not hash it."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
@@ -339,6 +341,16 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
         "files": {},
     }
     files: list[Path] = []
+    timings: dict[str, float] = {}
+    clock = time.perf_counter()
+
+    def stage_done(name: str) -> None:
+        nonlocal clock
+        now = time.perf_counter()
+        timings[name] = round(now - clock, 3)
+        clock = now
+        manifest["stages"][name] = "ok"
+
     stage = "init"
     try:
         stage = "solve"
@@ -355,7 +367,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
         u.write_csv(out / "u.csv")
         files += [out / "u.bin", out / "u.meta.json", out / "v0.bin",
                   out / "v0.meta.json", out / "u.csv"]
-        manifest["stages"]["solve"] = "ok"
+        stage_done("solve")
 
         stage = "certificates"
         cert = comparison_sandwich(u, v0, eps_f, cfg.n)
@@ -374,20 +386,20 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
         write_json(out / "certificates.json",
                    {"sandwich": cert.to_dict(), "barrier": barrier})
         files.append(out / "certificates.json")
-        manifest["stages"]["certificates"] = "ok"
+        stage_done("certificates")
 
         stage = "sections"
         chains = build_chains(cfg, u, v0, _sample_base_points(dom, rng, cfg.chain_points))
         write_json(out / "chains.json", [c.to_dict() for c in chains])
         files.append(out / "chains.json")
-        manifest["stages"]["sections"] = "ok"
+        stage_done("sections")
 
         stage = "engulf"
         verdicts, pair_rows = _engulf_pairs(
             u, chains, rng, cfg.engulf_pairs if len(chains) >= 2 else 0)
         write_json(out / "engulf.json", {"counts": verdicts, "pairs": pair_rows})
         files.append(out / "engulf.json")
-        manifest["stages"]["engulf"] = "ok"
+        stage_done("engulf")
 
         stage = "cover"
         cover_out = []
@@ -413,30 +425,32 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
             _write_two_column_csv(out / "plot_weak11.csv", "t", "level_measure",
                                   [(r["t"], r["level_measure"]) for r in w11_rows])
             files.append(out / "plot_weak11.csv")
-        manifest["stages"]["cover"] = "ok"
+        stage_done("cover")
 
         stage = "badset"
-        report = decay_report(cfg, u, v0, params={"eps": cfg.eps, "gamma": cfg.gamma,
+        report = decay_report(cfg, u, v0, params={"eps": eps_f, "gamma": cfg.gamma,
                                                   "sigma": cfg.sigma})
         write_badset(out / "badset.json", report)
         _write_two_column_csv(out / "plot_decay.csv", "k", "measure",
                               [(r.k, r.measure) for r in report.rows])
         files += [out / "badset.json", out / "badset.csv", out / "plot_decay.csv"]
-        manifest["stages"]["badset"] = "ok"
+        stage_done("badset")
 
         stage = "w2p"
         write_json(out / "w2p.json", {str(p): w2p_mod.norm_report(u, report, p).to_dict()
                                       for p in cfg.p_list})
         files.append(out / "w2p.json")
-        manifest["stages"]["w2p"] = "ok"
+        stage_done("w2p")
     except Exception as exc:
         manifest["stages"][stage] = f"error: {exc}"
         manifest["files"] = {f.name: sha256_file(f) for f in files if f.exists()}
         write_json(out / "manifest.json", manifest)
+        write_json(out / "timings.json", timings)
         raise CmalabError(f"pipeline stage {stage!r} failed: {exc}") from exc
 
     manifest["files"] = {f.name: sha256_file(f) for f in files}
     write_json(out / "manifest.json", manifest)
+    write_json(out / "timings.json", timings)
     return manifest
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from .grid import interp_multilinear
+from .grid import interp_multilinear, mask_window
 from .sections import Section
 
 
@@ -27,18 +27,6 @@ def _grow(mask: np.ndarray) -> np.ndarray:
     """The mask dilated by one node in every direction (Moore structure)."""
     return ndimage.binary_dilation(
         mask, structure=ndimage.generate_binary_structure(mask.ndim, mask.ndim))
-
-
-def _window(mask: np.ndarray) -> tuple[slice, ...] | None:
-    """The mask's bounding box padded by one node and clipped to the
-    lattice; None for an empty mask."""
-    out = []
-    for a in range(mask.ndim):
-        hit = np.flatnonzero(mask.any(axis=tuple(b for b in range(mask.ndim) if b != a)))
-        if hit.size == 0:
-            return None
-        out.append(slice(max(hit[0] - 1, 0), hit[-1] + 2))
-    return tuple(out)
 
 
 def dilate_membership(sec: Section, c: float, pts: np.ndarray) -> np.ndarray:
@@ -54,7 +42,7 @@ def dilate_membership(sec: Section, c: float, pts: np.ndarray) -> np.ndarray:
 
 def inclusion_with_slack(inner: np.ndarray, outer: np.ndarray) -> bool:
     """inner subset of outer, up to one-cell slack."""
-    win = _window(inner)
+    win = mask_window(inner)
     return win is None or bool(np.all(_grow(outer[win])[inner[win]]))
 
 
@@ -67,7 +55,7 @@ def in_dilations(inner: np.ndarray, sets: list[Section], c: float) -> bool:
     again once a set holds it.  The verdict is that of inclusion_with_slack
     against the union of the full-box dilations.
     """
-    win = _window(inner)
+    win = mask_window(inner)
     if win is None:
         return True
     # from here on every mask and index is the window's
@@ -86,7 +74,7 @@ def in_dilations(inner: np.ndarray, sets: list[Section], c: float) -> bool:
 
 def sets_intersect(a: Section, b: Section) -> bool:
     """Shared node, or within lattice distance 1."""
-    win = _window(a.mask)
+    win = mask_window(a.mask)
     return bool(np.any(_grow(a.mask[win]) & b.mask[win]))
 
 

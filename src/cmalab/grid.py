@@ -80,6 +80,18 @@ def mixed_terms(d: int, a: int, b: int) -> list[tuple[tuple[int, ...], float]]:
             for sa, sb, sign in ((1, 1, 1.0), (1, -1, -1.0), (-1, 1, -1.0), (-1, -1, 1.0))]
 
 
+def mask_window(mask: np.ndarray) -> tuple[slice, ...] | None:
+    """The mask's bounding box padded by one node and clipped to the
+    lattice, from per-axis projections; None for an empty mask."""
+    out = []
+    for a in range(mask.ndim):
+        hit = np.flatnonzero(mask.any(axis=tuple(b for b in range(mask.ndim) if b != a)))
+        if hit.size == 0:
+            return None
+        out.append(slice(max(hit[0] - 1, 0), hit[-1] + 2))
+    return tuple(out)
+
+
 # Offsets the complex-Hessian stencil touches.  Pure second differences use
 # axis steps; the mixed terms of u_{z_i zbar_j} (i != j) pair a real axis of
 # z_i with one of z_j, so n = 1 needs no diagonals at all and n = 2 only
@@ -268,12 +280,21 @@ class GridDomain:
     shape: object
     interior_mask: np.ndarray       # bool, (res,)*d
     boundary_mask: np.ndarray       # bool, (res,)*d
-    bc_table: dict = field(repr=False, default=None)
     _cache: dict = field(repr=False, default_factory=dict)
 
     @property
     def d(self) -> int:
         return 2 * self.n
+
+    @property
+    def bc_table(self) -> dict:
+        """Boundary-constraint table (_build_bc_table), built on first read
+        from the lattice values of the shape's signed function that
+        build_domain left in the cache; a domain read only for its masks
+        never builds one."""
+        if "bc_table" not in self._cache:
+            self._cache["bc_table"] = _build_bc_table(self, self._cache.pop("signed"))
+        return self._cache["bc_table"]
 
     @property
     def axes(self) -> list[np.ndarray]:
@@ -289,14 +310,24 @@ class GridDomain:
         return self.interior_mask | self.boundary_mask
 
     def coords(self, mask_or_index=None) -> np.ndarray:
-        """Physical coordinates; of all nodes matching a mask, or of one index."""
+        """Physical coordinates; of all nodes, of the nodes of a mask (flat
+        or lattice-shaped, in row-major order, read from the axes without a
+        full mesh), or of one index."""
         if isinstance(mask_or_index, tuple):
             return np.array([self.axes[a][mask_or_index[a]] for a in range(self.d)])
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
         if mask_or_index is None:
-            return pts
-        return pts[np.asarray(mask_or_index).ravel()]
+            return self.window_coords((slice(None),) * self.d)
+        idx = np.nonzero(np.reshape(mask_or_index, self.interior_mask.shape))
+        return np.column_stack([ax[i] for ax, i in zip(self.axes, idx)])
+
+    def window_coords(self, win: tuple[slice, ...]) -> np.ndarray:
+        """Coordinates (m, d) of the nodes of a box window, one slice per
+        axis, in row-major order: the rows of coords() for those nodes."""
+        axes = [ax[s] for ax, s in zip(self.axes, win)]
+        pts = np.empty(tuple(ax.size for ax in axes) + (self.d,))
+        for a, ax in enumerate(axes):
+            pts[..., a] = ax.reshape([-1 if b == a else 1 for b in range(self.d)])
+        return pts.reshape(-1, self.d)
 
     def node_index(self, point) -> tuple:
         """Index tuple of the lattice node nearest to a physical point."""
@@ -325,7 +356,8 @@ def build_domain(n: int, shape_spec, resolution: int) -> GridDomain:
     The box half-width is the shape's outer radius, so an exact unit ball at
     resolution R has h = 2/(R-1).  Interior nodes are strictly inside the
     shape with full stencil support; boundary nodes carry Dirichlet
-    constraints anchored at continuum cut points.
+    constraints anchored at continuum cut points, in a table built the
+    first time something reads it (GridDomain.bc_table).
     """
     if n not in (1, 2):
         raise ValueError("complex dimension must be 1 or 2")
@@ -367,12 +399,10 @@ def build_domain(n: int, shape_spec, resolution: int) -> GridDomain:
         referenced |= shift(interior, off, fill=False)
     boundary = referenced & ~interior
 
-    dom = GridDomain(
+    return GridDomain(
         n=n, resolution=resolution, h=h, box=box, shape=shape,
-        interior_mask=interior, boundary_mask=boundary,
+        interior_mask=interior, boundary_mask=boundary, _cache={"signed": signed},
     )
-    dom.bc_table = _build_bc_table(dom, signed)
-    return dom
 
 
 def _build_bc_table(dom: GridDomain, signed: np.ndarray) -> dict:

@@ -30,6 +30,7 @@ from .grid import (
     SublevelShape,
     build_domain,
     complex_hessian,
+    mask_window,
     node_differences,
 )
 from .solver import NEWTON_TOL, solve_dirichlet
@@ -346,12 +347,36 @@ def _connected_component(mask: np.ndarray, seed: tuple) -> np.ndarray:
     return labels == lab
 
 
+# Windows give each node the full-box floats: numpy's einsum and matmul
+# compute every row of a batch of three or more rows alike (one or two rows
+# take other paths), and every window below holds at least four nodes.
+def _centered_window(x0: tuple, half: int, res: int) -> tuple[slice, ...]:
+    return tuple(slice(max(c - half, 0), min(c + half + 1, res)) for c in x0)
+
+
+def _reaches_window_edge(mask: np.ndarray, win: tuple[slice, ...], res: int) -> bool:
+    """Whether a window mask has a node on a window face that is not a box
+    face, that is, next to a lattice node outside the window."""
+    for a, s in enumerate(win):
+        if (s.start > 0 and np.take(mask, 0, axis=a).any()) or (
+                s.stop < res and np.take(mask, -1, axis=a).any()):
+            return True
+    return False
+
+
 def build_section(u: GridFunction, x0: tuple, mu: float,
                   h: PluriharmonicPoly) -> Section:
     """Connected component of {u - h <= u(x0) + mu} through x0.
 
     Raises SectionEscapeError when the sublevel set reaches the domain
     boundary collar.
+
+    The work runs on a window of index half-width ceil(1.25 sqrt(mu)/h) + 2
+    about x0, doubled while the component reaches a window face that is
+    not a box face.  A component clear of those faces is the full-box one,
+    and so is its one-node collar, which the escape test reads; a collar
+    hit in a smaller window is a hit on the full box too.  Each window
+    node gets the full-box arithmetic, so the mask is the full-box mask.
     """
     if mu <= 0:
         raise ValueError("height mu must be positive")
@@ -360,23 +385,30 @@ def build_section(u: GridFunction, x0: tuple, mu: float,
     u0 = float(u.values[x0])
     if math.isnan(u0):
         raise ValueError(f"base node {x0} carries no value")
-    pts = dom.coords()
-    hvals = h.evaluate(pts).reshape(u.values.shape)
-    sub = np.zeros_like(dom.interior_mask)
-    np.less_equal(u.values - hvals, u0 + mu, out=sub,
-                  where=~np.isnan(u.values))
-    comp = _connected_component(sub & dom.interior_mask, x0)
+    structure = ndimage.generate_binary_structure(dom.d, 1)
+    half = math.ceil(1.25 * math.sqrt(mu) / dom.h) + 2
+    while True:
+        win = _centered_window(x0, half, dom.resolution)
+        vals = u.values[win]
+        hvals = h.evaluate(dom.window_coords(win)).reshape(vals.shape)
+        sub = np.zeros(vals.shape, dtype=bool)
+        np.less_equal(vals - hvals, u0 + mu, out=sub, where=~np.isnan(vals))
+        seed = tuple(c - s.start for c, s in zip(x0, win))
+        comp = _connected_component(sub & dom.interior_mask[win], seed)
 
-    # Escape: a boundary-collar node satisfying the sublevel inequality and
-    # touching the component means the section is not compactly contained.
-    sub_bnd = sub & dom.boundary_mask
-    if np.any(sub_bnd):
-        structure = ndimage.generate_binary_structure(dom.d, 1)
-        grown = ndimage.binary_dilation(comp, structure=structure)
-        if np.any(grown & sub_bnd):
+        # Escape: a boundary-collar node satisfying the sublevel inequality and
+        # touching the component means the section is not compactly contained.
+        sub_bnd = sub & dom.boundary_mask[win]
+        if np.any(sub_bnd) and np.any(
+                ndimage.binary_dilation(comp, structure=structure) & sub_bnd):
             raise SectionEscapeError(
                 f"section at {x0} with height {mu} reaches the domain boundary")
-    return Section.from_mask(dom, x0, comp, mu)
+        if not _reaches_window_edge(comp, win, dom.resolution):
+            break
+        half *= 2
+    mask = np.zeros_like(dom.interior_mask)
+    mask[win] = comp
+    return Section.from_mask(dom, x0, mask, mu)
 
 
 def fit_ellipsoid(dom: GridDomain, section: Section,
@@ -388,13 +420,42 @@ def fit_ellipsoid(dom: GridDomain, section: Section,
     c_in is the largest factor whose dilated ellipsoid stays inside the
     section (the valued nodes outside it always include the boundary
     collar); c_out the smallest factor containing it.
+
+    q is evaluated on a window: the section's bounding box padded by one
+    node, which holds the section, so c_out is exact there.  For c_in, m is
+    the least q over the window's valued nodes outside the section (inf if
+    there are none).  A node beyond the window lies at least dist from c, so
+    its q >= lam_min(A) dist^2; once that bound exceeds m, no node outside
+    can lower m.  Otherwise the window grows once, to a cube about c past
+    which the bound exceeds m (m can only fall).  Window nodes get the
+    full-box arithmetic, so both factors are the full-box ones.
     """
-    pts = dom.coords()
-    w = pts[:, 0::2] + 1j * pts[:, 1::2] - _complex_center(dom, section.center_idx)
-    q = np.einsum("mi,ij,mj->m", w.conj(), A, w).real.reshape(section.mask.shape)
-    inside = section.mask
+    res = dom.resolution
+    c_idx = section.center_idx
+    ctr = _complex_center(dom, c_idx)
+    lam = float(np.linalg.eigvalsh(A)[0])
+    win = mask_window(section.mask)
+    while True:
+        pts = dom.window_coords(win)
+        w = pts[:, 0::2] + 1j * pts[:, 1::2] - ctr
+        inside = section.mask[win]
+        q = np.einsum("mi,ij,mj->m", w.conj(), A, w).real.reshape(inside.shape)
+        q_out = q[(dom.interior_mask[win] | dom.boundary_mask[win]) & ~inside]
+        m = float(q_out.min()) if q_out.size else math.inf
+        # Index distance from c to the nearest node beyond the window.
+        gap = min([c - s.start + 1 for c, s in zip(c_idx, win) if s.start > 0]
+                  + [s.stop - c for c, s in zip(c_idx, win) if s.stop < res],
+                  default=None)
+        if gap is None or lam * (gap * dom.h) ** 2 > m:
+            break
+        k = gap
+        while k < res and not lam * (k * dom.h) ** 2 > m:
+            k += 1
+        cube = _centered_window(c_idx, k - 1, res)
+        win = tuple(slice(min(s.start, t.start), max(s.stop, t.stop))
+                    for s, t in zip(win, cube))
     c_out = float(np.sqrt(np.max(q[inside], initial=0.0) / section.mu))
-    c_in = float(np.sqrt(np.min(q[dom.valued_mask & ~inside]) / section.mu))
+    c_in = float(np.sqrt(m / section.mu))
     return c_in, c_out
 
 

@@ -7,7 +7,8 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from cmalab import engulfing
+from cmalab import engulfing, sections
+from cmalab.errors import SectionEscapeError
 from cmalab.grid import real_hessian_field
 
 
@@ -59,3 +60,35 @@ def subdeterminant_check(u0, v0, gamma, contact):
         "worst_excess": worst if checked else float("nan"),
         "passed": bool(checked == 0 or worst <= 1e-6),
     }
+
+
+def build_section(u, x0, mu, h):
+    """The component of {u - h <= u(x0) + mu} through x0, cut on the whole
+    box, with the escape test on the whole box."""
+    dom = u.domain
+    x0 = tuple(x0)
+    u0 = float(u.values[x0])
+    hvals = h.evaluate(dom.coords()).reshape(u.values.shape)
+    sub = np.zeros_like(dom.interior_mask)
+    np.less_equal(u.values - hvals, u0 + mu, out=sub, where=~np.isnan(u.values))
+    structure = ndimage.generate_binary_structure(dom.d, 1)
+    labels, _ = ndimage.label(sub & dom.interior_mask, structure=structure)
+    comp = labels == labels[x0]
+    if labels[x0] == 0:
+        comp = np.zeros_like(sub)
+        comp[x0] = True
+    sub_bnd = sub & dom.boundary_mask
+    if np.any(sub_bnd) and np.any(ndimage.binary_dilation(comp, structure=structure) & sub_bnd):
+        raise SectionEscapeError(f"section at {x0} with height {mu} reaches the domain boundary")
+    return sections.Section.from_mask(dom, x0, comp, mu)
+
+
+def fit_ellipsoid(dom, section, A):
+    """(c_in, c_out) with q evaluated on every node of the box."""
+    pts = dom.coords()
+    w = pts[:, 0::2] + 1j * pts[:, 1::2] - sections._complex_center(dom, section.center_idx)
+    q = np.einsum("mi,ij,mj->m", w.conj(), A, w).real.reshape(section.mask.shape)
+    inside = section.mask
+    c_out = float(np.sqrt(np.max(q[inside], initial=0.0) / section.mu))
+    c_in = float(np.sqrt(np.min(q[dom.valued_mask & ~inside]) / section.mu))
+    return c_in, c_out

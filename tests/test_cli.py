@@ -376,6 +376,15 @@ def test_compare_artifacts_tool(pipeline_runs, tmp_path, capsys):
     assert set(report.values()) == {"identical"}
 
 
+def test_pipeline_writes_unhashed_stage_timings(pipeline_runs):
+    d1, _, m1, _ = pipeline_runs
+    timings = json.loads((d1 / "timings.json").read_text())
+    assert set(timings) == {"solve", "certificates", "sections", "engulf", "cover",
+                            "badset", "w2p"}
+    assert all(t >= 0.0 for t in timings.values())
+    assert "timings.json" not in m1["files"]
+
+
 def test_pipeline_n2_runs_every_stage(tmp_path):
     # At this n = 2 res-17 config the level-2 chain domains need boundary
     # constraints resting on interior nodes only; then every stage runs.
@@ -416,7 +425,8 @@ def test_pipeline_refuses_f_far_from_one(tmp_path):
 
 
 def test_pipeline_sandwich_bound_uses_eps_f(tmp_path):
-    # An f_expr 0.15 from 1 is certified against 4 eps_f, not 4 eps.
+    # An f_expr 0.15 from 1 is certified against 4 eps_f, not 4 eps, and the
+    # bad-set parameters record eps_f.
     cfg = cli.ExperimentConfig(n=1, resolution=17, gamma=0.0, eps=0.01,
                                f_expr="1 + 0.15*cos(2*pi*x1)", chain_points=1,
                                k_max=1, stride=8, engulf_pairs=0, cover_families=0)
@@ -424,6 +434,8 @@ def test_pipeline_sandwich_bound_uses_eps_f(tmp_path):
     assert m["eps_f"] == pytest.approx(0.15, abs=1e-12)
     certs = json.loads((tmp_path / "near" / "certificates.json").read_text())
     assert certs["sandwich"]["bound"] == 4.0 * m["eps_f"]
+    bs = json.loads((tmp_path / "near" / "badset.json").read_text())
+    assert bs["params"]["eps"] == m["eps_f"]
 
 
 def test_badset_and_w2p_subcommands(tmp_path):

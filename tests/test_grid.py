@@ -100,6 +100,38 @@ def _chain_domain_n2(request):
     return sections.rescale_to_unit(u, x0, mu, hh, T, resolution=13)
 
 
+def _sublevel_disk():
+    axes = [np.linspace(-1.3, 1.3, 33)] * 2
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return grid.SublevelShape(axes, mesh[0] ** 2 + mesh[1] ** 2 - 1.0)
+
+
+@pytest.mark.parametrize("n, spec, res", [(1, "ball:1.0", 33), (2, "perturbed:0.05:harmonic", 13),
+                                          (1, _sublevel_disk(), 33)],
+                         ids=["ball", "perturbed", "sublevel"])
+def test_bc_table_built_on_first_read_is_the_eager_table(n, spec, res):
+    dom = grid.build_domain(n, spec, res)
+    assert "bc_table" not in dom._cache
+    ref = grid._build_bc_table(dom, _lattice_signed(dom))
+    table = dom.bc_table
+    assert table.keys() == ref.keys()
+    assert all(np.array_equal(table[k], ref[k]) for k in ref)
+    assert dom.bc_table is table and "signed" not in dom._cache
+
+
+def test_two_level_chain_builds_one_bc_table(perturbed_n1, monkeypatch):
+    # The level-1 re-grid is solved on at level 2; the level-2 re-grid is
+    # read only for its masks, so its table is never built.
+    dom, u, v0 = perturbed_n1
+    calls = []
+    real = grid._build_bc_table
+    monkeypatch.setattr(grid, "_build_bc_table", lambda d, s: calls.append(d) or real(d, s))
+    chain = sections.construct_section_chain(u, dom.node_index((0.1, -0.1)), sigma=0.2,
+                                             k_max=2, v0=v0, chain_resolution=33)
+    assert len(chain.levels) == 2
+    assert len(calls) == 1
+
+
 # In one complex dimension the stencil has no diagonals, so an inside node
 # lacks stencil support only on the box face; inward rows there are the
 # off-box case below.  n = 2 chain domains have inward rows in the box.

@@ -1,5 +1,6 @@
 """Taylor splitting, ellipsoid normalization, sections and chains."""
 
+import dataclasses
 import json
 import math
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmalab import cli, grid, sections
+import oracle
+from cmalab import cli, grid, sections, solver
 from cmalab.errors import (
     ChainBrokenError,
     LinearSolveError,
@@ -203,6 +205,106 @@ def test_fit_ellipsoid_square_aspect():
     sec = sections.Section.from_mask(dom, x0, square, side ** 2)
     c_in, c_out = sections.fit_ellipsoid(dom, sec, np.eye(1))
     assert c_out / c_in == pytest.approx(math.sqrt(2.0), rel=3 * dom.h / side)
+
+
+# -- windowed section and fit against the full box ---------------------------
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["n1-res65", "n2-res17"])
+def level_one(request):
+    """A solved instance: n = 1 at res 65, n = 2 at res 17."""
+    if request.param == 1:
+        dom = grid.build_domain(1, "perturbed:0.05:cos3", 65)
+        u, _ = solver.solve_dirichlet(dom, 1.0, 0.0)
+        return dom, u
+    dom, u, _ = request.getfixturevalue("perturbed_n2")
+    return dom, u
+
+
+def _node(dom, *lead):
+    """The node nearest to the point whose leading coordinates are lead."""
+    return dom.node_index(np.array(lead + (0.0,) * (dom.d - len(lead))))
+
+
+def _split_at(u, x0):
+    h, A = sections.taylor_split(u, x0)
+    return h, sections.unit_determinant(A)
+
+
+def _matches_full_box(u, x0, mu, h, A):
+    """The windowed section and fit equal the full-box ones exactly."""
+    sec = sections.build_section(u, x0, mu, h)
+    ref = oracle.build_section(u, x0, mu, h)
+    assert np.array_equal(sec.mask, ref.mask)
+    assert sections.fit_ellipsoid(u.domain, sec, A) == oracle.fit_ellipsoid(u.domain, ref, A)
+    return sec
+
+
+def _first_half_width(dom, mu):
+    return math.ceil(1.25 * math.sqrt(mu) / dom.h) + 2
+
+
+def test_small_section_matches_the_full_box(level_one):
+    dom, u = level_one
+    x0 = _node(dom, 0.1, -0.05)
+    mu = 0.01 if dom.n == 1 else 0.05
+    sec = _matches_full_box(u, x0, mu, *_split_at(u, x0))
+    assert 1 < sec.node_count() < dom.interior_mask.sum() // 4
+
+
+def test_sheared_section_doubles_its_window(level_one):
+    # Subtracting Re(b sum z_i^2) leaves about (1 - b) x_i^2 + (1 + b) y_i^2:
+    # the section reaches sqrt(mu / (1 - b)) along the x axes, past the
+    # first window.
+    dom, u = level_one
+    x0 = _node(dom, 0.0, 0.0)
+    mu, b = (0.01, 0.9) if dom.n == 1 else (0.03, 0.95)
+    h, A = _split_at(u, x0)
+    sheared = sections.PluriharmonicPoly(h.center, h.linear, h.quad + b * np.eye(dom.n))
+    sec = _matches_full_box(u, x0, mu, sheared, A)
+    reach = np.abs(np.argwhere(sec.mask) - np.array(x0)).max()
+    assert reach > _first_half_width(dom, mu)
+
+
+def test_section_on_a_box_face_matches_the_full_box(level_one):
+    # Every node interior: the section runs into the box face, which clips
+    # both windows without counting as a window edge.
+    dom, _ = level_one
+    box = dataclasses.replace(dom, interior_mask=np.ones_like(dom.interior_mask),
+                              boundary_mask=np.zeros_like(dom.boundary_mask))
+    u = grid.GridFunction.from_callable(box, lambda p: np.sum(p ** 2, axis=1))
+    x0 = _node(box, 0.8)
+    sec = _matches_full_box(u, x0, 0.08 if dom.n == 1 else 0.1, *_split_at(u, x0))
+    assert sec.mask[-1].any()
+
+
+def test_anisotropic_fit_grows_its_window(perturbed_n2, monkeypatch):
+    # q = 2|z_1|^2 + |z_2|^2/2 on its own section: the section's long axis
+    # is the small eigenvalue's, so the padded box misses nodes of lower q
+    # until the window grows.
+    dom, _, _ = perturbed_n2
+    u = grid.GridFunction.from_callable(
+        dom, lambda p: 2.0 * (p[:, 0] ** 2 + p[:, 1] ** 2) + 0.5 * (p[:, 2] ** 2 + p[:, 3] ** 2))
+    A = np.diag([2.0, 0.5]).astype(complex)
+    x0 = _node(dom, 0.0)
+    sec = _matches_full_box(u, x0, 0.2, sections.PluriharmonicPoly.zero(
+        sections._complex_center(dom, x0)), A)
+    windows = []
+    real = grid.GridDomain.window_coords
+    monkeypatch.setattr(grid.GridDomain, "window_coords",
+                        lambda d, win: windows.append(win) or real(d, win))
+    sections.fit_ellipsoid(dom, sec, A)
+    assert len(windows) == 2
+
+
+def test_escaping_section_raises_like_the_full_box(level_one):
+    dom, u = level_one
+    x0 = _node(dom, 0.6)
+    h, _ = _split_at(u, x0)
+    with pytest.raises(SectionEscapeError):
+        oracle.build_section(u, x0, 0.3, h)
+    with pytest.raises(SectionEscapeError):
+        sections.build_section(u, x0, 0.3, h)
 
 
 # -- rescale_to_unit ---------------------------------------------------------------

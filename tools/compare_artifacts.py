@@ -12,7 +12,8 @@ absolute difference of the floats (JSON numbers that are floats, CSV cells
 that parse as numbers, and the grid values read back with
 ``cli.load_instance``, with whether their NaN masks agree), followed by every
 other difference (strings, integers, booleans, keys, lengths) on its own
-line.  ``runtime_seconds`` is ignored.
+line.  ``runtime_seconds`` and ``timings.json``, the stage wall times,
+are ignored.
 
 The package is imported from the ``src`` directory next to this script.
 """
@@ -31,6 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from cmalab.cli import load_instance  # noqa: E402
 
 IGNORED_KEYS = {"runtime_seconds"}
+IGNORED_FILES = {"timings.json"}
 
 
 def _walk(a, b, path: str, out: dict) -> None:
@@ -96,8 +98,8 @@ def main(argv=None) -> int:
         print("usage: compare_artifacts.py RUN_A RUN_B", file=sys.stderr)
         return 2
     dir_a, dir_b = Path(args[0]), Path(args[1])
-    names = sorted({p.name for p in dir_a.iterdir() if p.is_file()}
-                   | {p.name for p in dir_b.iterdir() if p.is_file()})
+    names = sorted(({p.name for p in dir_a.iterdir() if p.is_file()}
+                    | {p.name for p in dir_b.iterdir() if p.is_file()}) - IGNORED_FILES)
     for name in names:
         a, b = dir_a / name, dir_b / name
         if not (a.exists() and b.exists()):
