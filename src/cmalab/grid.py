@@ -113,7 +113,6 @@ class BallShape:
         if radius <= 0:
             raise ValueError("radius must be positive")
         self.radius = float(radius)
-        self.gamma = 0.0
 
     def outer_radius(self) -> float:
         return self.radius
@@ -181,39 +180,11 @@ class PerturbedBallShape:
         return {"kind": self.kind, "gamma": self.gamma, "profile": self.profile}
 
 
-class SublevelShape:
-    """Implicit domain {w <= 0} for a multilinearly interpolated field w.
-
-    Used when a section of a solved instance is re-discretized in normalized
-    coordinates: the transported function itself is the level function.
-    Points where w is unavailable count as outside.
-    """
-
-    kind = "sublevel"
-
-    def __init__(self, axes: list[np.ndarray], values: np.ndarray):
-        self.axes = axes
-        self.values = values
-        self.gamma = float("nan")
-
-    def outer_radius(self) -> float:
-        return float(self.axes[0][-1])
-
-    def signed(self, pts: np.ndarray) -> np.ndarray:
-        v = interp_multilinear(self.axes, self.values, pts)
-        return np.where(np.isnan(v), 1.0, v)
-
-    def spec(self) -> dict:
-        return {"kind": self.kind}
-
-
 def shape_from_spec(spec) -> "BallShape | PerturbedBallShape":
-    """Build a shape from an object, a dict, or a compact string.
+    """Build a shape from a dict (a shape's spec()) or a compact string.
 
     Strings: "ball" / "ball:0.8" / "perturbed:0.05" / "perturbed:0.05:cos3".
     """
-    if hasattr(spec, "signed"):
-        return spec
     if isinstance(spec, dict):
         kind = spec["kind"]
         if kind == "ball":
@@ -271,13 +242,14 @@ def interp_multilinear(axes: list[np.ndarray], values: np.ndarray, pts: np.ndarr
 
 @dataclass(eq=False)
 class GridDomain:
-    """Uniform lattice covering a near-ball continuum domain."""
+    """Uniform lattice covering a near-ball continuum domain, or a lattice
+    domain given only by its values (a chain level, shape None)."""
 
     n: int
     resolution: int
     h: float
     box: np.ndarray                 # (d, 2) lower/upper bounds
-    shape: object
+    shape: object                   # continuum shape; None on a lattice domain
     interior_mask: np.ndarray       # bool, (res,)*d
     boundary_mask: np.ndarray       # bool, (res,)*d
     _cache: dict = field(repr=False, default_factory=dict)
@@ -289,9 +261,9 @@ class GridDomain:
     @property
     def bc_table(self) -> dict:
         """Boundary-constraint table (_build_bc_table), built on first read
-        from the lattice values of the shape's signed function that
-        build_domain left in the cache; a domain read only for its masks
-        never builds one."""
+        from the lattice values of the signed function that lattice_domain
+        left in the cache; a domain read only for its masks never builds
+        one."""
         if "bc_table" not in self._cache:
             self._cache["bc_table"] = _build_bc_table(self, self._cache.pop("signed"))
         return self._cache["bc_table"]
@@ -372,13 +344,19 @@ def build_domain(n: int, shape_spec, resolution: int) -> GridDomain:
             f"{footprint / 1e9:.1f} GB (> cap {_MEMORY_CAP_BYTES / 1e9:.1f} GB)")
 
     L = shape.outer_radius()
-    box = np.array([[-L, L]] * d)
-    h = 2.0 * L / (resolution - 1)
     axes = [np.linspace(-L, L, resolution) for _ in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    signed = shape.signed(pts).reshape((resolution,) * d)
+    return lattice_domain(n, L, shape.signed(pts).reshape((resolution,) * d), shape)
 
+
+def lattice_domain(n: int, L: float, signed: np.ndarray, shape=None) -> GridDomain:
+    """The domain {signed < 0} on the lattice of the values `signed`, which
+    spans the box [-L, L]^d.  Cut points come from `shape` when one is
+    given, else in closed form from the multilinear interpolant of `signed`.
+    """
+    resolution = signed.shape[0]
+    d = 2 * n
     inside = signed < 0.0
 
     ring = np.zeros_like(inside)
@@ -400,7 +378,8 @@ def build_domain(n: int, shape_spec, resolution: int) -> GridDomain:
     boundary = referenced & ~interior
 
     return GridDomain(
-        n=n, resolution=resolution, h=h, box=box, shape=shape,
+        n=n, resolution=resolution, h=2.0 * L / (resolution - 1),
+        box=np.array([[-L, L]] * d), shape=shape,
         interior_mask=interior, boundary_mask=boundary, _cache={"signed": signed},
     )
 
@@ -462,17 +441,12 @@ def _build_bc_table(dom: GridDomain, signed: np.ndarray) -> dict:
     dhat = best_step * h / slen[:, None]
     sb = signed_flat[b_idx @ strides]
 
-    # A section re-gridded on the lattice it was sampled on interpolates
-    # `signed` itself, so its cuts have a closed form in the lattice values;
-    # any other shape is bisected.
-    on_lattice = (isinstance(shape, SublevelShape)
-                  and shape.values.shape == signed.shape
-                  and all(np.array_equal(a, b) for a, b in zip(shape.axes, dom.axes)))
-
+    # A lattice domain is the multilinear interpolant of `signed` itself, so
+    # its cuts have a closed form in the lattice values; a shape is bisected.
     t_c = np.zeros(nb)
     ring = sb > 0.0
     if np.any(ring):
-        if on_lattice:
+        if shape is None:
             t_c[ring] = slen[ring] * _lattice_cut(signed, b_idx[ring], best_step[ring])
         else:
             t_c[ring] = _bisect_cut_batch(shape, xb[ring], xb[ring] + best_step[ring] * h)
@@ -482,7 +456,7 @@ def _build_bc_table(dom: GridDomain, signed: np.ndarray) -> dict:
         for reach in (1, 2):
             if rows.size == 0:
                 break
-            if on_lattice:
+            if shape is None:
                 far = b_idx[rows] - reach * best_step[rows]
                 in_box = np.all((far >= 0) & (far < res), axis=1)
                 s_out = np.ones(rows.size)
@@ -493,7 +467,7 @@ def _build_bc_table(dom: GridDomain, signed: np.ndarray) -> dict:
             hit = s_out > 0.0
             rr = rows[hit]
             if rr.size:
-                if on_lattice:
+                if shape is None:
                     near = b_idx[rr] - (reach - 1) * best_step[rr]
                     t = _lattice_cut(signed, near, -best_step[rr])
                     t_c[rr] = -slen[rr] * ((reach - 1) + t)

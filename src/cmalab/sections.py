@@ -27,9 +27,9 @@ from .errors import (
 from .grid import (
     GridDomain,
     GridFunction,
-    SublevelShape,
-    build_domain,
+    build_domain,  # noqa: F401  perfbench/layers.py wraps cmalab.sections.build_domain
     complex_hessian,
+    lattice_domain,
     mask_window,
     node_differences,
 )
@@ -473,7 +473,10 @@ def rescale_to_unit(u: GridFunction, x0: tuple, mu: float,
         w(zeta) = (u - h - u(x0) - mu)(x0 + T(sqrt(mu) zeta)) / (mu |det T|^{2/n})
 
     The image lattice is a fresh grid whose domain is the sublevel set
-    {w <= 0}; values come from multilinear interpolation of u.
+    {w <= 0}, built from the values of w on it (grid.lattice_domain);
+    values come from multilinear interpolation of u.  Where w is unavailable
+    it raises ChainBrokenError at level -1, which construct_section_chain
+    re-raises at its own level.
     """
     dom = u.domain
     x0 = tuple(x0)
@@ -495,8 +498,7 @@ def rescale_to_unit(u: GridFunction, x0: tuple, mu: float,
     if math.isnan(w_nd[center]):
         raise ChainBrokenError("rescaled center maps outside the source domain", -1)
 
-    shape = SublevelShape(axes_new, np.where(np.isnan(w_nd), 1.0, w_nd))
-    new_dom = build_domain(n, shape, resolution)
+    new_dom = lattice_domain(n, box_halfwidth, np.where(np.isnan(w_nd), 1.0, w_nd))
     out = np.full(w_nd.shape, np.nan)
     valued = new_dom.valued_mask
     if np.any(np.isnan(w_nd[valued])):
@@ -607,9 +609,12 @@ def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
         H_comp = H_comp.add(inc_global)
         T_comp = T_comp @ T_tilde
 
-        w = rescale_to_unit(w, center, level_mu, h_inc, T_tilde,
-                            resolution=chain_resolution,
-                            box_halfwidth=1.0 + max(0.3, 0.5 * sigma))
+        try:
+            w = rescale_to_unit(w, center, level_mu, h_inc, T_tilde,
+                                resolution=chain_resolution,
+                                box_halfwidth=1.0 + max(0.3, 0.5 * sigma))
+        except ChainBrokenError as exc:
+            raise ChainBrokenError(f"level {k} re-grid failed: {exc}", k) from exc
         w_dom = w.domain
         center = (chain_resolution // 2,) * dom.d
         comp = _connected_component(w_dom.interior_mask, center)

@@ -9,7 +9,16 @@ from scipy import ndimage
 
 from cmalab import engulfing, sections
 from cmalab.errors import SectionEscapeError
-from cmalab.grid import real_hessian_field
+from cmalab.grid import interp_multilinear, real_hessian_field
+
+
+def lattice_signed(axes, values):
+    """The signed function of a lattice domain: the multilinear interpolant
+    of its lattice values, NaN (off the box) meaning outside."""
+    def signed(pts):
+        v = interp_multilinear(axes, values, pts)
+        return np.where(np.isnan(v), 1.0, v)
+    return signed
 
 
 def dilated_mask(ps, c):

@@ -174,11 +174,20 @@ def test_known_level2_failures_outside_counted_ball():
 
 def test_n2_census_of_counted_nodes(perturbed_n2):
     # n=2 res 17 at stride 4 and the n=2 chain resolution: 9 lattice nodes
-    # lie inside B_{r_1}, and only the origin's chain builds.
+    # lie inside B_{r_1}, and only the origin's chain builds.  Every other
+    # chain breaks at the level it reached, four of them in the level-2
+    # re-grid, whose own error does not know its level.
     dom, u, v0 = perturbed_n2
     ns = badset.sample_badset_chains(u, v0, stride=4, levels=2, chain_resolution=13)
     assert len(ns) == 9
     assert [n.idx for n in ns if n.radii] == [(8, 8, 8, 8)]
+    levels = []
+    for node in (n for n in ns if not n.radii):
+        with pytest.raises(ChainBrokenError) as err:
+            sections.construct_section_chain(u, node.idx, sigma=0.2, k_max=2,
+                                             chain_resolution=13, v0=v0)
+        levels.append(err.value.level)
+    assert len(levels) == 8 and all(1 <= k <= 2 for k in levels)
 
 
 def test_eps_bar_recipe_paper_arithmetic():

@@ -11,6 +11,7 @@ import sympy
 
 from cmalab import grid, sections
 from cmalab.errors import MemoryCapError, StencilViolationError
+import oracle
 
 
 def test_exact_ball_res129_spacing_and_count():
@@ -72,14 +73,20 @@ def test_n2_res65_is_refused_before_allocating():
 
 
 def _lattice_signed(dom):
+    """The lattice values the masks were cut from: those a lattice domain
+    holds until its table is built, or the shape sampled on the lattice."""
+    if dom.shape is None:
+        return dom._cache["signed"]
     return dom.shape.signed(dom.coords()).reshape((dom.resolution,) * dom.d)
 
 
-def _bisection_table(dom):
+def _bisection_table(dom, signed):
     """The domain's bc table rebuilt through the bisection path, with the
-    shape hidden behind an object that has only `signed`."""
-    opaque = dataclasses.replace(dom, shape=SimpleNamespace(signed=dom.shape.signed))
-    return grid._build_bc_table(opaque, _lattice_signed(dom))
+    shape, or the multilinear interpolant of a lattice domain's values,
+    hidden behind an object that has only `signed`."""
+    fn = oracle.lattice_signed(dom.axes, signed) if dom.shape is None else dom.shape.signed
+    opaque = dataclasses.replace(dom, shape=SimpleNamespace(signed=fn))
+    return grid._build_bc_table(opaque, signed)
 
 
 def _chain_domain_n1(request):
@@ -100,17 +107,18 @@ def _chain_domain_n2(request):
     return sections.rescale_to_unit(u, x0, mu, hh, T, resolution=13)
 
 
-def _sublevel_disk():
+def _lattice_disk():
     axes = [np.linspace(-1.3, 1.3, 33)] * 2
     mesh = np.meshgrid(*axes, indexing="ij")
-    return grid.SublevelShape(axes, mesh[0] ** 2 + mesh[1] ** 2 - 1.0)
+    return grid.lattice_domain(1, 1.3, mesh[0] ** 2 + mesh[1] ** 2 - 1.0)
 
 
-@pytest.mark.parametrize("n, spec, res", [(1, "ball:1.0", 33), (2, "perturbed:0.05:harmonic", 13),
-                                          (1, _sublevel_disk(), 33)],
+@pytest.mark.parametrize("make", [lambda: grid.build_domain(1, "ball:1.0", 33),
+                                  lambda: grid.build_domain(2, "perturbed:0.05:harmonic", 13),
+                                  _lattice_disk],
                          ids=["ball", "perturbed", "sublevel"])
-def test_bc_table_built_on_first_read_is_the_eager_table(n, spec, res):
-    dom = grid.build_domain(n, spec, res)
+def test_bc_table_built_on_first_read_is_the_eager_table(make):
+    dom = make()
     assert "bc_table" not in dom._cache
     ref = grid._build_bc_table(dom, _lattice_signed(dom))
     table = dom.bc_table
@@ -140,10 +148,11 @@ def test_two_level_chain_builds_one_bc_table(perturbed_n1, monkeypatch):
 def test_chain_domain_cuts_match_bisection(request, make, inward):
     w = make(request)
     dom = w.domain
-    assert isinstance(dom.shape, grid.SublevelShape)
+    assert dom.shape is None
+    signed = _lattice_signed(dom)
     table = dom.bc_table
-    ref = _bisection_table(dom)
-    sb = _lattice_signed(dom).ravel()[table["flat"]]
+    ref = _bisection_table(dom, signed)
+    sb = signed.ravel()[table["flat"]]
     assert np.any(sb > 0.0)
     assert np.any(sb < 0.0) == inward
     assert np.array_equal(table["idx1"], ref["idx1"])
@@ -161,15 +170,14 @@ def test_lattice_cut_off_box_counts_as_outside():
     # the opposite face, which lies outside the disk.
     axes = [np.linspace(-1.3, 1.3, 17)] * 2
     X, Y = np.meshgrid(*axes, indexing="ij")
-    shape = grid.SublevelShape(axes, (X + 1.0) ** 2 + Y ** 2 - 0.36)
-    dom = grid.build_domain(1, shape, 17)
+    signed = (X + 1.0) ** 2 + Y ** 2 - 0.36
+    dom = grid.lattice_domain(1, 1.3, signed)
     table = dom.bc_table
     b_idx = np.argwhere(dom.boundary_mask)
-    signed = _lattice_signed(dom)
     on_face = (b_idx[:, 0] == 0) & (signed[tuple(b_idx.T)] < 0.0)
     assert np.any(on_face)
     assert np.all(signed[-1] > 0.0)
-    ref = _bisection_table(dom)
+    ref = _bisection_table(dom, signed)
     assert np.abs(table["cuts"] - ref["cuts"]).max() <= 1e-8 * dom.h
     # The face cuts sit on the face nodes themselves.
     nodes = dom.coords()[table["flat"][on_face]]
@@ -182,7 +190,6 @@ def _row_domain(run: int):
     x1, so x1 is disqualified as a support; the row is the only direction
     with an interior x1."""
     res = 9
-    axes = [np.linspace(-1.0, 1.0, res)] * 2
     signed = np.ones((res, res))
     for k in range(run):
         signed[5, 3 + k] = -1e-9 if k == 0 else -1.0
@@ -190,7 +197,7 @@ def _row_domain(run: int):
     boundary[5, 2] = True
     return grid.GridDomain(
         n=1, resolution=res, h=0.25, box=np.array([[-1.0, 1.0]] * 2),
-        shape=grid.SublevelShape(axes, signed), interior_mask=signed < 0.0,
+        shape=None, interior_mask=signed < 0.0,
         boundary_mask=boundary), signed
 
 
@@ -327,8 +334,7 @@ def test_taylor_split_on_the_high_box_face_is_refused():
     # have their outward neighbor off the box, where the stencil reads NaN.
     axes = [np.linspace(-1.3, 1.3, 17)] * 2
     X, Y = np.meshgrid(*axes, indexing="ij")
-    shape = grid.SublevelShape(axes, (X - 1.0) ** 2 + Y ** 2 - 0.36)
-    dom = grid.build_domain(1, shape, 17)
+    dom = grid.lattice_domain(1, 1.3, (X - 1.0) ** 2 + Y ** 2 - 0.36)
     u = grid.GridFunction.from_callable(dom, lambda p: np.sum(p ** 2, axis=1))
     face = np.argwhere(dom.valued_mask[-1])
     assert face.size

@@ -175,10 +175,9 @@ def test_boundary_support_cycle_raises_typed_error():
 
 
 def test_domain_without_interior_raises_degeneracy():
-    # A sublevel set with no interior node has nothing to solve for, and
+    # A lattice domain with no interior node has nothing to solve for, and
     # says so with a typed error before any reduction over interior nodes.
-    shape = grid.SublevelShape([np.linspace(-1.0, 1.0, 9)] * 2, np.ones((9, 9)))
-    dom = grid.build_domain(1, shape, 9)
+    dom = grid.lattice_domain(1, 1.0, np.ones((9, 9)))
     assert not dom.interior_mask.any()
     with pytest.raises(DegeneracyError):
         solver.solve_dirichlet(dom, 1.0, 0.0)
