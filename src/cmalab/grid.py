@@ -9,10 +9,11 @@ accurate (and exact on quadratics).
 
 Complex derivatives follow d/dz_i = (d/dx_i - i d/dy_i)/2; real coordinate
 axes are ordered (x_1, y_1, ..., x_n, y_n).  One set of centered
-differences serves the whole box (the fields) and a single node
-(node_differences, the fields read at that node): both are NaN where the
-stencil leaves the box or meets an unvalued node.  The complex Hessian at a
-node is a complex (n, n) array.
+differences serves the whole box (the fields), a set of interior nodes
+(hessian_fields_at, the fields read there) and a single node
+(node_differences, the fields read at that node): both box and node are NaN
+where the stencil leaves the box or meets an unvalued node.  The complex
+Hessian at a node is a complex (n, n) array.
 """
 
 from __future__ import annotations
@@ -221,17 +222,22 @@ def interp_multilinear(axes: list[np.ndarray], values: np.ndarray, pts: np.ndarr
     inside = np.all((t >= -1e-9) & (t <= res - 1 + 1e-9), axis=1)
     t = np.clip(t, 0.0, res - 1)
     base = np.minimum(t.astype(int), res - 2)
-    frac = t - base
+    frac = np.ascontiguousarray((t - base).T)
+    rest = 1.0 - frac
+    strides = [res ** (d - 1 - a) for a in range(d)]
+    flat = values.ravel()
+    base_flat = base @ np.array(strides)
 
+    # Each cell corner is one flat offset from the cell's base node.
     out = np.zeros(m)
     for corner in range(1 << d):
-        idx = []
+        off = 0
         w = np.ones(m)
         for a in range(d):
             bit = (corner >> a) & 1
-            idx.append(base[:, a] + bit)
-            w = w * (frac[:, a] if bit else 1.0 - frac[:, a])
-        out = out + w * values[tuple(idx)]
+            off += bit * strides[a]
+            w = w * (frac[a] if bit else rest[a])
+        out = out + w * flat[base_flat + off]
     out[~inside] = np.nan
     return out
 
@@ -406,40 +412,48 @@ def _build_bc_table(dom: GridDomain, signed: np.ndarray) -> dict:
     strides = np.array([res ** (d - 1 - a) for a in range(d)], dtype=np.int64)
 
     b_idx = np.argwhere(dom.boundary_mask).astype(np.int64)
+    b_flat = b_idx @ strides
     nb = b_idx.shape[0]
     # Candidate directions are richer than the stencil: any axis or two-axis
-    # diagonal may carry the extrapolation line.
+    # diagonal may carry the extrapolation line.  A step is one flat offset;
+    # node + r * step stays in the box while every axis the step moves along
+    # has room for r nodes in its direction.
     steps = np.array(lattice_offsets(d, combinations(range(d), 2)), dtype=np.int64)
+    step_off = steps @ strides
+    room_up = (res - 1 - b_idx).T
+    room_down = b_idx.T
 
     # Score each direction by the normalized depth of x_1, with a strong
     # bonus when x_2 is interior (making the three-point form available).
     best_score = np.full(nb, -np.inf)
-    best_step = np.zeros((nb, d), dtype=np.int64)
-    for st in steps:
+    best_k = np.zeros(nb, dtype=np.int64)
+    best_room = np.zeros(nb, dtype=np.int64)
+    for k, st in enumerate(steps):
         slen_st = math.sqrt(float(st @ st))
-        n1 = b_idx + st
-        n2 = b_idx + 2 * st
-        valid = np.all((n1 >= 0) & (n1 < res), axis=1)
+        room = np.minimum.reduce([room_up[a] if st[a] > 0 else room_down[a]
+                                  for a in np.flatnonzero(st)])
+        valid = room >= 1
         score = np.full(nb, -np.inf)
-        f1 = n1[valid] @ strides
+        f1 = b_flat[valid] + step_off[k]
         sub = interior_flat[f1]
         rows_v = np.flatnonzero(valid)[sub]
         score[rows_v] = -signed_flat[f1[sub]] / slen_st
-        ok2 = np.all((n2 >= 0) & (n2 < res), axis=1)
-        f2 = np.zeros(nb, dtype=np.int64)
-        f2[ok2] = n2[ok2] @ strides
-        ok2 &= interior_flat[f2]
+        ok2 = room >= 2
+        ok2[ok2] = interior_flat[b_flat[ok2] + 2 * step_off[k]]
         score[ok2] += 1e6
         better = score > best_score
         best_score[better] = score[better]
-        best_step[better] = st
+        best_k[better] = k
+        best_room[better] = room[better]
     if not np.all(np.isfinite(best_score)):
         raise StencilViolationError("boundary node without an interior stencil neighbor")
+    best_step = steps[best_k]
+    best_off = step_off[best_k]
 
     xb = lo + h * b_idx
     slen = h * np.sqrt((best_step ** 2).sum(axis=1).astype(float))
     dhat = best_step * h / slen[:, None]
-    sb = signed_flat[b_idx @ strides]
+    sb = signed_flat[b_flat]
 
     # A lattice domain is the multilinear interpolant of `signed` itself, so
     # its cuts have a closed form in the lattice values; a shape is bisected.
@@ -477,17 +491,17 @@ def _build_bc_table(dom: GridDomain, signed: np.ndarray) -> dict:
         # Unresolved leftovers anchor at the node itself (t_c stays 0).
     cuts = xb + dhat * t_c[:, None]
 
-    def flat_of(nidx):
-        ok = np.all((nidx >= 0) & (nidx < res), axis=1)
+    def flat_of(reach):
+        ok = best_room >= reach
         f = np.full(nb, -1, dtype=np.int64)
-        f[ok] = nidx[ok] @ strides
+        f[ok] = b_flat[ok] + reach * best_off[ok]
         have = ok.copy()
         have[ok] = interior_flat[f[ok]]
         return f, have
 
-    f1, have1 = flat_of(b_idx + best_step)
-    f2, have2 = flat_of(b_idx + 2 * best_step)
-    f3, have3 = flat_of(b_idx + 3 * best_step)
+    f1, have1 = flat_of(1)
+    f2, have2 = flat_of(2)
+    f3, have3 = flat_of(3)
 
     t1 = slen
     t2 = 2.0 * slen
@@ -529,7 +543,7 @@ def _build_bc_table(dom: GridDomain, signed: np.ndarray) -> dict:
     coef_c[anchor] = 1.0
 
     return {
-        "flat": b_idx @ strides,
+        "flat": b_flat,
         "idx1": idx1,
         "idx2": idx2,
         "coef_c": coef_c,
@@ -750,6 +764,16 @@ def hessian_fields(u: GridFunction) -> dict:
     n = 1: {"h11"}; n = 2: {"h11", "h22", "h12re", "h12im"}.
     """
     return _hessian_parts(partial(second_diff_field, u.values, h=u.domain.h), u.domain.n)
+
+
+def hessian_fields_at(u: GridFunction, nodes: np.ndarray) -> dict:
+    """hessian_fields at the flat indices `nodes`, computed there only: the
+    same floats, for nodes whose stencil stays in the box (interior nodes)."""
+    dom = u.domain
+    values = u.values.ravel()
+    strides = np.array([dom.resolution ** (dom.d - 1 - a) for a in range(dom.d)])
+    D2 = _differences(lambda off: values[nodes + np.dot(off, strides)], dom.d, dom.h)[1]
+    return _hessian_parts(D2, dom.n)
 
 
 def real_hessian_field(values: np.ndarray, h: float) -> np.ndarray:

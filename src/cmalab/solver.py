@@ -6,10 +6,12 @@ nodes; boundary nodes are eliminated through their linear extrapolation
 constraints (anchored at continuum cut points), which keeps the inner linear
 system elliptic and interior-only.  At n = 1 that system is solved directly;
 at n = 2 by GMRES preconditioned with a geometric-multigrid V-cycle of the
-domain's Laplacian, built once per domain.  A plurisubharmonicity guard
-halves the step whenever the smallest complex-Hessian eigenvalue would drop
-below the fixed floor _PSH_FLOOR.  The residual target newton_tol is the
-solver's only setting.
+domain's Laplacian, built once per domain with each level's restriction
+stored.  The harmonic extension of the initial boundary gap is computed once
+per domain and cut data, so solves with the same data share it.  A
+plurisubharmonicity guard halves the step whenever the smallest
+complex-Hessian eigenvalue would drop below the fixed floor _PSH_FLOOR.  The
+residual target newton_tol is the solver's only setting.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from .grid import (
     GridFunction,
     hessian_det_field,
     hessian_eigen_fields,
-    hessian_fields,
+    hessian_fields,  # noqa: F401  perfbench/layers.py wraps cmalab.solver.hessian_fields
+    hessian_fields_at,
     lattice_offsets,
     mixed_terms,
 )
@@ -87,13 +90,16 @@ def _get_assembly(dom: GridDomain) -> dict:
     idx_nd = np.argwhere(dom.interior_mask)
 
     def split_cols(off):
-        """Interior-column and boundary-column ids of neighbor off."""
+        """Rows and columns of the interior and of the boundary neighbors
+        off: (rows_i, cols_i, rows_b, cols_b)."""
         nb = (idx_nd + np.asarray(off, dtype=np.int64)) @ strides
         ic = int_col[nb]
         bcn = bnd_col[nb]
         if np.any((ic < 0) & (bcn < 0)):
             raise StencilViolationError("interior stencil reaches an unvalued node")
-        return ic, bcn
+        rows_i = np.flatnonzero(ic >= 0)
+        rows_b = np.flatnonzero(bcn >= 0)
+        return rows_i, ic[rows_i], rows_b, bcn[rows_b]
 
     ops = {}
     axis = lattice_offsets(d)
@@ -142,23 +148,20 @@ def _assemble(dom: GridDomain, weights: dict) -> tuple[sp.csr_matrix, sp.csr_mat
     asm = _get_assembly(dom)
     n_int, n_bnd = asm["n_int"], asm["n_bnd"]
     inv_h2 = 1.0 / dom.h ** 2
-    irow = np.arange(n_int)
     ri, ci, vi = [], [], []
     rb, cb, vb = [], [], []
     for key, entries in asm["ops"].items():
         w = weights.get(key)
         if w is None:
             continue
-        for c, icol, bcol in entries:
+        for c, rows_i, cols_i, rows_b, cols_b in entries:
             coef = w * (c * inv_h2)
-            mi = icol >= 0
-            ri.append(irow[mi])
-            ci.append(icol[mi])
-            vi.append(coef[mi])
-            mb = bcol >= 0
-            rb.append(irow[mb])
-            cb.append(bcol[mb])
-            vb.append(coef[mb])
+            ri.append(rows_i)
+            ci.append(cols_i)
+            vi.append(coef[rows_i])
+            rb.append(rows_b)
+            cb.append(cols_b)
+            vb.append(coef[rows_b])
     A_II = sp.coo_matrix(
         (np.concatenate(vi), (np.concatenate(ri), np.concatenate(ci))),
         shape=(n_int, n_int)).tocsr()
@@ -211,11 +214,12 @@ def _cycle(levels: list, coarsest, b: np.ndarray, lvl: int = 0) -> np.ndarray:
     around the correction from the next level, a direct solve at the end."""
     if lvl == len(levels):
         return coarsest.solve(b)
-    A, P, dinv = levels[lvl]
-    x = np.zeros_like(b)
-    for _ in range(_JACOBI_SWEEPS):
+    A, P, R, dinv = levels[lvl]
+    # The first sweep from x = 0 needs no product with A.
+    x = _JACOBI_OMEGA * dinv * b
+    for _ in range(_JACOBI_SWEEPS - 1):
         x += _JACOBI_OMEGA * dinv * (b - A @ x)
-    x += P @ _cycle(levels, coarsest, P.T @ (b - A @ x), lvl + 1)
+    x += P @ _cycle(levels, coarsest, R @ (b - A @ x), lvl + 1)
     for _ in range(_JACOBI_SWEEPS):
         x += _JACOBI_OMEGA * dinv * (b - A @ x)
     return x
@@ -237,7 +241,8 @@ def _multigrid(dom: GridDomain):
         P, cmask = _prolongation(mask)
         if P.shape[1] == 0:
             break
-        levels.append((A, P, 1.0 / A.diagonal()))
+        R = P.T.tocsr()
+        levels.append((A, P, R, 1.0 / A.diagonal()))
         A = (P.T @ A @ P).tocsr()
         mask = cmask
     # A module-level function, not a closure over itself, so the hierarchy
@@ -268,10 +273,9 @@ def _linear_solve(dom: GridDomain, A: sp.csr_matrix, rhs: np.ndarray) -> np.ndar
     return x
 
 
-def _hessian_weights(dom: GridDomain, fields: dict, int_flat) -> dict:
+def _hessian_weights(dom: GridDomain, f: dict) -> dict:
     """Per-operator coefficient arrays of the linearized operator
-    tr(H^{-1} dH) over interior nodes."""
-    f = {k: v.ravel()[int_flat] for k, v in fields.items()}
+    tr(H^{-1} dH), from the Hessian fields on the interior nodes."""
     if dom.n == 1:
         w = 0.25 / f["h11"]
         return {("pure", 0): w, ("pure", 1): w}
@@ -337,13 +341,21 @@ def _boundary_residual(dom: GridDomain, values_flat: np.ndarray, g_cut: np.ndarr
 
 
 def harmonic_extension(dom: GridDomain, cut_values: np.ndarray) -> np.ndarray:
-    """Discrete-harmonic extension of cut-point data; full-box flat array."""
+    """Discrete-harmonic extension of cut-point data; full-box flat array,
+    read-only.  The domain keeps the last one it computed, keyed by the
+    bytes of the data, so solves with the same data share one."""
+    key = np.ascontiguousarray(cut_values, dtype=float).tobytes()
+    cached = dom._cache.get("harmonic_extension")
+    if cached is not None and cached[0] == key:
+        return cached[1]
     asm = _get_assembly(dom)
     L, L_IB = _laplacian(dom)
     g_off = asm["coef_c"] * cut_values
     out = np.full(dom.resolution ** dom.d, np.nan)
     out[asm["int_flat"]] = _linear_solve(dom, L, -L_IB @ g_off)
     _set_boundary(dom, out, g_off)
+    out.flags.writeable = False
+    dom._cache["harmonic_extension"] = (key, out)
     return out
 
 
@@ -393,11 +405,9 @@ def solve_dirichlet(domain: GridDomain, f, g, newton_tol: float = NEWTON_TOL
     shape_nd = (domain.resolution,) * domain.d
 
     def interior_state(u_arr):
-        gf = GridFunction(domain, u_arr.reshape(shape_nd))
-        fields = hessian_fields(gf)
+        fields = hessian_fields_at(GridFunction(domain, u_arr.reshape(shape_nd)), int_flat)
         lam_min, _ = hessian_eigen_fields(fields)
-        det = hessian_det_field(fields)
-        return fields, lam_min.ravel()[int_flat], det.ravel()[int_flat]
+        return fields, lam_min, hessian_det_field(fields)
 
     fields, lam_min, det = interior_state(u_flat)
     if np.nanmin(lam_min) <= _PSH_FLOOR:
@@ -412,7 +422,7 @@ def solve_dirichlet(domain: GridDomain, f, g, newton_tol: float = NEWTON_TOL
             raise NonConvergenceError(
                 f"Newton did not reach {newton_tol:.1e} in {_MAX_ITERS} "
                 f"iterations (last residual {residual:.3e})", residual, iters)
-        weights = _hessian_weights(domain, fields, int_flat)
+        weights = _hessian_weights(domain, fields)
         A_int, _ = _assemble(domain, weights)
         delta = _linear_solve(domain, A_int, -(np.log(det) - log_f))
 

@@ -140,6 +140,23 @@ def test_two_level_chain_builds_one_bc_table(perturbed_n1, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("make", [
+    lambda request: grid.build_domain(1, "ball:1.0", 33),
+    lambda request: grid.build_domain(1, "perturbed:0.05:cos3", 33),
+    lambda request: grid.build_domain(2, "ball:1.0", 13),
+    lambda request: grid.build_domain(2, "perturbed:0.05:harmonic", 13),
+    lambda request: _chain_domain_n2(request).domain,
+], ids=["ball-n1", "perturbed-n1", "ball-n2", "perturbed-n2", "chain-n2"])
+def test_flat_direction_search_matches_index_arrays(request, make):
+    # Flat step offsets and per-axis room pick the same direction, ties to
+    # the first step, as (nb, d) index arrays checked against the box.
+    dom = make(request)
+    ref = oracle.bc_table_by_index(dom, _lattice_signed(dom))
+    table = dom.bc_table
+    assert table.keys() == ref.keys()
+    assert all(np.array_equal(table[k], ref[k]) for k in ref)
+
+
 # In one complex dimension the stencil has no diagonals, so an inside node
 # lacks stencil support only on the box face; inward rows there are the
 # off-box case below.  n = 2 chain domains have inward rows in the box.
@@ -289,9 +306,10 @@ def test_hessian_hermitian_exactly():
 @pytest.mark.parametrize("n, res, spec", [(1, 33, "perturbed:0.05:cos3"),
                                           (2, 13, "perturbed:0.05:harmonic")])
 def test_pointwise_hessian_equals_field_hessian(n, res, spec):
-    # One formula: the node-wise complex Hessian, and taylor_split's linear
-    # and quadratic coefficients, are bit-for-bit the whole-box fields at
-    # every interior node of non-quadratic data.  Where a field is NaN (the
+    # One formula: the node-wise complex Hessian, the fields read at the
+    # interior nodes only, and taylor_split's linear and quadratic
+    # coefficients, are bit-for-bit the whole-box fields at every interior
+    # node of non-quadratic data.  Where a field is NaN (the
     # holomorphic part reads diagonals the Hessian stencil does not) the
     # split is refused.
     dom = grid.build_domain(n, spec, res)
@@ -300,6 +318,9 @@ def test_pointwise_hessian_equals_field_hessian(n, res, spec):
     vals[dom.valued_mask] = rng.standard_normal(int(dom.valued_mask.sum()))
     u = grid.GridFunction(dom, vals)
     f = grid.hessian_fields(u)
+    at = grid.hessian_fields_at(u, np.flatnonzero(dom.interior_mask.ravel()))
+    assert at.keys() == f.keys()
+    assert all(np.array_equal(at[k], f[k][dom.interior_mask]) for k in f)
     D1 = [grid.first_diff_field(vals, a, dom.h) for a in range(dom.d)]
     D2 = {(a, b): grid.second_diff_field(vals, a, b, dom.h)
           for a in range(dom.d) for b in range(dom.d)}
@@ -377,3 +398,24 @@ def test_cache_magic_guard(tmp_path):
     bad.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValueError):
         grid.read_cache(bad)
+
+
+# -- interpolation -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d, res", [(2, 65), (4, 13), (4, 33)])
+def test_flat_gather_interpolation_matches_index_tuples(d, res):
+    # Random values with NaN holes, at random points in and off the box and
+    # on its high face and corner: bit for bit the index-tuple gather.
+    rng = np.random.default_rng(d * 100 + res)
+    axes = [np.linspace(-1.3, 1.3, res)] * d
+    values = rng.standard_normal((res,) * d)
+    values[rng.random(values.shape) < 0.05] = np.nan
+    pts = rng.uniform(-1.5, 1.5, size=(4000, d))
+    pts[:200, rng.integers(d)] = 1.3
+    pts[200:210] = 1.3
+    got = grid.interp_multilinear(axes, values, pts)
+    ref = oracle.interp_by_index(axes, values, pts)
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert np.isfinite(ref[:200]).any()
+    assert np.isnan(ref).any() and np.isfinite(ref).any()

@@ -12,6 +12,7 @@ from cmalab.errors import (
     LinearSolveError,
     NonConvergenceError,
 )
+import oracle
 
 
 def sup_error_vs_quadratic(dom, u):
@@ -201,6 +202,58 @@ def test_one_preconditioner_per_n2_domain(monkeypatch):
 def _f_n2(pts):
     pts = np.atleast_2d(pts)
     return 1.0 + 0.01 * np.cos(np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, 2])
+
+
+def test_one_harmonic_extension_per_domain_and_data(monkeypatch):
+    # v0 and u share their boundary data, so the second solve reuses the
+    # first one's harmonic extension: every other linear solve is a Newton
+    # step.
+    calls = []
+    real = solver._linear_solve
+    monkeypatch.setattr(solver, "_linear_solve", lambda *a: calls.append(1) or real(*a))
+    dom = grid.build_domain(2, "perturbed:0.05:harmonic", 9)
+    _, v_rep = solver.solve_dirichlet(dom, 1.0, 0.0)
+    _, u_rep = solver.solve_dirichlet(dom, _f_n2, 0.0)
+    assert len(calls) == 1 + v_rep.iterations + u_rep.iterations
+
+
+def test_new_boundary_data_gets_its_own_extension():
+    # After a solve with g = 0, a solve with other data on the same domain
+    # equals the same solve on a fresh domain, bit for bit.
+    def g(p):
+        return 0.1 * np.atleast_2d(p)[:, 0]
+
+    dom = grid.build_domain(2, "perturbed:0.05:harmonic", 9)
+    solver.solve_dirichlet(dom, 1.0, 0.0)
+    u, rep = solver.solve_dirichlet(dom, _f_n2, g)
+    ref, ref_rep = solver.solve_dirichlet(
+        grid.build_domain(2, "perturbed:0.05:harmonic", 9), _f_n2, g)
+    assert np.array_equal(u.values, ref.values, equal_nan=True)
+    assert rep.iterations == ref_rep.iterations
+
+
+def test_cached_harmonic_extension_is_read_only():
+    dom = grid.build_domain(2, "perturbed:0.05:harmonic", 9)
+    cuts = dom.bc_table["cuts"]
+    gap = 1.0 - np.sum(cuts ** 2, axis=1)
+    ext = solver.harmonic_extension(dom, gap)
+    assert solver.harmonic_extension(dom, gap.copy()) is ext
+    assert not ext.flags.writeable
+    with pytest.raises(ValueError):
+        ext[0] = 0.0
+
+
+@pytest.mark.parametrize("res", [9, 17])
+def test_v_cycle_matches_the_transposing_cycle(res):
+    # The stored restriction and the product-free first sweep change no
+    # bit of the V-cycle.
+    cycle = solver._multigrid(grid.build_domain(2, "perturbed:0.05:harmonic", res))
+    levels, coarsest = cycle.args
+    assert len(levels) == (1 if res == 9 else 2)
+    rng = np.random.default_rng(res)
+    for _ in range(3):
+        b = rng.standard_normal(levels[0][0].shape[0])
+        assert np.array_equal(cycle(b), oracle.cycle_transposing(levels, coarsest, b))
 
 
 def test_multigrid_solve_matches_direct_solve(monkeypatch):
