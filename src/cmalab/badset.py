@@ -88,7 +88,7 @@ def sample_badset_chains(u: GridFunction, v0: GridFunction,
         try:
             chain = construct_section_chain(
                 u, idx, sigma=sigma, k_max=levels, newton_tol=newton_tol,
-                mu0=mu0, mu_top=None, chain_resolution=chain_resolution, v0=v0)
+                mu0=mu0, chain_resolution=chain_resolution, v0=v0)
             out.append(section_ball_radii(u, chain))
         except CmalabError:
             out.append(NodeSections(idx, []))
@@ -437,11 +437,11 @@ def touching_paraboloid_opening(u: GridFunction, x0: tuple,
 # Hessian bounds on the good set
 
 
-def hessian_bounds_on_Dk(u: GridFunction, nodes: list[tuple], k: int,
-                         slack: float = 0.1) -> dict:
+def hessian_bounds_on_Dk(u: GridFunction, nodes: list[tuple], k: int) -> dict:
     """Eigenvalues of the complex Hessian at k-good nodes against
-    [10^-k, 2 * 10^{(n-1)k}], with multiplicative slack."""
+    [10^-k, 2 * 10^{(n-1)k}], widened by the multiplicative slack 0.1."""
     n = u.domain.n
+    slack = 0.1
     lo = 10.0 ** (-k) * (1.0 - slack)
     hi = 2.0 * 10.0 ** ((n - 1) * k) * (1.0 + slack)
     worst_low = math.inf

@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass
@@ -37,6 +38,11 @@ _FUNCS = {
     "abs": np.abs, "atan2": np.arctan2, "log": np.log,
 }
 _CONSTS = {"pi": math.pi, "e": math.e}
+_OPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow,
+    ast.USub: operator.neg, ast.UAdd: operator.pos,
+}
 
 
 def compile_expression(expr: str, d: int):
@@ -48,8 +54,7 @@ def compile_expression(expr: str, d: int):
     """
     tree = ast.parse(expr, mode="eval")
     allowed = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name,
-               ast.Call, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow,
-               ast.USub, ast.UAdd, ast.Load)
+               ast.Call, ast.Load, *_OPS)
     for node in ast.walk(tree):
         if not isinstance(node, allowed):
             raise ValueError(f"expression token {type(node).__name__} not allowed")
@@ -67,9 +72,9 @@ def compile_expression(expr: str, d: int):
         names["r"] = np.sqrt(names["r2"])
         names.update(_CONSTS)
 
+        # Past the whitelist a node is a constant, a name, an operation or
+        # a whitelisted call.
         def rec(node):
-            if isinstance(node, ast.Expression):
-                return rec(node.body)
             if isinstance(node, ast.Constant):
                 return float(node.value)
             if isinstance(node, ast.Name):
@@ -77,25 +82,12 @@ def compile_expression(expr: str, d: int):
                     raise ValueError(f"unknown variable {node.id!r}")
                 return names[node.id]
             if isinstance(node, ast.BinOp):
-                lhs, rhs = rec(node.left), rec(node.right)
-                if isinstance(node.op, ast.Add):
-                    return lhs + rhs
-                if isinstance(node.op, ast.Sub):
-                    return lhs - rhs
-                if isinstance(node.op, ast.Mult):
-                    return lhs * rhs
-                if isinstance(node.op, ast.Div):
-                    return lhs / rhs
-                if isinstance(node.op, ast.Pow):
-                    return lhs ** rhs
+                return _OPS[type(node.op)](rec(node.left), rec(node.right))
             if isinstance(node, ast.UnaryOp):
-                val = rec(node.operand)
-                return -val if isinstance(node.op, ast.USub) else +val
-            if isinstance(node, ast.Call):
-                return _FUNCS[node.func.id](*[rec(a) for a in node.args])
-            raise ValueError("unsupported expression node")
+                return _OPS[type(node.op)](rec(node.operand))
+            return _FUNCS[node.func.id](*[rec(a) for a in node.args])
 
-        out = rec(tree)
+        out = rec(tree.body)
         return np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],)).copy()
 
     return evaluate
@@ -225,19 +217,19 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _strip_runtimes(obj):
+def _nonfinite_as_strings(obj):
+    """obj with every non-finite float replaced by its repr ("nan", "inf")."""
     if isinstance(obj, dict):
-        return {k: _strip_runtimes(v) for k, v in obj.items()
-                if k != "runtime_seconds"}
+        return {k: _nonfinite_as_strings(v) for k, v in obj.items()}
     if isinstance(obj, list):
-        return [_strip_runtimes(v) for v in obj]
+        return [_nonfinite_as_strings(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
 
 
 def write_json(path: Path, obj) -> None:
-    path.write_text(_canonical_json(_strip_runtimes(obj)))
+    path.write_text(_canonical_json(_nonfinite_as_strings(obj)))
 
 
 def sha256_file(path: Path) -> str:
@@ -253,7 +245,7 @@ def save_instance(u: GridFunction, base: Path, report=None) -> dict:
         "resolution": u.domain.resolution,
         "h": u.domain.h,
         "shape": u.domain.shape.spec(),
-        "report": _strip_runtimes(report.to_dict()) if report is not None else None,
+        "report": report.to_dict() if report is not None else None,
     }
     write_json(base.with_suffix(".meta.json"), meta)
     return meta

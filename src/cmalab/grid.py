@@ -10,7 +10,7 @@ accurate (and exact on quadratics).
 Complex derivatives follow d/dz_i = (d/dx_i - i d/dy_i)/2; real coordinate
 axes are ordered (x_1, y_1, ..., x_n, y_n).  One set of centered
 differences serves the whole box (the fields), a set of interior nodes
-(hessian_fields_at, the fields read there) and a single node
+(hessian_fields with nodes, the fields read there) and a single node
 (node_differences, the fields read at that node): both box and node are NaN
 where the stencil leaves the box or meets an unvalued node.  The complex
 Hessian at a node is a complex (n, n) array.
@@ -316,9 +316,6 @@ class GridDomain:
         idx = np.rint((point - self.box[:, 0]) / self.h).astype(int)
         idx = np.clip(idx, 0, self.resolution - 1)
         return tuple(int(i) for i in idx)
-
-    def interp(self, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        return interp_multilinear(self.axes, values, pts)
 
     def same_lattice(self, other: "GridDomain") -> bool:
         return (
@@ -637,7 +634,7 @@ class GridFunction:
         return cls(domain, vals)
 
     def interp(self, pts: np.ndarray) -> np.ndarray:
-        return self.domain.interp(self.values, pts)
+        return interp_multilinear(self.domain.axes, self.values, pts)
 
     # -- persistence --------------------------------------------------------
 
@@ -758,18 +755,16 @@ def first_diff_field(values: np.ndarray, a: int, h: float) -> np.ndarray:
     return _differences(partial(shift, values), values.ndim, h)[0](a)
 
 
-def hessian_fields(u: GridFunction) -> dict:
-    """Complex Hessian components as full-box arrays.
+def hessian_fields(u: GridFunction, nodes: np.ndarray | None = None) -> dict:
+    """Complex Hessian components as full-box arrays, or as arrays over the
+    flat indices `nodes`, computed there only: the same floats, for nodes
+    whose stencil stays in the box (interior nodes).
 
     n = 1: {"h11"}; n = 2: {"h11", "h22", "h12re", "h12im"}.
     """
-    return _hessian_parts(partial(second_diff_field, u.values, h=u.domain.h), u.domain.n)
-
-
-def hessian_fields_at(u: GridFunction, nodes: np.ndarray) -> dict:
-    """hessian_fields at the flat indices `nodes`, computed there only: the
-    same floats, for nodes whose stencil stays in the box (interior nodes)."""
     dom = u.domain
+    if nodes is None:
+        return _hessian_parts(partial(second_diff_field, u.values, h=dom.h), dom.n)
     values = u.values.ravel()
     strides = np.array([dom.resolution ** (dom.d - 1 - a) for a in range(dom.d)])
     D2 = _differences(lambda off: values[nodes + np.dot(off, strides)], dom.d, dom.h)[1]

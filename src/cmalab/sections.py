@@ -327,12 +327,12 @@ def normalize_transform(A: np.ndarray) -> np.ndarray:
     return np.asarray(U @ np.diag(lam_hat ** -0.5) @ U.conj().T, dtype=complex)
 
 
-def mu0_from_sigma(sigma: float, gamma_n: float) -> float:
+def mu0_from_sigma(sigma: float) -> float:
     """Level ratio from the shape tolerance: 3^(3/2) mu0^(1/2) equals
-    min(sigma, gamma_n)/20, capped below 0.009."""
-    if not 0.0 < sigma < 1.0 or not 0.0 < gamma_n < 1.0:
-        raise ValueError("sigma and gamma_n must lie in (0, 1)")
-    root = min(sigma, gamma_n) / (20.0 * 3.0 ** 1.5)
+    sigma/20, capped below 0.009."""
+    if not 0.0 < sigma < 1.0:
+        raise ValueError("sigma must lie in (0, 1)")
+    root = sigma / (20.0 * 3.0 ** 1.5)
     return min(root * root, 0.009 * (1.0 - 1e-12))
 
 
@@ -524,17 +524,16 @@ def allowed_top_height(dom: GridDomain, x0: tuple) -> float:
 
 def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
                             k_max: int, newton_tol: float = NEWTON_TOL,
-                            mu0: float = 0.1, mu_top: float | None = None,
-                            chain_resolution: int = 49, *,
+                            mu0: float = 0.1, chain_resolution: int = 49, *,
                             v0: GridFunction) -> SectionChain:
     """Build k_max levels of sections at x0 with shape tolerance sigma.
 
     Each level solves the unit-determinant Dirichlet problem on the current
     normalized section, Taylor-splits it at the center, updates the shift,
     normalizes the new ellipsoid, and re-grids.  mu0 is the practical level
-    ratio (the shape-tolerance formula value is recorded alongside); mu_top
-    the first-level height, defaulting to mu0 and validated against the
-    distance to the boundary.
+    ratio (the shape-tolerance formula value is recorded alongside).  The
+    first-level height is mu0, capped by the distance to the boundary
+    (allowed_top_height).
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -550,17 +549,11 @@ def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
         raise ValueError(f"base node {x0} is not interior")
 
     top_allowed = allowed_top_height(dom, x0)
-    if mu_top is None:
-        if top_allowed <= 0:
-            raise ChainBrokenError(
-                f"no safe first-level height at {x0}: too close to the boundary", 1)
-        mu_top = min(mu0, top_allowed)
-    if mu_top <= 0 or mu_top > top_allowed:
-        raise ValueError(
-            f"first-level height {mu_top} unsafe at {x0} (allowed {top_allowed:.4f})")
-
-    chain = SectionChain(dom, x0, sigma, mu0, mu_top,
-                         paper_mu0=mu0_from_sigma(sigma, sigma))
+    if top_allowed <= 0:
+        raise ChainBrokenError(
+            f"no safe first-level height at {x0}: too close to the boundary", 1)
+    mu_top = min(mu0, top_allowed)
+    chain = SectionChain(dom, x0, sigma, mu0, mu_top, paper_mu0=mu0_from_sigma(sigma))
 
     w = u
     w_dom = dom

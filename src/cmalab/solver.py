@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +37,7 @@ from .grid import (
     GridFunction,
     hessian_det_field,
     hessian_eigen_fields,
-    hessian_fields,  # noqa: F401  perfbench/layers.py wraps cmalab.solver.hessian_fields
-    hessian_fields_at,
+    hessian_fields,
     lattice_offsets,
     mixed_terms,
 )
@@ -60,11 +58,10 @@ class SolveReport:
     min_eigenvalue: float
     boundary_max_error: float
     converged: bool
-    runtime_seconds: float
-    quad_distance: float = float("nan")
+    quad_distance: float
 
     def to_dict(self) -> dict:
-        return {**self.__dict__, "runtime_seconds": round(self.runtime_seconds, 3)}
+        return self.__dict__.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -297,20 +294,13 @@ def _hessian_weights(dom: GridDomain, f: dict) -> dict:
 
 
 def _field_on_interior(dom: GridDomain, f) -> np.ndarray:
-    if isinstance(f, GridFunction):
-        vals = f.values.ravel()[np.flatnonzero(dom.interior_mask.ravel())]
-    elif callable(f):
-        pts = dom.coords(dom.interior_mask.ravel())
-        vals = np.asarray(f(pts), dtype=float)
-    else:
-        vals = np.full(int(dom.interior_mask.sum()), float(f))
-    return vals
+    if callable(f):
+        return np.asarray(f(dom.coords(dom.interior_mask.ravel())), dtype=float)
+    return np.full(int(dom.interior_mask.sum()), float(f))
 
 
 def _g_at_cuts(dom: GridDomain, g) -> np.ndarray:
     cuts = dom.bc_table["cuts"]
-    if isinstance(g, GridFunction):
-        return g.interp(cuts)
     if callable(g):
         return np.asarray(g(cuts), dtype=float)
     return np.full(cuts.shape[0], float(g))
@@ -367,8 +357,8 @@ def solve_dirichlet(domain: GridDomain, f, g, newton_tol: float = NEWTON_TOL
                     ) -> tuple[GridFunction, SolveReport]:
     """Solve det(u_{i jbar}) = f in the domain with Dirichlet data g.
 
-    f may be a GridFunction, callable, or scalar (positive on the interior);
-    g a callable/scalar/GridFunction sampled at the continuum cut points.
+    f is a callable of the points or a scalar (positive on the interior); g
+    a callable or scalar sampled at the continuum cut points.
     Newton starts from |z|^2 - r^2 plus the harmonic extension of the
     boundary gap and stops once max|log det - log f| <= newton_tol.
     Returns the solution and a residual certificate.  Raises
@@ -376,7 +366,6 @@ def solve_dirichlet(domain: GridDomain, f, g, newton_tol: float = NEWTON_TOL
     """
     if newton_tol <= 0:
         raise ValueError("newton_tol must be positive")
-    t0 = time.perf_counter()
     asm = _get_assembly(domain)
     int_flat = asm["int_flat"]
     if asm["n_int"] == 0:
@@ -405,7 +394,7 @@ def solve_dirichlet(domain: GridDomain, f, g, newton_tol: float = NEWTON_TOL
     shape_nd = (domain.resolution,) * domain.d
 
     def interior_state(u_arr):
-        fields = hessian_fields_at(GridFunction(domain, u_arr.reshape(shape_nd)), int_flat)
+        fields = hessian_fields(GridFunction(domain, u_arr.reshape(shape_nd)), int_flat)
         lam_min, _ = hessian_eigen_fields(fields)
         return fields, lam_min, hessian_det_field(fields)
 
@@ -457,7 +446,6 @@ def solve_dirichlet(domain: GridDomain, f, g, newton_tol: float = NEWTON_TOL
         min_eigenvalue=float(np.nanmin(lam_min)),
         boundary_max_error=bmax,
         converged=True,
-        runtime_seconds=time.perf_counter() - t0,
         quad_distance=quad_dist,
     )
     return u, report

@@ -38,8 +38,7 @@ def lp_norm(values, p: float, region: np.ndarray, h: float, d: int) -> float:
     """Node-sum quadrature: (sum |f|^p h^d)^(1/p)."""
     if p < 1:
         raise ValueError("p must be at least 1")
-    vals = values.values if isinstance(values, GridFunction) else np.asarray(values)
-    picked = vals[region]
+    picked = np.asarray(values)[region]
     if np.any(~np.isfinite(picked)):
         raise ValueError("field must be finite on the region")
     return float(np.sum(np.abs(picked) ** p) * h ** d) ** (1.0 / p)
@@ -78,18 +77,16 @@ class DyadicBound:
         return self.__dict__.copy()
 
 
-def dyadic_bound(report: BadSetReport, p: float, eps_bar: float,
-                 kind: str = "trace") -> DyadicBound:
+def dyadic_bound(report: BadSetReport, p: float, kind: str = "trace") -> DyadicBound:
     """Truncated dyadic series with geometric tail closure.
 
     kind "trace": band height 2n 10^{(n-1)(k+1)}; kind "inverse-trace":
     band height n 10^{k+1}.  The tail uses the recipe ratio when every
     report row meets its geometric bound; a vacuous final row (A_k empty,
-    hence all deeper A empty) closes the tail at zero.
+    hence all deeper A empty) closes the tail at zero.  The density
+    threshold is the report's eps_bar.
     """
-    if abs(eps_bar - report.eps_bar) > 1e-12:
-        raise ValueError("eps_bar disagrees with the report")
-    n = report.n
+    n, eps_bar = report.n, report.eps_bar
     if kind == "trace":
         def band(k):
             return 2.0 * n * 10.0 ** ((n - 1) * (k + 1))
@@ -195,8 +192,8 @@ def norm_report(u: GridFunction, report: BadSetReport, p: float) -> NormReport:
     direct_tr = lp_norm(np.nan_to_num(tr), p, ok, dom.h, dom.d) ** p
     direct_itr = lp_norm(np.nan_to_num(itr), p, ok, dom.h, dom.d) ** p
 
-    dy_tr = dyadic_bound(report, p, report.eps_bar, kind="trace")
-    dy_itr = dyadic_bound(report, p, report.eps_bar, kind="inverse-trace")
+    dy_tr = dyadic_bound(report, p, kind="trace")
+    dy_itr = dyadic_bound(report, p, kind="inverse-trace")
     full, ratio = full_w2p(u, p, region)
     dominated = bool(
         dy_tr.tail_valid and direct_tr <= dy_tr.total + 1e-9

@@ -323,7 +323,7 @@ def test_acceptance_hessian_bounds(perturbed_n1, ball_n1):
         for k in (1, 2):
             good = badset.classify_Dk(ns, k, dom)
             nodes = [ns[i].idx for i in np.flatnonzero(good)]
-            out = badset.hessian_bounds_on_Dk(u, nodes, k, slack=0.1)
+            out = badset.hessian_bounds_on_Dk(u, nodes, k)
             rows.append((dom.shape.kind, k, out["violations"], len(nodes)))
     ok = all(v == 0 for _, _, v, _ in rows)
     _report("hessian bounds on D_k", ok,

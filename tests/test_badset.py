@@ -583,8 +583,6 @@ def test_hessian_bounds_diagonal_case_smallest_k():
     nodes = [tuple(i) for i in np.argwhere(dom.interior_mask)[:: 400]]
     out1 = badset.hessian_bounds_on_Dk(u, nodes, 1)
     assert out1["passed"]  # 10^-1 <= 1/5 and 5 <= 2*10
-    out0 = badset.hessian_bounds_on_Dk(u, nodes, 1, slack=0.0)
-    assert out0["passed"]
 
 
 def test_hessian_bounds_inconsistency_detected():

@@ -318,7 +318,7 @@ def test_pointwise_hessian_equals_field_hessian(n, res, spec):
     vals[dom.valued_mask] = rng.standard_normal(int(dom.valued_mask.sum()))
     u = grid.GridFunction(dom, vals)
     f = grid.hessian_fields(u)
-    at = grid.hessian_fields_at(u, np.flatnonzero(dom.interior_mask.ravel()))
+    at = grid.hessian_fields(u, np.flatnonzero(dom.interior_mask.ravel()))
     assert at.keys() == f.keys()
     assert all(np.array_equal(at[k], f[k][dom.interior_mask]) for k in f)
     D1 = [grid.first_diff_field(vals, a, dom.h) for a in range(dom.d)]

@@ -10,11 +10,14 @@ its own unit test calls computes something nothing reads.
 
 Defaults are read the same way: each parameter with a default of a public
 top-level function must be passed, by keyword or by position, by some call
-in those files.  One that no reader sets is a constant, not an option.
+in those files, as an expression other than the default's own.  One that no
+reader sets is a constant, not an option; passing the default is not
+setting it.
 """
 
 import ast
 import re
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,8 +84,9 @@ KNOBS_ALLOWED = {
 
 
 def _defaulted_parameters():
-    """(qualified name, function name, parameter, position or None) of every
-    parameter with a default of every public top-level function."""
+    """(qualified name, function name, parameter, position or None, default
+    source) of every parameter with a default of every public top-level
+    function."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
@@ -90,29 +94,33 @@ def _defaulted_parameters():
             args = node.args
             positional = args.posonlyargs + args.args
             first = len(positional) - len(args.defaults)
-            for pos, arg in enumerate(positional[first:], first):
-                yield f"{path.stem}.{node.name}.{arg.arg}", node.name, arg.arg, pos
+            for pos, (arg, default) in enumerate(zip(positional[first:], args.defaults), first):
+                yield (f"{path.stem}.{node.name}.{arg.arg}", node.name, arg.arg, pos,
+                       ast.unparse(default))
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
-                    yield f"{path.stem}.{node.name}.{arg.arg}", node.name, arg.arg, None
+                    yield (f"{path.stem}.{node.name}.{arg.arg}", node.name, arg.arg, None,
+                           ast.unparse(default))
 
 
 def test_every_default_is_set_by_a_reader():
     # A parameter that every reader leaves at its default is a constant with
     # the cost of an option.  Calls are matched by function name; a
-    # parameter counts as set when some call passes it by keyword or by
-    # position.
-    passed = set()
+    # parameter counts as set when some call passes it, by keyword or by
+    # position, an expression other than its default's.
+    passed = defaultdict(set)
     for path in READERS:
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             name = getattr(func, "id", None) or getattr(func, "attr", None)
-            passed.update((name, kw.arg) for kw in node.keywords)
-            passed.update((name, pos) for pos in range(len(node.args)))
-    unset = [qual for qual, name, param, pos in _defaulted_parameters()
-             if (name, param) not in passed and (name, pos) not in passed]
+            for kw in node.keywords:
+                passed[name, kw.arg].add(ast.unparse(kw.value))
+            for pos, arg in enumerate(node.args):
+                passed[name, pos].add(ast.unparse(arg))
+    unset = [qual for qual, name, param, pos, default in _defaulted_parameters()
+             if not (passed[name, param] | passed[name, pos]) - {default}]
     assert sorted(unset) == sorted(KNOBS_ALLOWED), (
         f"defaults no reader sets: {sorted(set(unset) - set(KNOBS_ALLOWED))}; "
         f"allowed but now set: {sorted(set(KNOBS_ALLOWED) - set(unset))}")

@@ -129,9 +129,9 @@ def test_normalize_rejects_nonpd():
 
 
 def test_mu0_paper_arithmetic():
-    assert sections.mu0_from_sigma(0.2, 0.2) == pytest.approx(3.704e-6, rel=1e-3)
+    assert sections.mu0_from_sigma(0.2) == pytest.approx(3.704e-6, rel=1e-3)
     # formal sigma = 1 - eps: cap not binding
-    val = sections.mu0_from_sigma(0.999999, 0.999999)
+    val = sections.mu0_from_sigma(0.999999)
     assert val == pytest.approx((0.05 / (3 ** 1.5)) ** 2, rel=1e-4)
     assert val < 0.009
 
@@ -140,7 +140,7 @@ def test_mu0_paper_arithmetic():
 @settings(max_examples=30, deadline=None)
 def test_mu0_monotone_in_sigma(s, t):
     lo, hi = sorted((s, t))
-    assert sections.mu0_from_sigma(lo, 0.5) <= sections.mu0_from_sigma(hi, 0.5)
+    assert sections.mu0_from_sigma(lo) <= sections.mu0_from_sigma(hi)
 
 
 # -- build_section / fit_ellipsoid ------------------------------------------------
@@ -438,14 +438,10 @@ def test_chain_margin_precondition(ball_n1):
     if not dom.interior_mask[near]:
         near = tuple(np.argwhere(dom.interior_mask)[
             np.argmax(np.linalg.norm(dom.coords(dom.interior_mask.ravel()), axis=1))])
-    # No room for a first level is a chain failure at level 1; an explicit
-    # first-level height that is too large is bad caller input.
+    # No room for a first level is a chain failure at level 1.
     with pytest.raises(ChainBrokenError) as err:
         sections.construct_section_chain(u, near, sigma=0.2, k_max=1, v0=u)
     assert err.value.level == 1
-    with pytest.raises(ValueError):
-        sections.construct_section_chain(u, dom.node_index((0.0, 0.0)), sigma=0.2,
-                                         k_max=1, v0=u, mu_top=0.3)
 
 
 def test_chain_solves_to_the_given_newton_tol(ball_n1):

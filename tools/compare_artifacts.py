@@ -12,8 +12,7 @@ absolute difference of the floats (JSON numbers that are floats, CSV cells
 that parse as numbers, and the grid values read back with
 ``cli.load_instance``, with whether their NaN masks agree), followed by every
 other difference (strings, integers, booleans, keys, lengths) on its own
-line.  ``runtime_seconds`` and ``timings.json``, the stage wall times,
-are ignored.
+line.  ``timings.json``, the stage wall times, is ignored.
 
 The package is imported from the ``src`` directory next to this script.
 """
@@ -31,7 +30,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cmalab.cli import load_instance  # noqa: E402
 
-IGNORED_KEYS = {"runtime_seconds"}
 IGNORED_FILES = {"timings.json"}
 
 
@@ -41,8 +39,6 @@ def _walk(a, b, path: str, out: dict) -> None:
         out["max"] = max(out["max"], abs(a - b))
     elif isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
-            if key in IGNORED_KEYS:
-                continue
             if key not in a or key not in b:
                 out["other"].append(f"{path}.{key}: only in {'B' if key not in a else 'A'}")
             else:
