@@ -74,7 +74,7 @@ def _stride_lattice(dom: GridDomain, stride: int) -> tuple[np.ndarray, np.ndarra
 
 
 def sample_badset_chains(u: GridFunction, v0: GridFunction,
-                         stride: int = 2, levels: int = 2,
+                         stride: int, levels: int = 2,
                          sigma: float = 0.2, mu0: float = 0.1,
                          chain_resolution: int = 33,
                          newton_tol: float = NEWTON_TOL) -> list[NodeSections]:
@@ -169,7 +169,7 @@ def radius_schedule(k_max: int) -> list[float]:
 
 def badset_decay_experiment(u: GridFunction, node_sections: list[NodeSections],
                             eps_bar: float, k_max: int,
-                            stride: int = 2, params: dict | None = None
+                            stride: int, params: dict | None = None
                             ) -> BadSetReport:
     """Measure decay of the bad sets against m(B_0.7) (12^{2n} eps_bar)^{k-1}.
 

@@ -236,8 +236,9 @@ def sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def save_instance(u: GridFunction, base: Path, report=None) -> dict:
-    """Write the binary cache and a meta sidecar; returns meta."""
+def save_instance(u: GridFunction, base: Path, report) -> dict:
+    """Write the binary cache and a meta sidecar holding the solve report;
+    returns meta."""
     base = Path(base)
     u.write_cache(base.with_suffix(".bin"))
     meta = {
@@ -245,7 +246,7 @@ def save_instance(u: GridFunction, base: Path, report=None) -> dict:
         "resolution": u.domain.resolution,
         "h": u.domain.h,
         "shape": u.domain.shape.spec(),
-        "report": report.to_dict() if report is not None else None,
+        "report": report.to_dict(),
     }
     write_json(base.with_suffix(".meta.json"), meta)
     return meta
@@ -256,7 +257,7 @@ def load_instance(base: Path) -> GridFunction:
     meta = json.loads(base.with_suffix(".meta.json").read_text())
     n, resolution, h, values = read_cache(base.with_suffix(".bin"))
     dom = build_domain(meta["n"], meta["shape"], meta["resolution"])
-    if dom.resolution != resolution or abs(dom.h - h) > 1e-12:
+    if dom.n != n or dom.resolution != resolution or abs(dom.h - h) > 1e-12:
         raise CmalabError("cache and meta sidecar disagree")
     out = np.full_like(values, np.nan)
     out[dom.valued_mask] = values[dom.valued_mask]

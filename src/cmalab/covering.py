@@ -108,11 +108,11 @@ def vitali_select(family: SectionFamily, target: np.ndarray) -> VitaliSelection:
 
 
 def maximal_function(f_values: np.ndarray, family: SectionFamily,
-                     region: np.ndarray | None = None) -> np.ndarray:
+                     region: np.ndarray) -> np.ndarray:
     """M f at lattice nodes: the largest member-average among members
     containing the node; NaN outside all members.
 
-    Raises CoverageError if a requested region node is uncovered.
+    Raises CoverageError if a region node is uncovered.
     """
     out = np.full(f_values.shape, -np.inf)
     covered = np.zeros(f_values.shape, dtype=bool)
@@ -120,7 +120,7 @@ def maximal_function(f_values: np.ndarray, family: SectionFamily,
         avg = float(np.mean(f_values[m.mask]))
         np.maximum(out, np.where(m.mask, avg, -np.inf), out=out)
         covered |= m.mask
-    if region is not None and not np.all(covered[region]):
+    if not np.all(covered[region]):
         raise CoverageError("maximal function requested outside the family union")
     out[~covered] = np.nan
     return out

@@ -20,7 +20,8 @@ class BoundaryConstraintError(CmalabError):
 
 
 class DegenerateHessianError(CmalabError):
-    """Complex Hessian is not positive definite where positivity is required."""
+    """Complex Hessian is not positive definite where positivity is required,
+    or its determinant is too far from 1 to normalize."""
 
     def __init__(self, message: str, min_eigenvalue: float):
         super().__init__(message)
@@ -51,11 +52,21 @@ class DegeneracyError(CmalabError):
 
 
 class SectionEscapeError(CmalabError):
-    """A sublevel set reached the domain boundary instead of closing up."""
+    """A sublevel set reached the domain boundary instead of closing up, or
+    a rescaled section maps outside the domain it was cut from."""
+
+
+class SectionFitError(CmalabError):
+    """A section's inner or outer ellipsoid fit factor leaves the window
+    1 +- 0.5 sigma (plus grid slack) that the chain's shape tolerance
+    allows."""
 
 
 class ChainBrokenError(CmalabError):
-    """Section chain construction failed at a specific level."""
+    """Section chain construction failed at a specific level, 1 to k_max.
+    Every package failure inside a level, from the level solve to the
+    re-grid, becomes one of these at that level, with the typed failure as
+    its __cause__."""
 
     def __init__(self, message: str, level: int):
         super().__init__(message)

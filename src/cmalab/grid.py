@@ -110,7 +110,7 @@ class BallShape:
 
     kind = "ball"
 
-    def __init__(self, radius: float = 1.0):
+    def __init__(self, radius: float):
         if radius <= 0:
             raise ValueError("radius must be positive")
         self.radius = float(radius)
@@ -125,33 +125,19 @@ class BallShape:
         return {"kind": self.kind, "radius": self.radius}
 
 
-_PROFILES = {}
-
-
-def _register_profile(name):
-    def deco(fn):
-        _PROFILES[name] = fn
-        return fn
-    return deco
-
-
-@_register_profile("none")
-def _profile_none(pts, r):
-    return np.zeros(pts.shape[0])
-
-
-@_register_profile("cos3")
 def _profile_cos3(pts, r):
     # cos(3*theta) in the first complex plane; |.| <= 1 by construction.
     theta = np.arctan2(pts[:, 1], pts[:, 0])
     return np.cos(3.0 * theta)
 
 
-@_register_profile("harmonic")
 def _profile_harmonic(pts, r):
     # (x_1^2 - y_1^2)/|x|^2, a smooth direction function bounded by 1.
     r2 = np.maximum(r * r, 1e-300)
     return (pts[:, 0] ** 2 - pts[:, 1] ** 2) / r2
+
+
+_PROFILES = {"cos3": _profile_cos3, "harmonic": _profile_harmonic}
 
 
 class PerturbedBallShape:
@@ -159,7 +145,7 @@ class PerturbedBallShape:
 
     kind = "perturbed_ball"
 
-    def __init__(self, gamma: float, profile: str = "cos3"):
+    def __init__(self, gamma: float, profile: str):
         if not 0.0 <= gamma < 0.5:
             raise ValueError("gamma must lie in [0, 0.5)")
         if profile not in _PROFILES:
@@ -182,25 +168,19 @@ class PerturbedBallShape:
 
 
 def shape_from_spec(spec) -> "BallShape | PerturbedBallShape":
-    """Build a shape from a dict (a shape's spec()) or a compact string.
-
-    Strings: "ball" / "ball:0.8" / "perturbed:0.05" / "perturbed:0.05:cos3".
-    """
+    """Build a shape from a dict (a shape's spec()) or a compact string,
+    "ball:0.8" or "perturbed:0.05:cos3"."""
     if isinstance(spec, dict):
-        kind = spec["kind"]
-        if kind == "ball":
-            return BallShape(spec.get("radius", 1.0))
-        if kind == "perturbed_ball":
-            return PerturbedBallShape(spec["gamma"], spec.get("profile", "cos3"))
-        raise ValueError(f"unknown shape kind {kind!r}")
-    if isinstance(spec, str):
+        if spec["kind"] == "ball":
+            return BallShape(spec["radius"])
+        if spec["kind"] == "perturbed_ball":
+            return PerturbedBallShape(spec["gamma"], spec["profile"])
+    elif isinstance(spec, str):
         parts = spec.split(":")
-        if parts[0] == "ball":
-            return BallShape(float(parts[1]) if len(parts) > 1 else 1.0)
-        if parts[0] == "perturbed":
-            gamma = float(parts[1]) if len(parts) > 1 else 0.0
-            profile = parts[2] if len(parts) > 2 else "cos3"
-            return PerturbedBallShape(gamma, profile)
+        if parts[0] == "ball" and len(parts) == 2:
+            return BallShape(float(parts[1]))
+        if parts[0] == "perturbed" and len(parts) == 3:
+            return PerturbedBallShape(float(parts[1]), parts[2])
     raise ValueError(f"cannot interpret shape spec {spec!r}")
 
 

@@ -22,6 +22,7 @@ from .errors import (
     CmalabError,
     DegenerateHessianError,
     SectionEscapeError,
+    SectionFitError,
     StencilViolationError,
 )
 from .grid import (
@@ -322,7 +323,8 @@ def normalize_transform(A: np.ndarray) -> np.ndarray:
             "cannot normalize a non-positive-definite form", float(lam.min()))
     det = float(np.prod(lam))
     if abs(det - 1.0) > 0.2:
-        raise ValueError(f"determinant {det:.4f} too far from 1 to normalize")
+        raise DegenerateHessianError(
+            f"determinant {det:.4f} too far from 1 to normalize", float(lam.min()))
     lam_hat = lam / det ** (1.0 / lam.size)
     return np.asarray(U @ np.diag(lam_hat ** -0.5) @ U.conj().T, dtype=complex)
 
@@ -466,17 +468,16 @@ def _complex_center(dom: GridDomain, idx: tuple) -> np.ndarray:
 
 def rescale_to_unit(u: GridFunction, x0: tuple, mu: float,
                     h: PluriharmonicPoly, T: np.ndarray,
-                    resolution: int = 49, box_halfwidth: float = 1.3
-                    ) -> GridFunction:
+                    resolution: int, box_halfwidth: float) -> GridFunction:
     """Zoom the section (x0, mu, h) to unit scale.
 
         w(zeta) = (u - h - u(x0) - mu)(x0 + T(sqrt(mu) zeta)) / (mu |det T|^{2/n})
 
     The image lattice is a fresh grid whose domain is the sublevel set
     {w <= 0}, built from the values of w on it (grid.lattice_domain);
-    values come from multilinear interpolation of u.  Where w is unavailable
-    it raises ChainBrokenError at level -1, which construct_section_chain
-    re-raises at its own level.
+    values come from multilinear interpolation of u.  Raises
+    SectionEscapeError when the image center, or a node of the image
+    domain, maps where w is unavailable: outside the source domain.
     """
     dom = u.domain
     x0 = tuple(x0)
@@ -496,13 +497,13 @@ def rescale_to_unit(u: GridFunction, x0: tuple, mu: float,
 
     center = (resolution // 2,) * d
     if math.isnan(w_nd[center]):
-        raise ChainBrokenError("rescaled center maps outside the source domain", -1)
+        raise SectionEscapeError("rescaled center maps outside the source domain")
 
     new_dom = lattice_domain(n, box_halfwidth, np.where(np.isnan(w_nd), 1.0, w_nd))
     out = np.full(w_nd.shape, np.nan)
     valued = new_dom.valued_mask
     if np.any(np.isnan(w_nd[valued])):
-        raise ChainBrokenError("rescaled section image escapes the source domain", -1)
+        raise SectionEscapeError("rescaled section image escapes the source domain")
     out[valued] = w_nd[valued]
     return GridFunction(new_dom, out)
 
@@ -524,7 +525,7 @@ def allowed_top_height(dom: GridDomain, x0: tuple) -> float:
 
 def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
                             k_max: int, newton_tol: float = NEWTON_TOL,
-                            mu0: float = 0.1, chain_resolution: int = 49, *,
+                            mu0: float = 0.1, *, chain_resolution: int,
                             v0: GridFunction) -> SectionChain:
     """Build k_max levels of sections at x0 with shape tolerance sigma.
 
@@ -534,6 +535,9 @@ def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
     ratio (the shape-tolerance formula value is recorded alongside).  The
     first-level height is mu0, capped by the distance to the boundary
     (allowed_top_height).
+
+    Any package failure inside level k, from the solve through the re-grid,
+    raises ChainBrokenError at level k with the typed failure as its cause.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -566,48 +570,32 @@ def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
     for k in range(1, k_max + 1):
         height_k = chain.height_of_level(k)
         level_mu = mu_top if k == 1 else mu0
-
-        if k > 1:
-            try:
-                v_level, v_rep = solve_dirichlet(w_dom, 1.0, 0.0, newton_tol)
-            except CmalabError as exc:
-                raise ChainBrokenError(f"level {k} Dirichlet solve failed: {exc}", k) from exc
-            solve_iters, solve_res = v_rep.iterations, v_rep.residual
-        else:
-            solve_iters, solve_res = 0, float("nan")
-
+        solve_iters, solve_res = 0, float("nan")
         try:
+            if k > 1:
+                v_level, v_rep = solve_dirichlet(w_dom, 1.0, 0.0, newton_tol)
+                solve_iters, solve_res = v_rep.iterations, v_rep.residual
             h_inc, A = taylor_split(v_level, center)
             A_hat = unit_determinant(A)
             T_tilde = normalize_transform(A_hat)
-        except (CmalabError, ValueError) as exc:
-            raise ChainBrokenError(f"level {k} normalization failed: {exc}", k) from exc
-
-        sec = build_section(w, center, level_mu, h_inc)
-        c_in, c_out = fit_ellipsoid(w_dom, sec, A_hat)
-        grid_slack = 2.0 * w_dom.h / math.sqrt(level_mu)
-        if c_out > 1.0 + 0.5 * sigma + grid_slack or c_in < 1.0 - 0.5 * sigma - grid_slack:
-            raise ChainBrokenError(
-                f"level {k} fit ({c_in:.3f}, {c_out:.3f}) leaves the "
-                f"0.5-sigma window", k)
+            sec = build_section(w, center, level_mu, h_inc)
+            c_in, c_out = fit_ellipsoid(w_dom, sec, A_hat)
+            grid_slack = 2.0 * w_dom.h / math.sqrt(level_mu)
+            if (c_out > 1.0 + 0.5 * sigma + grid_slack
+                    or c_in < 1.0 - 0.5 * sigma - grid_slack):
+                raise SectionFitError(
+                    f"fit ({c_in:.3f}, {c_out:.3f}) leaves the 0.5-sigma window")
+            w = rescale_to_unit(w, center, level_mu, h_inc, T_tilde,
+                                chain_resolution, 1.0 + max(0.3, 0.5 * sigma))
+        except CmalabError as exc:
+            raise ChainBrokenError(f"level {k} {exc}", k) from exc
 
         # Composite shift in original coordinates, then composite transform.
-        prev_height = mu_top * mu0 ** (k - 2) if k >= 2 else 1.0
-        if k == 1:
-            inc_global = PluriharmonicPoly(
-                x0_complex, h_inc.linear, h_inc.quad)
-        else:
-            M = np.linalg.inv(T_comp) / math.sqrt(prev_height)
-            inc_global = h_inc.shifted_compose(prev_height, M, x0_complex)
-        H_comp = H_comp.add(inc_global)
+        prev_height = chain.height_of_level(k - 1) if k >= 2 else 1.0
+        M = np.linalg.inv(T_comp) / math.sqrt(prev_height)
+        H_comp = H_comp.add(h_inc.shifted_compose(prev_height, M, x0_complex))
         T_comp = T_comp @ T_tilde
 
-        try:
-            w = rescale_to_unit(w, center, level_mu, h_inc, T_tilde,
-                                resolution=chain_resolution,
-                                box_halfwidth=1.0 + max(0.3, 0.5 * sigma))
-        except ChainBrokenError as exc:
-            raise ChainBrokenError(f"level {k} re-grid failed: {exc}", k) from exc
         w_dom = w.domain
         center = (chain_resolution // 2,) * dom.d
         comp = _connected_component(w_dom.interior_mask, center)

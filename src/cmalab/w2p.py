@@ -77,7 +77,7 @@ class DyadicBound:
         return self.__dict__.copy()
 
 
-def dyadic_bound(report: BadSetReport, p: float, kind: str = "trace") -> DyadicBound:
+def dyadic_bound(report: BadSetReport, p: float, kind: str) -> DyadicBound:
     """Truncated dyadic series with geometric tail closure.
 
     kind "trace": band height 2n 10^{(n-1)(k+1)}; kind "inverse-trace":

@@ -1,6 +1,7 @@
 """Good/bad sets, envelopes, contact sets, MA measure, paraboloids, decay."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy import ndimage
 from scipy.spatial import ConvexHull
 
 from cmalab import badset, cli, grid, sections, solver, w2p
-from cmalab.errors import ChainBrokenError, SectionEscapeError
+from cmalab.errors import ChainBrokenError, DegeneracyError, SectionEscapeError
 from cmalab.grid import GridFunction
 import oracle
 
@@ -132,12 +133,15 @@ def _default_instance(**kw):
 
 def test_sampling_records_every_chain_failure():
     # With f = exp(2 x_1) the level-one sections at (16, 24..40) reach the
-    # boundary; the sampling records those nodes as empty (bad) and goes on.
+    # boundary, which breaks the chain at level 1; the sampling records
+    # those nodes as empty (bad) and goes on.
     cfg, dom, u, v0 = _default_instance(f_expr="exp(2*x1)")
-    with pytest.raises(SectionEscapeError):
+    with pytest.raises(ChainBrokenError) as err:
         sections.construct_section_chain(
             u, (16, 24), sigma=cfg.sigma, k_max=2, mu0=cfg.mu0,
             chain_resolution=cfg.chain_resolution, v0=v0)
+    assert err.value.level == 1
+    assert isinstance(err.value.__cause__, SectionEscapeError)
     ns = badset.sample_badset_chains(u, v0, stride=4, levels=2, sigma=cfg.sigma,
                                      mu0=cfg.mu0, chain_resolution=cfg.chain_resolution)
     records = {n.idx: n.radii for n in ns}
@@ -174,20 +178,76 @@ def test_known_level2_failures_outside_counted_ball():
 
 def test_n2_census_of_counted_nodes(perturbed_n2):
     # n=2 res 17 at stride 4 and the n=2 chain resolution: 9 lattice nodes
-    # lie inside B_{r_1}, and only the origin's chain builds.  Every other
-    # chain breaks at the level it reached, four of them in the level-2
-    # re-grid, whose own error does not know its level.
+    # lie inside B_{r_1}, and only the origin's chain builds.  The other 8
+    # break at level 2, each with its typed cause: 4 in the re-grid, whose
+    # image leaves the source domain, and 4 in the level solve (2 on a
+    # domain with no interior node, 2 from an initial guess that is not
+    # strictly plurisubharmonic).
     dom, u, v0 = perturbed_n2
     ns = badset.sample_badset_chains(u, v0, stride=4, levels=2, chain_resolution=13)
     assert len(ns) == 9
     assert [n.idx for n in ns if n.radii] == [(8, 8, 8, 8)]
-    levels = []
+    breaks = []
     for node in (n for n in ns if not n.radii):
         with pytest.raises(ChainBrokenError) as err:
             sections.construct_section_chain(u, node.idx, sigma=0.2, k_max=2,
                                              chain_resolution=13, v0=v0)
-        levels.append(err.value.level)
-    assert len(levels) == 8 and all(1 <= k <= 2 for k in levels)
+        breaks.append((err.value.level, type(err.value.__cause__)))
+    assert Counter(breaks) == {(2, SectionEscapeError): 4, (2, DegeneracyError): 4}
+
+
+def test_positive_control_anisotropic_quadratic():
+    # The sections of u = lam |z_1|^2 + |z_2|^2/lam - 1 are ellipsoids with
+    # rad/sqrt(mu) = sqrt(lam) (the lattice holds a node on the long axis's
+    # circle at mu = 0.025, h = 1/16).  At lam = 20 that exceeds the k = 1
+    # threshold sqrt(10) + h sqrt(d)/sqrt(mu) = 3.95, so every built node
+    # is bad at k = 1 and good at k = 2; at lam = 1 every node is good.
+    dom = grid.build_domain(2, "ball:1.0", 33)
+    lattice = np.argwhere(dom.interior_mask)
+    lattice = lattice[np.all(lattice % 4 == 0, axis=1)]
+    nodes = [tuple(int(i) for i in idx) for idx in lattice
+             if np.linalg.norm(dom.coords(tuple(idx))) <= 0.4]
+    assert len(nodes) == 33
+    mu = 0.025
+
+    def sample(lam):
+        u = GridFunction.from_callable(
+            dom, lambda p: lam * (p[:, 0] ** 2 + p[:, 1] ** 2)
+            + (p[:, 2] ** 2 + p[:, 3] ** 2) / lam - 1.0)
+        out, breaks = [], []
+        for node in nodes:
+            try:
+                chain = sections.construct_section_chain(
+                    u, node, sigma=0.2, k_max=1, mu0=mu, chain_resolution=13, v0=u)
+                out.append(badset.section_ball_radii(u, chain))
+            except ChainBrokenError as err:
+                breaks.append((err.level, type(err.__cause__)))
+                out.append(badset.NodeSections(node, []))
+        return u, out, breaks
+
+    u, out, breaks = sample(20.0)
+    built = [bool(ns.radii) for ns in out]
+    assert sum(built) == 29
+    assert breaks == [(1, SectionEscapeError)] * 4
+    for ns in (ns for ns in out if ns.radii):
+        (height, rad), = ns.radii
+        assert height == mu
+        assert rad / math.sqrt(mu) == pytest.approx(math.sqrt(20.0), abs=1e-12)
+    assert not badset.classify_Dk(out, 1, dom).any()
+    assert list(badset.classify_Dk(out, 2, dom)) == built
+    # Row 1 counts every node and passes: it cannot fail.  Row 2 counts
+    # only the 4 broken chains, and those alone fail it.
+    rep = badset.badset_decay_experiment(u, out, w2p.eps_bar_recipe(2, 2), k_max=2, stride=4)
+    row1, row2 = rep.rows
+    assert row1.measure == pytest.approx(33 * rep.cell_measure) and row1.passed
+    assert row2.measure == pytest.approx(4 * rep.cell_measure) and not row2.passed
+    assert row2.bound / rep.cell_measure == pytest.approx(1.485)
+
+    _, out, breaks = sample(1.0)
+    assert breaks == []
+    assert all(rad / math.sqrt(mu) == pytest.approx(0.968, abs=1e-3)
+               for ns in out for _, rad in ns.radii)
+    assert badset.classify_Dk(out, 1, dom).all()
 
 
 def test_eps_bar_recipe_paper_arithmetic():

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmalab import badset, cli, grid, sections
-from cmalab.errors import DomainMismatchError, NonConvergenceError
+from cmalab import badset, cli, grid, sections, solver
+from cmalab.errors import CmalabError, DomainMismatchError, NonConvergenceError
 
 
 # -- expression language -----------------------------------------------------------
@@ -140,6 +140,19 @@ def test_solve_subcommand_roundtrip(tmp_path):
     pts = u.domain.coords(u.domain.interior_mask.ravel())
     exact = np.sum(pts ** 2, axis=1) - 1.0
     assert np.max(np.abs(u.values[u.domain.interior_mask] - exact)) < 1e-8
+
+
+def test_load_instance_refuses_a_sidecar_of_another_dimension(tmp_path):
+    # An n=1 cache under a sidecar that says n=2 is refused, not misread.
+    u, rep = solver.solve_dirichlet(grid.build_domain(1, "ball:1.0", 9), 1.0, 0.0)
+    base = tmp_path / "inst"
+    cli.save_instance(u, base, rep)
+    meta_path = base.with_suffix(".meta.json")
+    meta = json.loads(meta_path.read_text())
+    meta["n"] = 2
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(CmalabError, match="cache and meta sidecar disagree"):
+        cli.load_instance(base)
 
 
 def test_solve_subcommand_with_expression(tmp_path):

@@ -138,7 +138,7 @@ def test_maximal_function_constant(disc):
                (((0.0, 0.0), 0.4), ((0.3, 0.1), 0.2), ((-0.2, -0.3), 0.25))]
     fam = covering.SectionFamily(members)
     f = np.ones_like(disc.interior_mask, dtype=float)
-    M = covering.maximal_function(f, fam)
+    M = covering.maximal_function(f, fam, fam.union_mask())
     union = fam.union_mask()
     assert np.allclose(M[union], 1.0)
     assert np.all(np.isnan(M[~union]))
@@ -149,7 +149,7 @@ def test_maximal_function_indicator_overlap(disc):
     b1 = ball_member(disc, (0.25, 0.0), 0.3)
     fam = covering.SectionFamily([b0, b1])
     f = b0.mask.astype(float)
-    M = covering.maximal_function(f, fam)
+    M = covering.maximal_function(f, fam, fam.union_mask())
     # On the core ball the best containing member is the ball itself.
     assert M[b0.center_idx] == pytest.approx(1.0)
     overlap = float(np.sum(b1.mask & b0.mask)) / b1.node_count()

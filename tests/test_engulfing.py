@@ -108,7 +108,7 @@ def test_engulfing_symmetry_on_comparable_pairs(perturbed_n1):
         if not dom.interior_mask[idx]:
             continue
         chains.append(sections.construct_section_chain(
-            u, idx, sigma=0.2, k_max=1, v0=v0))
+            u, idx, sigma=0.2, k_max=1, v0=v0, chain_resolution=49))
     done = 0
     for i in range(len(chains)):
         for j in range(i + 1, len(chains)):
@@ -130,7 +130,8 @@ def test_sandwich_dilation_between_heights(ball_n1):
     # 10 S_mu within S_{121 mu} within 12 S_mu where both heights exist.
     dom, u, _ = ball_n1
     chain = sections.construct_section_chain(
-        u, dom.node_index((0.0, 0.0)), sigma=0.2, k_max=2, v0=u, mu0=0.24)
+        u, dom.node_index((0.0, 0.0)), sigma=0.2, k_max=2, v0=u, mu0=0.24,
+        chain_resolution=49)
     mu = chain.mu_top / 121.0
     assert math.sqrt(mu) >= 2 * dom.h
     s_small = chain.section(u, mu)

@@ -94,7 +94,7 @@ def _chain_domain_n1(request):
     x0 = dom.node_index((-0.2, 0.15))
     hh, A = sections.taylor_split(u, x0)
     T = sections.normalize_transform(sections.unit_determinant(A))
-    return sections.rescale_to_unit(u, x0, 0.05, hh, T, resolution=65)
+    return sections.rescale_to_unit(u, x0, 0.05, hh, T, resolution=65, box_halfwidth=1.3)
 
 
 def _chain_domain_n2(request):
@@ -104,7 +104,7 @@ def _chain_domain_n2(request):
     hh, A = sections.taylor_split(v0, x0)
     T = sections.normalize_transform(sections.unit_determinant(A))
     mu = min(0.1, sections.allowed_top_height(dom, x0))
-    return sections.rescale_to_unit(u, x0, mu, hh, T, resolution=13)
+    return sections.rescale_to_unit(u, x0, mu, hh, T, resolution=13, box_halfwidth=1.3)
 
 
 def _lattice_disk():

@@ -12,7 +12,8 @@ Defaults are read the same way: each parameter with a default of a public
 top-level function must be passed, by keyword or by position, by some call
 in those files, as an expression other than the default's own.  One that no
 reader sets is a constant, not an option; passing the default is not
-setting it.
+setting it.  And some call in those files must leave it unset: a default
+that every reader overrides is a second, dead home of the setting.
 """
 
 import ast
@@ -103,24 +104,49 @@ def _defaulted_parameters():
                            ast.unparse(default))
 
 
-def test_every_default_is_set_by_a_reader():
-    # A parameter that every reader leaves at its default is a constant with
-    # the cost of an option.  Calls are matched by function name; a
-    # parameter counts as set when some call passes it, by keyword or by
-    # position, an expression other than its default's.
-    passed = defaultdict(set)
+def _reader_calls():
+    """(function name, call node) of every call in the reader files; calls
+    are matched to definitions by function name."""
     for path in READERS:
         for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = getattr(func, "id", None) or getattr(func, "attr", None)
-            for kw in node.keywords:
-                passed[name, kw.arg].add(ast.unparse(kw.value))
-            for pos, arg in enumerate(node.args):
-                passed[name, pos].add(ast.unparse(arg))
+            if isinstance(node, ast.Call):
+                func = node.func
+                yield getattr(func, "id", None) or getattr(func, "attr", None), node
+
+
+def test_every_default_is_set_by_a_reader():
+    # A parameter that every reader leaves at its default is a constant with
+    # the cost of an option.  A parameter counts as set when some call
+    # passes it, by keyword or by position, an expression other than its
+    # default's.
+    passed = defaultdict(set)
+    for name, node in _reader_calls():
+        for kw in node.keywords:
+            passed[name, kw.arg].add(ast.unparse(kw.value))
+        for pos, arg in enumerate(node.args):
+            passed[name, pos].add(ast.unparse(arg))
     unset = [qual for qual, name, param, pos, default in _defaulted_parameters()
              if not (passed[name, param] | passed[name, pos]) - {default}]
     assert sorted(unset) == sorted(KNOBS_ALLOWED), (
         f"defaults no reader sets: {sorted(set(unset) - set(KNOBS_ALLOWED))}; "
         f"allowed but now set: {sorted(set(KNOBS_ALLOWED) - set(unset))}")
+
+
+def test_every_default_is_left_unset_by_a_reader():
+    # A default that every reader call overrides is never used: the setting
+    # lives in the callers, and the default is a dead second value.  A call
+    # leaves a parameter unset when it passes it neither by keyword nor by
+    # position; a call with *args or **kwargs counts neither way.
+    params = list(_defaulted_parameters())
+    left_unset = set()
+    for name, node in _reader_calls():
+        if (any(isinstance(arg, ast.Starred) for arg in node.args)
+                or any(kw.arg is None for kw in node.keywords)):
+            continue
+        keywords = {kw.arg for kw in node.keywords}
+        left_unset.update(
+            qual for qual, fname, param, pos, _ in params
+            if fname == name and param not in keywords
+            and (pos is None or pos >= len(node.args)))
+    always_set = [qual for qual, *_ in params if qual not in left_unset]
+    assert not always_set, f"defaults every reader overrides: {sorted(always_set)}"

@@ -315,7 +315,7 @@ def test_rescale_self_similarity(ball_n1):
     x0 = dom.node_index((0.0, 0.0))
     h0 = sections.PluriharmonicPoly.zero(np.zeros(1, complex))
     T = np.eye(1, dtype=complex)
-    w = sections.rescale_to_unit(u, x0, 0.25, h0, T, resolution=65)
+    w = sections.rescale_to_unit(u, x0, 0.25, h0, T, resolution=65, box_halfwidth=1.3)
     pts = w.domain.coords(w.domain.interior_mask.ravel())
     exact = np.sum(pts ** 2, axis=1) - 1.0
     err = np.max(np.abs(w.values[w.domain.interior_mask] - exact))
@@ -329,7 +329,7 @@ def test_rescale_unit_det_prefactor(ball_n1):
     T = np.eye(1, dtype=complex)
     assert abs(np.linalg.det(T)) == 1.0
     mu = 0.25
-    w = sections.rescale_to_unit(u, x0, mu, h0, T, resolution=33)
+    w = sections.rescale_to_unit(u, x0, mu, h0, T, resolution=33, box_halfwidth=1.3)
     # prefactor 1/mu: center value is exactly (u(x0) - u(x0) - mu)/mu = -1
     ctr = (33 // 2,) * 2
     assert w.values[ctr] == pytest.approx(-1.0, abs=1e-12)
@@ -354,11 +354,11 @@ def test_rescale_det_residual(perturbed_n1):
         np.zeros((1, 1), complex))
     w_oracle = sections.rescale_to_unit(quad, x0, mu, h0,
                                         np.eye(1, dtype=complex),
-                                        resolution=res)
+                                        resolution=res, box_halfwidth=1.3)
     det_o = grid.hessian_det_field(grid.hessian_fields(w_oracle))
     slack = float(np.nanmax(np.abs(det_o[w_oracle.domain.interior_mask] - 1.0)))
 
-    w = sections.rescale_to_unit(u, x0, mu, hh, T, resolution=res)
+    w = sections.rescale_to_unit(u, x0, mu, hh, T, resolution=res, box_halfwidth=1.3)
     wdom = w.domain
     det = grid.hessian_det_field(grid.hessian_fields(w))
     pts = wdom.coords()
@@ -374,7 +374,7 @@ def test_rescale_vanishes_on_section_image(perturbed_n1):
     x0 = dom.node_index((-0.2, 0.15))
     hh, A = sections.taylor_split(u, x0)
     T = sections.normalize_transform(sections.unit_determinant(A))
-    w = sections.rescale_to_unit(u, x0, 0.05, hh, T, resolution=65)
+    w = sections.rescale_to_unit(u, x0, 0.05, hh, T, resolution=65, box_halfwidth=1.3)
     cuts = w.domain.bc_table["cuts"]
     vals = w.interp(cuts)
     assert np.nanmax(np.abs(vals)) <= 0.05
@@ -440,7 +440,8 @@ def test_chain_margin_precondition(ball_n1):
             np.argmax(np.linalg.norm(dom.coords(dom.interior_mask.ravel()), axis=1))])
     # No room for a first level is a chain failure at level 1.
     with pytest.raises(ChainBrokenError) as err:
-        sections.construct_section_chain(u, near, sigma=0.2, k_max=1, v0=u)
+        sections.construct_section_chain(u, near, sigma=0.2, k_max=1, v0=u,
+                                         chain_resolution=49)
     assert err.value.level == 1
 
 
@@ -511,7 +512,8 @@ def test_chain_monotonicity_with_slack(perturbed_n1):
     dom, u, v0 = perturbed_n1
     sigma = 0.2
     chain = sections.construct_section_chain(
-        u, dom.node_index((0.0, 0.0)), sigma=sigma, k_max=2, v0=v0)
+        u, dom.node_index((0.0, 0.0)), sigma=sigma, k_max=2, v0=v0,
+        chain_resolution=49)
     rng = np.random.default_rng(3)
     c = 1.0 * math.sqrt(sigma)
     lo = chain.height_of_level(2) * 1.05
@@ -532,7 +534,8 @@ def test_chain_transform_growth_log_linear(perturbed_n1):
     # log ||T_{mu1} T_{mu2}^{-1}|| <= a + b log(mu2/mu1) with small fitted b.
     dom, u, v0 = perturbed_n1
     chain = sections.construct_section_chain(
-        u, dom.node_index((0.1, 0.1)), sigma=0.2, k_max=3, v0=v0)
+        u, dom.node_index((0.1, 0.1)), sigma=0.2, k_max=3, v0=v0,
+        chain_resolution=49)
     xs, ys = [], []
     for ka in range(len(chain.levels)):
         for kb in range(ka + 1, len(chain.levels)):
@@ -550,7 +553,8 @@ def test_chain_transform_growth_log_linear(perturbed_n1):
 def test_chain_diameter_decay(perturbed_n1):
     dom, u, v0 = perturbed_n1
     chain = sections.construct_section_chain(
-        u, dom.node_index((0.0, 0.0)), sigma=0.2, k_max=3, v0=v0)
+        u, dom.node_index((0.0, 0.0)), sigma=0.2, k_max=3, v0=v0,
+        chain_resolution=49)
     diams = []
     for k in range(1, 3):
         mu = chain.height_of_level(k)
@@ -572,10 +576,10 @@ def test_chain_composite_consistency(perturbed_n1):
     # rebuild w2 by replaying the per-level rescales
     lv1, lv2 = chain.levels
     w1 = sections.rescale_to_unit(u, x0, chain.mu_top, lv1.shift_increment,
-                                  lv1.transform, resolution=49)
+                                  lv1.transform, resolution=49, box_halfwidth=1.3)
     c = (49 // 2,) * 2
     w2 = sections.rescale_to_unit(w1, c, chain.mu0, lv2.shift_increment,
-                                  lv2.transform, resolution=49)
+                                  lv2.transform, resolution=49, box_halfwidth=1.3)
 
     mu2 = chain.height_of_level(2)
     T2 = lv2.composite_transform

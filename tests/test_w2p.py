@@ -95,7 +95,7 @@ def exact_report():
 
 def test_dyadic_bound_empty_badsets_is_base_only(exact_report):
     _, _, rep = exact_report
-    out = w2p.dyadic_bound(rep, 2.0)
+    out = w2p.dyadic_bound(rep, 2.0, kind="trace")
     assert out.tail == 0.0
     assert sum(out.series_terms) == 0.0
     assert out.total == pytest.approx(out.base)
@@ -107,13 +107,13 @@ def test_dyadic_bound_ratio_arithmetic(exact_report):
     # threshold 3.472e-4 gives ratio about 0.05 and a convergent tail with
     # closure factor at most 2x the next term.
     _, u, rep = exact_report
-    out_half = w2p.dyadic_bound(rep, 2.0)
+    out_half = w2p.dyadic_bound(rep, 2.0, kind="trace")
     assert out_half.ratio == pytest.approx(0.5)
 
     rep_small = badset.BadSetReport(
         rows=rep.rows, eps_bar=3.472e-4, n=rep.n, cell_measure=rep.cell_measure,
         m_b07=rep.m_b07, m_b06=rep.m_b06, monotone=rep.monotone, stride=rep.stride)
-    out_small = w2p.dyadic_bound(rep_small, 2.0)
+    out_small = w2p.dyadic_bound(rep_small, 2.0, kind="trace")
     assert out_small.ratio == pytest.approx(144 * 3.472e-4, rel=1e-9)
     assert out_small.ratio <= 0.5
 
@@ -130,8 +130,8 @@ def test_dyadic_bound_tail_invariant_under_empty_refinement(exact_report):
     rep6 = badset.BadSetReport(
         rows=rows6, eps_bar=rep.eps_bar, n=rep.n, cell_measure=rep.cell_measure,
         m_b07=rep.m_b07, m_b06=rep.m_b06, monotone=True, stride=rep.stride)
-    out4 = w2p.dyadic_bound(rep, 2.0)
-    out6 = w2p.dyadic_bound(rep6, 2.0)
+    out4 = w2p.dyadic_bound(rep, 2.0, kind="trace")
+    out6 = w2p.dyadic_bound(rep6, 2.0, kind="trace")
     assert out6.total == pytest.approx(out4.total)
 
 
@@ -141,7 +141,7 @@ def test_dyadic_flags_invalid_tail_on_failed_rows(exact_report):
     rep_bad = badset.BadSetReport(
         rows=bad_rows, eps_bar=rep.eps_bar, n=rep.n, cell_measure=rep.cell_measure,
         m_b07=rep.m_b07, m_b06=rep.m_b06, monotone=True, stride=rep.stride)
-    out = w2p.dyadic_bound(rep_bad, 2.0)
+    out = w2p.dyadic_bound(rep_bad, 2.0, kind="trace")
     assert not out.tail_valid
     assert "invalid" in out.flag
 
