@@ -16,7 +16,9 @@ class StencilViolationError(CmalabError):
 
 
 class BoundaryConstraintError(CmalabError):
-    """A boundary extrapolation constraint rests on a node that is not interior."""
+    """A boundary extrapolation constraint rests on a node that is not
+    interior, or a boundary node fits neither the three-point nor the
+    two-point form."""
 
 
 class DegenerateHessianError(CmalabError):

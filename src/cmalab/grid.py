@@ -4,8 +4,8 @@ A domain is a uniform Cartesian grid on a symmetric box in R^{2n}.  Nodes
 strictly inside the continuum shape with full stencil support are interior;
 the value-carrying collar around them is the boundary set.  Dirichlet data
 is tied to the continuum boundary through per-node extrapolation constraints
-anchored at cut points, so that boundary imposition stays second-order
-accurate (and exact on quadratics).
+through cut points: three-point, exact on quadratics, where two interior
+nodes line up behind the boundary node, else two-point, exact on linears.
 
 Complex derivatives follow d/dz_i = (d/dx_i - i d/dy_i)/2; real coordinate
 axes are ordered (x_1, y_1, ..., x_n, y_n).  One set of centered
@@ -28,7 +28,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import MemoryCapError, StencilViolationError
+from .errors import BoundaryConstraintError, MemoryCapError, StencilViolationError
 
 CACHE_MAGIC = b"CMAG"
 CACHE_VERSION = 1
@@ -311,7 +311,7 @@ def build_domain(n: int, shape_spec, resolution: int) -> GridDomain:
     The box half-width is the shape's outer radius, so an exact unit ball at
     resolution R has h = 2/(R-1).  Interior nodes are strictly inside the
     shape with full stencil support; boundary nodes carry Dirichlet
-    constraints anchored at continuum cut points, in a table built the
+    constraints through continuum cut points, in a table built the
     first time something reads it (GridDomain.bc_table).
     """
     if n not in (1, 2):
@@ -373,11 +373,14 @@ def _build_bc_table(dom: GridDomain, signed: np.ndarray) -> dict:
 
         u_b = c_cut * g(x_cut) + c_1 * u(x_1) + c_2 * u(x_2)
 
-    The three-point (quadratic) form is exact on quadratic functions; it
-    degrades to a two-point form when the second support node is not interior
-    or the cut point sits too close to x_1.  Supports are interior nodes only,
-    so boundary values are an explicit function of interior ones.  Every
-    boundary node has an interior stencil neighbor by construction.
+    The three-point (quadratic) form through (x_1, x_2) is exact on
+    quadratic functions; where x_2 is not interior, the two-point (linear)
+    form through x_1 is exact on linear ones.  Supports are interior nodes
+    only, so boundary values are an explicit function of interior ones.
+    Every boundary node has an interior stencil neighbor by construction.
+    A row that fits neither form raises BoundaryConstraintError: its cut
+    nearly collides with x_1, or it is an inside node with no cut within
+    two steps behind it.
     """
     d = dom.d
     res = dom.resolution
@@ -465,67 +468,29 @@ def _build_bc_table(dom: GridDomain, signed: np.ndarray) -> dict:
                 else:
                     t_c[rr] = -_bisect_cut_batch(shape, xb[rr], x_out[hit])
             rows = rows[~hit]
-        # Unresolved leftovers anchor at the node itself (t_c stays 0).
+        if rows.size:
+            raise BoundaryConstraintError(
+                f"{rows.size} inside boundary nodes have no cut within two steps")
     cuts = xb + dhat * t_c[:, None]
 
-    def flat_of(reach):
-        ok = best_room >= reach
-        f = np.full(nb, -1, dtype=np.int64)
-        f[ok] = b_flat[ok] + reach * best_off[ok]
-        have = ok.copy()
-        have[ok] = interior_flat[f[ok]]
-        return f, have
-
-    f1, have1 = flat_of(1)
-    f2, have2 = flat_of(2)
-    f3, have3 = flat_of(3)
-
+    # x_1 is interior on every row (its direction scored finite).  A cut
+    # that nearly collides with x_1 would blow up the extrapolation weights.
     t1 = slen
+    if np.any((t1 - t_c) <= 1e-3 * slen):
+        raise BoundaryConstraintError("a boundary cut point nearly collides with x_1")
     t2 = 2.0 * slen
-    t3 = 3.0 * slen
+    quad = best_room >= 2
+    quad[quad] = interior_flat[b_flat[quad] + 2 * best_off[quad]]
 
-    idx1 = np.full(nb, -1, dtype=np.int64)
-    idx2 = np.full(nb, -1, dtype=np.int64)
-    coef_c = np.zeros(nb)
-    coef_1 = np.zeros(nb)
-    coef_2 = np.zeros(nb)
-
-    def quad_fill(mask, fa, ta, fb, tb):
-        qc, qa, qb = t_c[mask], ta[mask], tb[mask]
-        idx1[mask] = fa[mask]
-        idx2[mask] = fb[mask]
-        coef_c[mask] = (qa * qb) / ((t_c[mask] - qa) * (t_c[mask] - qb))
-        coef_1[mask] = (qc * qb) / ((qa - qc) * (qa - qb))
-        coef_2[mask] = (qc * qa) / ((qb - qc) * (qb - qa))
-
-    def lin_fill(mask, fa, ta):
-        lc, la = t_c[mask], ta[mask]
-        idx1[mask] = fa[mask]
-        coef_c[mask] = -la / (lc - la)
-        coef_1[mask] = -lc / (la - lc)
-
-    # Three-point extrapolation is exact on quadratics; the cut point only
-    # disqualifies a support node when it nearly collides with it.
-    clear1 = (t1 - t_c) > 1e-3 * slen
-    quad12 = have1 & have2 & clear1
-    quad23 = ~quad12 & have2 & have3
-    lin2 = ~quad12 & ~quad23 & have2
-    lin1 = ~quad12 & ~quad23 & ~lin2 & have1 & clear1
-    anchor = ~(quad12 | quad23 | lin2 | lin1)
-
-    quad_fill(quad12, f1, t1, f2, t2)
-    quad_fill(quad23, f2, t2, f3, t3)
-    lin_fill(lin2, f2, t2)
-    lin_fill(lin1, f1, t1)
-    coef_c[anchor] = 1.0
-
+    # Three-point (quadratic) form through (x_1, x_2) where x_2 is interior,
+    # else two-point (linear) through x_1.
     return {
         "flat": b_flat,
-        "idx1": idx1,
-        "idx2": idx2,
-        "coef_c": coef_c,
-        "coef_1": coef_1,
-        "coef_2": coef_2,
+        "idx1": b_flat + best_off,
+        "idx2": np.where(quad, b_flat + 2 * best_off, -1),
+        "coef_c": np.where(quad, (t1 * t2) / ((t_c - t1) * (t_c - t2)), -t1 / (t_c - t1)),
+        "coef_1": np.where(quad, (t_c * t2) / ((t1 - t_c) * (t1 - t2)), -t_c / (t1 - t_c)),
+        "coef_2": np.where(quad, (t_c * t1) / ((t2 - t_c) * (t2 - t1)), 0.0),
         "cuts": cuts,
     }
 

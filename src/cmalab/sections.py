@@ -20,6 +20,7 @@ from scipy import ndimage
 from .errors import (
     ChainBrokenError,
     CmalabError,
+    DegeneracyError,
     DegenerateHessianError,
     SectionEscapeError,
     SectionFitError,
@@ -339,14 +340,11 @@ def mu0_from_sigma(sigma: float) -> float:
 
 
 def _connected_component(mask: np.ndarray, seed: tuple) -> np.ndarray:
+    """Face-connected component of mask through seed, which must lie in
+    mask (label 0 would select the complement)."""
     structure = ndimage.generate_binary_structure(mask.ndim, 1)
     labels, _ = ndimage.label(mask, structure=structure)
-    lab = labels[seed]
-    if lab == 0:
-        out = np.zeros_like(mask)
-        out[seed] = True
-        return out
-    return labels == lab
+    return labels == labels[seed]
 
 
 # Windows give each node the full-box floats: numpy's einsum and matmul
@@ -371,7 +369,9 @@ def build_section(u: GridFunction, x0: tuple, mu: float,
     """Connected component of {u - h <= u(x0) + mu} through x0.
 
     Raises SectionEscapeError when the sublevel set reaches the domain
-    boundary collar.
+    boundary collar.  Raises ValueError when x0 is not an interior node, or
+    lies outside the set (a shift centred at x0 vanishes there, so this
+    takes h(x0) < -mu).
 
     The work runs on a window of index half-width ceil(1.25 sqrt(mu)/h) + 2
     about x0, doubled while the component reaches a window face that is
@@ -387,6 +387,8 @@ def build_section(u: GridFunction, x0: tuple, mu: float,
     u0 = float(u.values[x0])
     if math.isnan(u0):
         raise ValueError(f"base node {x0} carries no value")
+    if not dom.interior_mask[x0]:
+        raise ValueError(f"base node {x0} is not interior")
     structure = ndimage.generate_binary_structure(dom.d, 1)
     half = math.ceil(1.25 * math.sqrt(mu) / dom.h) + 2
     while True:
@@ -396,6 +398,8 @@ def build_section(u: GridFunction, x0: tuple, mu: float,
         sub = np.zeros(vals.shape, dtype=bool)
         np.less_equal(vals - hvals, u0 + mu, out=sub, where=~np.isnan(vals))
         seed = tuple(c - s.start for c, s in zip(x0, win))
+        if not sub[seed]:
+            raise ValueError(f"base node {x0} lies outside its section: h(x0) < -mu")
         comp = _connected_component(sub & dom.interior_mask[win], seed)
 
         # Escape: a boundary-collar node satisfying the sublevel inequality and
@@ -425,9 +429,11 @@ def fit_ellipsoid(dom: GridDomain, section: Section,
 
     q is evaluated on a window: the section's bounding box padded by one
     node, which holds the section, so c_out is exact there.  For c_in, m is
-    the least q over the window's valued nodes outside the section (inf if
-    there are none).  A node beyond the window lies at least dist from c, so
-    its q >= lam_min(A) dist^2; once that bound exceeds m, no node outside
+    the least q over the window's valued nodes outside the section; there
+    is always one, since the section's last node along axis 0 is interior,
+    so its next neighbor along that axis is valued, and it lies in the
+    padding.  A node beyond the window lies at least dist from c, so its
+    q >= lam_min(A) dist^2; once that bound exceeds m, no node outside
     can lower m.  Otherwise the window grows once, to a cube about c past
     which the bound exceeds m (m can only fall).  Window nodes get the
     full-box arithmetic, so both factors are the full-box ones.
@@ -442,8 +448,7 @@ def fit_ellipsoid(dom: GridDomain, section: Section,
         w = pts[:, 0::2] + 1j * pts[:, 1::2] - ctr
         inside = section.mask[win]
         q = np.einsum("mi,ij,mj->m", w.conj(), A, w).real.reshape(inside.shape)
-        q_out = q[(dom.interior_mask[win] | dom.boundary_mask[win]) & ~inside]
-        m = float(q_out.min()) if q_out.size else math.inf
+        m = float(q[(dom.interior_mask[win] | dom.boundary_mask[win]) & ~inside].min())
         # Index distance from c to the nearest node beyond the window.
         gap = min([c - s.start + 1 for c, s in zip(c_idx, win) if s.start > 0]
                   + [s.stop - c for c, s in zip(c_idx, win) if s.stop < res],
@@ -477,7 +482,9 @@ def rescale_to_unit(u: GridFunction, x0: tuple, mu: float,
     {w <= 0}, built from the values of w on it (grid.lattice_domain);
     values come from multilinear interpolation of u.  Raises
     SectionEscapeError when the image center, or a node of the image
-    domain, maps where w is unavailable: outside the source domain.
+    domain, maps where w is unavailable: outside the source domain; and
+    DegeneracyError when the image center is not an interior node of the
+    image domain, which the next level could neither solve on nor cut.
     """
     dom = u.domain
     x0 = tuple(x0)
@@ -504,6 +511,8 @@ def rescale_to_unit(u: GridFunction, x0: tuple, mu: float,
     valued = new_dom.valued_mask
     if np.any(np.isnan(w_nd[valued])):
         raise SectionEscapeError("rescaled section image escapes the source domain")
+    if not new_dom.interior_mask[center]:
+        raise DegeneracyError("rescaled section has no interior node at its center")
     out[valued] = w_nd[valued]
     return GridFunction(new_dom, out)
 

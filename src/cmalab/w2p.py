@@ -163,15 +163,13 @@ def full_w2p(u: GridFunction, p: float, region: np.ndarray) -> tuple[float, floa
             fld = second_diff_field(vals, a, b, h)
             if a == b:
                 lap = lap + fld
-            total += lp_norm(np.nan_to_num(fld), p, ok, h, d)
+            total += lp_norm(fld, p, ok, h, d)
     grad_norm = 0.0
     for a in range(d):
-        gax = first_diff_field(vals, a, h)
-        gok = ok & ~np.isnan(gax)
-        grad_norm += lp_norm(np.nan_to_num(gax), p, gok, h, d)
-    u_norm = lp_norm(np.nan_to_num(vals), p, ok, h, d)
+        grad_norm += lp_norm(first_diff_field(vals, a, h), p, ok, h, d)
+    u_norm = lp_norm(vals, p, ok, h, d)
     full = total + grad_norm + u_norm
-    lap_norm = lp_norm(np.nan_to_num(lap), p, ok, h, d)
+    lap_norm = lp_norm(lap, p, ok, h, d)
     denom = u_norm + lap_norm
     return full, full / denom if denom > 0 else float("inf")
 
@@ -179,7 +177,10 @@ def full_w2p(u: GridFunction, p: float, region: np.ndarray) -> tuple[float, floa
 def norm_report(u: GridFunction, report: BadSetReport, p: float) -> NormReport:
     """Full accounting over the dyadic ball B_0.6 (``badset.DYADIC_RADIUS``,
     where the report's m_b06 and measure_b06 are counted): direct
-    quadrature, dyadic bounds, and the classical-constant measurement."""
+    quadrature, dyadic bounds, and the classical-constant measurement.
+    The direct integrals run over every interior node of B_0.6; a node
+    where u is not strictly plurisubharmonic has no inverse trace and
+    raises, rather than leaving the region."""
     dom = u.domain
     pts = dom.coords()
     dist = np.linalg.norm(pts, axis=1).reshape(u.values.shape)
@@ -188,9 +189,8 @@ def norm_report(u: GridFunction, report: BadSetReport, p: float) -> NormReport:
     fields = hessian_fields(u)
     tr = complex_trace_field(fields)
     itr = inverse_trace_field(fields)
-    ok = region & ~np.isnan(tr) & ~np.isnan(itr)
-    direct_tr = lp_norm(np.nan_to_num(tr), p, ok, dom.h, dom.d) ** p
-    direct_itr = lp_norm(np.nan_to_num(itr), p, ok, dom.h, dom.d) ** p
+    direct_tr = lp_norm(tr, p, region, dom.h, dom.d) ** p
+    direct_itr = lp_norm(itr, p, region, dom.h, dom.d) ** p
 
     dy_tr = dyadic_bound(report, p, kind="trace")
     dy_itr = dyadic_bound(report, p, kind="inverse-trace")

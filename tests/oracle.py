@@ -10,7 +10,7 @@ import numpy as np
 from scipy import ndimage
 
 from cmalab import engulfing, grid, sections, solver
-from cmalab.errors import SectionEscapeError, StencilViolationError
+from cmalab.errors import BoundaryConstraintError, SectionEscapeError, StencilViolationError
 from cmalab.grid import interp_multilinear, real_hessian_field
 
 
@@ -85,9 +85,6 @@ def build_section(u, x0, mu, h):
     structure = ndimage.generate_binary_structure(dom.d, 1)
     labels, _ = ndimage.label(sub & dom.interior_mask, structure=structure)
     comp = labels == labels[x0]
-    if labels[x0] == 0:
-        comp = np.zeros_like(sub)
-        comp[x0] = True
     sub_bnd = sub & dom.boundary_mask
     if np.any(sub_bnd) and np.any(ndimage.binary_dilation(comp, structure=structure) & sub_bnd):
         raise SectionEscapeError(f"section at {x0} with height {mu} reaches the domain boundary")
@@ -215,67 +212,27 @@ def bc_table_by_index(dom, signed):
                 else:
                     t_c[rr] = -grid._bisect_cut_batch(shape, xb[rr], x_out[hit])
             rows = rows[~hit]
-        # Unresolved leftovers anchor at the node itself (t_c stays 0).
+        if rows.size:
+            raise BoundaryConstraintError("inside boundary node with no cut within two steps")
     cuts = xb + dhat * t_c[:, None]
 
-    def flat_of(nidx):
-        ok = np.all((nidx >= 0) & (nidx < res), axis=1)
-        f = np.full(nb, -1, dtype=np.int64)
-        f[ok] = nidx[ok] @ strides
-        have = ok.copy()
-        have[ok] = interior_flat[f[ok]]
-        return f, have
-
-    f1, have1 = flat_of(b_idx + best_step)
-    f2, have2 = flat_of(b_idx + 2 * best_step)
-    f3, have3 = flat_of(b_idx + 3 * best_step)
-
     t1 = slen
+    if np.any((t1 - t_c) <= 1e-3 * slen):
+        raise BoundaryConstraintError("a boundary cut point nearly collides with x_1")
     t2 = 2.0 * slen
-    t3 = 3.0 * slen
+    n2 = b_idx + 2 * best_step
+    quad = np.all((n2 >= 0) & (n2 < res), axis=1)
+    quad[quad] = interior_flat[n2[quad] @ strides]
 
-    idx1 = np.full(nb, -1, dtype=np.int64)
-    idx2 = np.full(nb, -1, dtype=np.int64)
-    coef_c = np.zeros(nb)
-    coef_1 = np.zeros(nb)
-    coef_2 = np.zeros(nb)
-
-    def quad_fill(mask, fa, ta, fb, tb):
-        qc, qa, qb = t_c[mask], ta[mask], tb[mask]
-        idx1[mask] = fa[mask]
-        idx2[mask] = fb[mask]
-        coef_c[mask] = (qa * qb) / ((t_c[mask] - qa) * (t_c[mask] - qb))
-        coef_1[mask] = (qc * qb) / ((qa - qc) * (qa - qb))
-        coef_2[mask] = (qc * qa) / ((qb - qc) * (qb - qa))
-
-    def lin_fill(mask, fa, ta):
-        lc, la = t_c[mask], ta[mask]
-        idx1[mask] = fa[mask]
-        coef_c[mask] = -la / (lc - la)
-        coef_1[mask] = -lc / (la - lc)
-
-    # Three-point extrapolation is exact on quadratics; the cut point only
-    # disqualifies a support node when it nearly collides with it.
-    clear1 = (t1 - t_c) > 1e-3 * slen
-    quad12 = have1 & have2 & clear1
-    quad23 = ~quad12 & have2 & have3
-    lin2 = ~quad12 & ~quad23 & have2
-    lin1 = ~quad12 & ~quad23 & ~lin2 & have1 & clear1
-    anchor = ~(quad12 | quad23 | lin2 | lin1)
-
-    quad_fill(quad12, f1, t1, f2, t2)
-    quad_fill(quad23, f2, t2, f3, t3)
-    lin_fill(lin2, f2, t2)
-    lin_fill(lin1, f1, t1)
-    coef_c[anchor] = 1.0
-
+    # Three-point form through (x_1, x_2) where x_2 is interior, else
+    # two-point through x_1.
     return {
         "flat": b_idx @ strides,
-        "idx1": idx1,
-        "idx2": idx2,
-        "coef_c": coef_c,
-        "coef_1": coef_1,
-        "coef_2": coef_2,
+        "idx1": (b_idx + best_step) @ strides,
+        "idx2": np.where(quad, n2 @ strides, -1),
+        "coef_c": np.where(quad, (t1 * t2) / ((t_c - t1) * (t_c - t2)), -t1 / (t_c - t1)),
+        "coef_1": np.where(quad, (t_c * t2) / ((t1 - t_c) * (t1 - t2)), -t_c / (t1 - t_c)),
+        "coef_2": np.where(quad, (t_c * t1) / ((t2 - t_c) * (t2 - t1)), 0.0),
         "cuts": cuts,
     }
 

@@ -179,10 +179,11 @@ def test_known_level2_failures_outside_counted_ball():
 def test_n2_census_of_counted_nodes(perturbed_n2):
     # n=2 res 17 at stride 4 and the n=2 chain resolution: 9 lattice nodes
     # lie inside B_{r_1}, and only the origin's chain builds.  The other 8
-    # break at level 2, each with its typed cause: 4 in the re-grid, whose
-    # image leaves the source domain, and 4 in the level solve (2 on a
-    # domain with no interior node, 2 from an initial guess that is not
-    # strictly plurisubharmonic).
+    # break, each with its typed cause: 4 at level 2 in the re-grid, whose
+    # image leaves the source domain; 2 at level 2 in the level solve, from
+    # an initial guess that is not strictly plurisubharmonic; and 2 at
+    # level 1 in the re-grid, whose image has no interior node at its
+    # center.
     dom, u, v0 = perturbed_n2
     ns = badset.sample_badset_chains(u, v0, stride=4, levels=2, chain_resolution=13)
     assert len(ns) == 9
@@ -193,7 +194,21 @@ def test_n2_census_of_counted_nodes(perturbed_n2):
             sections.construct_section_chain(u, node.idx, sigma=0.2, k_max=2,
                                              chain_resolution=13, v0=v0)
         breaks.append((err.value.level, type(err.value.__cause__)))
-    assert Counter(breaks) == {(2, SectionEscapeError): 4, (2, DegeneracyError): 4}
+    assert Counter(breaks) == {(2, SectionEscapeError): 4, (2, DegeneracyError): 2,
+                               (1, DegeneracyError): 2}
+
+
+@pytest.mark.parametrize("idx", [(8, 4, 8, 8), (8, 12, 8, 8)])
+def test_empty_regrid_breaks_its_own_level(perturbed_n2, idx):
+    # At these two nodes the level-one re-grid has no interior node at its
+    # center.  The chain breaks there, at level 1; it must not build with
+    # omega radii (inf, 0.0) when k_max = 1.
+    _, u, v0 = perturbed_n2
+    with pytest.raises(ChainBrokenError, match="no interior node at its center") as err:
+        sections.construct_section_chain(u, idx, sigma=0.2, k_max=1,
+                                         chain_resolution=13, v0=v0)
+    assert err.value.level == 1
+    assert isinstance(err.value.__cause__, DegeneracyError)
 
 
 def test_positive_control_anisotropic_quadratic():

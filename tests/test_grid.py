@@ -10,7 +10,7 @@ import pytest
 import sympy
 
 from cmalab import grid, sections
-from cmalab.errors import MemoryCapError, StencilViolationError
+from cmalab.errors import BoundaryConstraintError, MemoryCapError, StencilViolationError
 import oracle
 
 
@@ -201,15 +201,15 @@ def test_lattice_cut_off_box_counts_as_outside():
     assert np.abs(table["cuts"][on_face] - nodes).max() <= 1e-14
 
 
-def _row_domain(run: int):
+def _row_domain(run: int, deep: bool = False):
     """A 9x9 lattice with one boundary node b = (5, 2) and `run` interior
-    nodes to its right.  The cut on b -> x1 falls 1e-9 of a step short of
-    x1, so x1 is disqualified as a support; the row is the only direction
-    with an interior x1."""
+    nodes to its right; the row is the only direction with an interior x1.
+    The cut on b -> x1 falls 1e-9 of a step short of x1, or, when `deep`,
+    halfway between b and x1."""
     res = 9
     signed = np.ones((res, res))
     for k in range(run):
-        signed[5, 3 + k] = -1e-9 if k == 0 else -1.0
+        signed[5, 3 + k] = -1e-9 if k == 0 and not deep else -1.0
     boundary = np.zeros((res, res), dtype=bool)
     boundary[5, 2] = True
     return grid.GridDomain(
@@ -218,17 +218,26 @@ def _row_domain(run: int):
         boundary_mask=boundary), signed
 
 
-@pytest.mark.parametrize("run, supports, exact_on", [
-    (3, [(5, 4), (5, 5)], lambda x, y: 1.0 + 0.3 * x - 0.7 * y
-     + 0.5 * x * x - 0.2 * x * y + 0.9 * y * y),
-    (2, [(5, 4), None], lambda x, y: 1.0 + 0.3 * x - 0.7 * y),
-    (1, [None, None], lambda x, y: 1.7 + 0.0 * x),
-], ids=["quad23", "lin2", "anchor"])
-def test_rare_boundary_constraint_forms(run, supports, exact_on):
-    # Skipping x1 leaves the three-point form on (x2, x3), the two-point
-    # form on x2, or the cut value alone; each is exact on the polynomials
-    # of its order.
+# The ids name the fallback forms that once took these rows (three-point on
+# (x2, x3), two-point on x2, the cut value alone).
+@pytest.mark.parametrize("run", [3, 2, 1], ids=["quad23", "lin2", "anchor"])
+def test_rare_boundary_constraint_forms(run):
+    # A cut that nearly collides with x1 fits neither form: it would blow
+    # up the extrapolation weights.
     dom, signed = _row_domain(run)
+    with pytest.raises(BoundaryConstraintError, match="nearly collides"):
+        grid._build_bc_table(dom, signed)
+
+
+@pytest.mark.parametrize("run, supports, exact_on", [
+    (3, [(5, 3), (5, 4)], lambda x, y: 1.0 + 0.3 * x - 0.7 * y
+     + 0.5 * x * x - 0.2 * x * y + 0.9 * y * y),
+    (1, [(5, 3), None], lambda x, y: 1.0 + 0.3 * x - 0.7 * y),
+], ids=["three-point", "two-point"])
+def test_boundary_constraint_forms_are_exact(run, supports, exact_on):
+    # The three-point form through (x1, x2) is exact on quadratics, the
+    # two-point form through x1 on linears.
+    dom, signed = _row_domain(run, deep=True)
     table = grid._build_bc_table(dom, signed)
     flat = [-1 if nd is None else np.ravel_multi_index(nd, signed.shape)
             for nd in supports]
@@ -239,7 +248,17 @@ def test_rare_boundary_constraint_forms(run, supports, exact_on):
     got = (table["coef_c"][0] * exact_on(cut[0], cut[1])
            + sum(table[f"coef_{k}"][0] * vals[f] for k, f in ((1, flat[0]), (2, flat[1]))
                  if f >= 0))
-    assert got == pytest.approx(vals[table["flat"][0]], abs=1e-9)
+    assert got == pytest.approx(vals[table["flat"][0]], abs=1e-12)
+
+
+def test_inside_row_without_cut_raises():
+    # b = (5, 2) is inside, and so are the two nodes behind it on its only
+    # direction: no cut lies within two steps, so no constraint is anchored
+    # at the boundary.
+    dom, signed = _row_domain(3, deep=True)
+    signed[5, :3] = -1.0
+    with pytest.raises(BoundaryConstraintError, match="no cut within two steps"):
+        grid._build_bc_table(dom, signed)
 
 
 # -- complex Hessian ---------------------------------------------------------

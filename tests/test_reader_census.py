@@ -14,6 +14,11 @@ in those files, as an expression other than the default's own.  One that no
 reader sets is a constant, not an option; passing the default is not
 setting it.  And some call in those files must leave it unset: a default
 that every reader overrides is a second, dead home of the setting.
+
+Failures are read too: every ``except`` handler of the package ends in
+``raise``.  A handler that does not turns a typed failure into an outcome
+(a skipped pair, a fallback value, a count) that nothing can tell apart
+from a result.
 """
 
 import ast
@@ -150,3 +155,26 @@ def test_every_default_is_left_unset_by_a_reader():
             and (pos is None or pos >= len(node.args)))
     always_set = [qual for qual, *_ in params if qual not in left_unset]
     assert not always_set, f"defaults every reader overrides: {sorted(always_set)}"
+
+
+# Handlers that do not end in raise, by top-level definition, with the
+# reason they stay.
+SWALLOWED_ALLOWED = {
+    "badset.sample_badset_chains":
+        "a failed chain gets the zero-record of an unresolved node until "
+        "NodeSections records a status (ROADMAP item 1)",
+}
+
+
+def test_every_handler_reraises():
+    swallowed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            swallowed += [
+                f"{path.stem}.{getattr(node, 'name', node.lineno)}"
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.ExceptHandler) and not isinstance(sub.body[-1], ast.Raise)
+            ]
+    assert sorted(swallowed) == sorted(SWALLOWED_ALLOWED), (
+        f"handlers that do not re-raise: {sorted(set(swallowed) - set(SWALLOWED_ALLOWED))}; "
+        f"allowed but now re-raise: {sorted(set(SWALLOWED_ALLOWED) - set(swallowed))}")

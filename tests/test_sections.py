@@ -182,6 +182,22 @@ def test_section_escape_raises(ball_n1):
         sections.build_section(u, x0, 0.5, h)
 
 
+def test_section_base_outside_its_component_raises(ball_n1):
+    # The component through x0 exists only when x0 is an interior node of
+    # its own sublevel set; otherwise the labelling has no component to
+    # pick, and label 0 would select the complement.
+    dom, u, _ = ball_n1
+    x0 = dom.node_index((0.2, 0.0))
+    h, _ = sections.taylor_split(u, x0)
+    b = tuple(int(i) for i in np.argwhere(dom.boundary_mask)[0])
+    with pytest.raises(ValueError, match="not interior"):
+        sections.build_section(u, b, 0.04, h)
+    # h(x0) = -0.2 < -mu: a shift centred at the origin, not at x0.
+    off = sections.PluriharmonicPoly(np.zeros(1), -np.ones(1), np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="outside its section"):
+        sections.build_section(u, x0, 0.04, off)
+
+
 def test_fit_ellipsoid_ball_window(ball_n1):
     dom, u, _ = ball_n1
     x0 = dom.node_index((0.0, 0.0))
