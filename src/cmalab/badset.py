@@ -14,6 +14,7 @@ control.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,6 +222,7 @@ def badset_decay_experiment(u: GridFunction, node_sections: list[NodeSections],
 # of order 1e-4.
 _LOWER_FACET_TILT = 1e-6
 _PLANE_CHUNK = 1 << 20      # plane evaluations per envelope chunk
+_BLOCK_NODES = 64           # lattice nodes per envelope block, about
 _CONVEXITY_TOL = 1e-7
 
 
@@ -246,10 +248,16 @@ def _lower_hull(w: GridFunction, region: np.ndarray
     gradients of the lower facets, and each facet's vertices as indices
     into the region nodes.  A cloud of rank at most d is affine: its hull
     is w itself and it has no facets.
+
+    Off the hull vertices the hull is the largest lower-facet plane.  The
+    facet whose projection holds a node attains it, so the nodes are taken
+    in lattice blocks of about _BLOCK_NODES, and each block evaluates only
+    the facets whose projected bounding box meets the block's, in chunks
+    of at most _PLANE_CHUNK plane evaluations.
     """
-    # Imported on first use, here and in ma_measure: loading scipy.spatial
-    # adds about 4 MB (5%) to the peak resident memory of a pipeline run,
-    # and the pipeline calls neither function.
+    # Imported on first use, here and in _hull_cell_measure: loading
+    # scipy.spatial adds about 4 MB (5%) to the peak resident memory of a
+    # pipeline run, and the pipeline calls neither function.
     from scipy.spatial import ConvexHull
 
     pts = w.domain.coords()[region.ravel()]
@@ -262,32 +270,101 @@ def _lower_hull(w: GridFunction, region: np.ndarray
         return vals.copy(), np.empty((0, d)), np.empty((0, d + 1), dtype=int)
     hull = ConvexHull(cloud)
     lower = hull.equations[:, d] < -_LOWER_FACET_TILT
-    eq = hull.equations[lower]
+    eq, simplices = hull.equations[lower], hull.simplices[lower]
+    del hull    # the upper facets and the neighbour table
     grads = -eq[:, :d] / eq[:, d:d + 1]
     heights = -eq[:, d + 1] / eq[:, d]
-    simplices = hull.simplices[lower]
+    del eq
 
-    # Off the hull vertices the hull is the largest facet plane, clipped so
-    # that rounding never lifts it above w.
+    # Off the hull vertices, each node takes the largest plane among the
+    # facets listed for its block, clipped so that rounding never lifts it
+    # above w.
     env = vals.copy()
     off_hull = np.ones(vals.size, dtype=bool)
     off_hull[simplices] = False
     rest = np.flatnonzero(off_hull)
-    step = max(1, _PLANE_CHUNK // len(grads))
-    for s in range(0, rest.size, step):
-        idx = rest[s:s + step]
-        planes = np.max(pts[idx] @ grads.T + heights, axis=1)
-        env[idx] = np.minimum(vals[idx], planes)
+    if rest.size == 0:
+        return env, grads, simplices
+    side = max(1, round(_BLOCK_NODES ** (1.0 / d)))
+    nblocks = (region.shape[0] - 1) // side + 1
+    node_blocks = (np.argwhere(region) // side).astype(np.int32)
+    block_of = np.ravel_multi_index(node_blocks[rest].T, (nblocks,) * d)
+    order = np.argsort(block_of, kind="stable")
+    rest = rest[order]
+    blocks, node_starts = np.unique(block_of[order], return_index=True)
+    facet, facet_starts = _facets_by_block(node_blocks, simplices, nblocks, blocks)
+
+    node_bounds = np.r_[node_starts, rest.size]
+    facet_bounds = np.r_[facet_starts, facet.size]
+    for b in range(blocks.size):
+        nodes = rest[node_bounds[b]:node_bounds[b + 1]]
+        cand = facet[facet_bounds[b]:facet_bounds[b + 1]]
+        step = max(1, _PLANE_CHUNK // nodes.size)
+        best = np.max([np.max(pts[nodes] @ grads[f].T + heights[f], axis=1)
+                       for f in np.split(cand, range(step, cand.size, step))], axis=0)
+        env[nodes] = np.minimum(vals[nodes], best)
     return env, grads, simplices
+
+
+def _facets_by_block(node_blocks: np.ndarray, simplices: np.ndarray,
+                     nblocks: int, blocks: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The facets whose box of blocks meets each of the given blocks.
+
+    node_blocks holds the block coordinates of each node, in a lattice of
+    nblocks blocks per axis, simplices each facet's vertices, and blocks
+    sorted block numbers (row-major).  Returns the facets grouped by block
+    and the start of each block's group.  A facet's box spans its vertices'
+    blocks, so it meets every block that holds a node of the facet's
+    projection.
+    """
+    nfacets, d = len(simplices), node_blocks.shape[1]
+    lo = np.empty((nfacets, d), dtype=np.int32)
+    span = np.empty((nfacets, d), dtype=np.int32)
+    for k in range(d):
+        corner = node_blocks[:, k][simplices]
+        lo[:, k] = corner.min(axis=1)
+        span[:, k] = corner.max(axis=1) - lo[:, k] + 1
+    # Pair j of a facet is the j-th block of its box, in mixed radix.  At
+    # n = 2 a facet meets a few blocks, so the pairs outnumber the facets:
+    # they are int32, worked in place, and freed before the sort.
+    count = np.prod(span, axis=1)
+    facet = np.repeat(np.arange(nfacets, dtype=np.int32), count)
+    j = np.arange(facet.size, dtype=np.int32)
+    j -= np.repeat((np.cumsum(count) - count).astype(np.int32), count)
+    facet_block = np.zeros_like(j)
+    for k in reversed(range(d)):
+        radix = span[facet, k]
+        offset = j % radix
+        offset += lo[facet, k]
+        offset *= nblocks ** (d - 1 - k)
+        facet_block += offset
+        j //= radix
+    del j, radix, offset
+    wanted = np.zeros(nblocks ** d, dtype=bool)
+    wanted[blocks] = True
+    keep = wanted[facet_block]
+    facet, facet_block = facet[keep], facet_block[keep]
+    order = np.argsort(facet_block, kind="stable")
+    return facet[order], np.searchsorted(facet_block[order], blocks)
+
+
+# The hull each convex_envelope result was built from, as (domain, bytes of
+# the returned values, facet gradients, facet vertices); an entry is freed
+# with its envelope.
+_ENVELOPE_HULLS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def convex_envelope(w: GridFunction, region: np.ndarray) -> GridFunction:
     """Convex envelope of w on the region: the lower convex hull of the
-    lifted region nodes, NaN off the region."""
-    env, _, _ = _lower_hull(w, region)
+    lifted region nodes, NaN off the region.  The hull is kept with the
+    returned function, for ma_measure."""
+    env, grads, simplices = _lower_hull(w, region)
     out = np.full_like(w.values, np.nan)
     out[region] = env
-    return GridFunction(w.domain, out)
+    gamma = GridFunction(w.domain, out)
+    _ENVELOPE_HULLS[gamma] = (w.domain, out.tobytes(), grads, simplices)
+    return gamma
 
 
 def contact_set(w: GridFunction, gamma: GridFunction, tol: float = 1e-8
@@ -324,14 +401,23 @@ def ma_measure(gamma: GridFunction, E: np.ndarray) -> float:
     volume 0, and nodes that are not hull vertices carry no measure.  At
     n = 1 (d = 2) each cell is the polygon of the facet gradients taken in
     the angular order of the facets about the vertex, its area the shoelace
-    sum; at n = 2 each cell is a Qhull hull of its gradients.  Raises
-    ValueError when gamma exceeds its own lower hull, i.e. is not convex.
+    sum; at n = 2 each cell is a Qhull hull of its gradients.
+
+    A convex_envelope result whose domain and values are byte for byte
+    those it was returned with is measured on the hull that built it.  Any
+    other gamma gets a hull of its own, and ValueError is raised when gamma
+    exceeds that hull, i.e. is not convex.
     """
     region = ~np.isnan(gamma.values)
-    env, grads, simplices = _lower_hull(gamma, region)
-    excess = float(np.max(gamma.values[region] - env, initial=0.0))
-    if excess > _CONVEXITY_TOL:
-        raise ValueError(f"function is not convex (exceeds its hull by {excess:.2e})")
+    built = _ENVELOPE_HULLS.get(gamma)
+    if (built is not None and built[0] is gamma.domain
+            and built[1] == gamma.values.tobytes()):
+        grads, simplices = built[2:]
+    else:
+        env, grads, simplices = _lower_hull(gamma, region)
+        excess = float(np.max(gamma.values[region] - env, initial=0.0))
+        if excess > _CONVEXITY_TOL:
+            raise ValueError(f"function is not convex (exceeds its hull by {excess:.2e})")
     in_E = E[region]
     if grads.shape[1] != 2:
         return _hull_cell_measure(grads, simplices, in_E)

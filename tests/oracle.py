@@ -1,6 +1,6 @@
 """Full-box oracles for the tests: quantities the library computes only
 where something reads them, or one array at a time, computed here on every
-lattice node or one node at a time; and the index-array forms of routines
+lattice node (every hull facet) or one node at a time; and the index-array forms of routines
 the library computes on flat indices or with stored operators."""
 
 import math
@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 from scipy import ndimage
 
-from cmalab import engulfing, grid, sections, solver
+from cmalab import badset, engulfing, grid, sections, solver
 from cmalab.errors import BoundaryConstraintError, SectionEscapeError, StencilViolationError
 from cmalab.grid import interp_multilinear, real_hessian_field
 
@@ -71,6 +71,32 @@ def subdeterminant_check(u0, v0, gamma, contact):
         "worst_excess": worst if checked else float("nan"),
         "passed": bool(checked == 0 or worst <= 1e-6),
     }
+
+
+def envelope_all_planes(w, region):
+    """Lower convex hull of the lifted region nodes at the region nodes
+    (row-major order), every lower facet's plane evaluated at every node
+    that is not a hull vertex."""
+    from scipy.spatial import ConvexHull
+
+    pts = w.domain.coords()[region.ravel()]
+    vals = w.values[region]
+    d = pts.shape[1]
+    hull = ConvexHull(np.column_stack([pts, vals]))
+    lower = hull.equations[:, d] < -badset._LOWER_FACET_TILT
+    eq = hull.equations[lower]
+    grads = -eq[:, :d] / eq[:, d:d + 1]
+    heights = -eq[:, d + 1] / eq[:, d]
+    env = vals.copy()
+    off_hull = np.ones(vals.size, dtype=bool)
+    off_hull[hull.simplices[lower]] = False
+    rest = np.flatnonzero(off_hull)
+    step = max(1, badset._PLANE_CHUNK // len(grads))
+    for s in range(0, rest.size, step):
+        idx = rest[s:s + step]
+        planes = np.max(pts[idx] @ grads.T + heights, axis=1)
+        env[idx] = np.minimum(vals[idx], planes)
+    return env
 
 
 def build_section(u, x0, mu, h):

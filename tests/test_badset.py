@@ -1,11 +1,13 @@
 """Good/bad sets, envelopes, contact sets, MA measure, paraboloids, decay."""
 
+import gc
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from scipy import ndimage
+from scipy import ndimage, spatial
 from scipy.spatial import ConvexHull
 
 from cmalab import badset, cli, grid, sections, solver, w2p
@@ -367,6 +369,92 @@ def test_envelope_idempotent():
     assert np.nanmax(np.abs(env.values[region] - env2.values[region])) <= 1e-8
 
 
+def _double_well(dom):
+    region, r = region_ball(dom, 0.9)
+    pts = dom.coords()
+    a = np.zeros(dom.d)
+    a[0] = 0.35
+    wv = np.minimum(np.sum((pts - a) ** 2, axis=1),
+                    np.sum((pts + a) ** 2, axis=1)).reshape(r.shape)
+    return GridFunction(dom, np.where(region, wv, np.nan)), region
+
+
+def _u_minus_v0(dom, f):
+    u, _ = solver.solve_dirichlet(dom, f, 0.0)
+    v0, _ = solver.solve_dirichlet(dom, 1.0, 0.0)
+    region, _ = region_ball(dom, 0.9)
+    return GridFunction(dom, np.where(region, u.values - v0.values, np.nan)), region
+
+
+@pytest.fixture(scope="module")
+def u_minus_v0_n1():
+    """u - v0 on B_0.9 of the res-129 instance that perfbench's analysis
+    workload solves."""
+    dom = grid.build_domain(1, "perturbed:0.05:cos3", 129)
+    return _u_minus_v0(dom, cli.ExperimentConfig(eps=0.01).f_function())
+
+
+def _u_minus_v0_n2():
+    def f(pts):
+        pts = np.atleast_2d(pts)
+        return 1.0 + 0.01 * np.cos(np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, 2])
+    return _u_minus_v0(grid.build_domain(2, "perturbed:0.05:harmonic", 9), f)
+
+
+@pytest.mark.parametrize("case", ["double_well", "u_minus_v0_n1", "u_minus_v0_n2"])
+def test_envelope_blocks_match_every_plane(case, request):
+    # Each block evaluates only the facets whose bounding box meets it; the
+    # facet that holds a node is one of them, so every off-hull node gets
+    # the value of the largest of all planes.  The u - v0 inputs have nodes
+    # off the hull on the rim, next to nearly vertical facets that
+    # _LOWER_FACET_TILT drops.
+    if case == "double_well":
+        w, region = _double_well(grid.build_domain(1, "ball:1.0", 65))
+    elif case == "u_minus_v0_n1":
+        w, region = request.getfixturevalue("u_minus_v0_n1")
+    else:
+        w, region = _u_minus_v0_n2()
+    d = w.domain.d
+    hull = ConvexHull(np.column_stack([w.domain.coords()[region.ravel()], w.values[region]]))
+    z = hull.equations[:, d]
+    lower = z < -badset._LOWER_FACET_TILT
+    off_hull = np.ones(region.sum(), dtype=bool)
+    off_hull[hull.simplices[lower]] = False
+    dropped = np.zeros(region.sum(), dtype=bool)
+    dropped[hull.simplices[(z < 0) & ~lower]] = True
+    moore = ndimage.generate_binary_structure(d, d)
+    by_dropped = np.zeros_like(region)
+    by_dropped[region] = dropped
+    by_dropped = ndimage.binary_dilation(by_dropped, moore)[region]
+    rim = (region & ~ndimage.binary_erosion(region, moore))[region]
+    assert off_hull.sum() >= (5000 if case == "u_minus_v0_n1" else 100)
+    assert case == "double_well" or np.any(off_hull & rim & by_dropped)
+
+    env = badset.convex_envelope(w, region)
+    assert np.max(np.abs(env.values[region] - oracle.envelope_all_planes(w, region))) <= 1e-12
+
+
+def _traced_peak(fn):
+    fn()  # imports and caches out of the count
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_envelope_transient_memory(u_minus_v0_n1):
+    # Measured peaks (numpy 2.4, scipy 1.17): 1.1 MB for u - v0 at n = 1
+    # res 129, against 16.8 MB when every plane was evaluated at every
+    # off-hull node; 12.9 MB for the n = 2 res-13 double well, against
+    # 28.0 MB.
+    w, region = u_minus_v0_n1
+    assert _traced_peak(lambda: badset.convex_envelope(w, region)) <= 4 * 2 ** 20
+    w, region = _double_well(grid.build_domain(2, "ball:1.0", 13))
+    assert _traced_peak(lambda: badset.convex_envelope(w, region)) <= 20 * 2 ** 20
+
+
 # -- contact density on solved instances -------------------------------------------
 
 
@@ -541,6 +629,43 @@ def test_ma_measure_polygon_cells_match_the_hull_cells(case):
         refs.append(_hull_cell_reference(gam, E))
         assert badset.ma_measure(gam, E) == pytest.approx(refs[-1], rel=1e-12, abs=0.0)
     assert max(refs) > 0.1
+
+
+@pytest.mark.parametrize("n, res", [(1, 65), (2, 9)])
+def test_ma_measure_reuses_the_envelope_hull(n, res, monkeypatch):
+    # The measure of an untouched envelope needs no hull of its own (at
+    # n = 2 it still builds one d-dimensional hull per cell); a rescaled
+    # copy gets one, and its measure scales by 2^d.
+    dims = []  # point dimension of every ConvexHull built
+    real = spatial.ConvexHull
+    monkeypatch.setattr(spatial, "ConvexHull",
+                        lambda pts, *a, **k: dims.append(pts.shape[1]) or real(pts, *a, **k))
+    w, region = _double_well(grid.build_domain(n, "ball:1.0", res))
+    env = badset.convex_envelope(w, region)
+    E, _ = region_ball(w.domain, 0.5)
+    val = badset.ma_measure(env, E)
+    assert dims.count(2 * n + 1) == 1
+    assert val > 0.1
+
+    env.values *= 2.0
+    assert badset.ma_measure(env, E) == pytest.approx(2.0 ** (2 * n) * val, rel=1e-9)
+    assert dims.count(2 * n + 1) == 2
+
+    entries = len(badset._ENVELOPE_HULLS)
+    del env
+    gc.collect()
+    assert len(badset._ENVELOPE_HULLS) == entries - 1
+
+
+def test_ma_measure_reused_hull_matches_a_rebuilt_one():
+    # On the double well the envelope is not w: its hull has the bridge
+    # nodes on facets that the hull of w spans without them.
+    w, region = _double_well(grid.build_domain(1, "ball:1.0", 65))
+    env = badset.convex_envelope(w, region)
+    assert np.max(w.values[region] - env.values[region]) > 0.01
+    E, _ = region_ball(w.domain, 0.5)
+    rebuilt = badset.ma_measure(GridFunction(env.domain, env.values.copy()), E)
+    assert badset.ma_measure(env, E) == pytest.approx(rebuilt, rel=1e-12, abs=0.0)
 
 
 def test_ma_measure_is_exactly_zero_without_cells():
