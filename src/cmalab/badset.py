@@ -29,7 +29,6 @@ from .grid import (
     shift,
 )
 from .sections import SectionChain, construct_section_chain
-from .solver import NEWTON_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +76,7 @@ def _stride_lattice(dom: GridDomain, stride: int) -> tuple[np.ndarray, np.ndarra
 def sample_badset_chains(u: GridFunction, v0: GridFunction,
                          stride: int, levels: int = 2,
                          sigma: float = 0.2, mu0: float = 0.1,
-                         chain_resolution: int = 33,
-                         newton_tol: float = NEWTON_TOL) -> list[NodeSections]:
+                         chain_resolution: int = 33) -> list[NodeSections]:
     """Chains (reduced to ball-fit radii) at the stride-lattice nodes inside
     B_{r_1}, the largest ball a decay row counts.  A node whose chain fails
     gets a zero-record (it classifies as bad at every k)."""
@@ -88,8 +86,8 @@ def sample_badset_chains(u: GridFunction, v0: GridFunction,
         idx = tuple(int(i) for i in idx)
         try:
             chain = construct_section_chain(
-                u, idx, sigma=sigma, k_max=levels, newton_tol=newton_tol,
-                mu0=mu0, chain_resolution=chain_resolution, v0=v0)
+                u, idx, sigma=sigma, k_max=levels, mu0=mu0,
+                chain_resolution=chain_resolution, v0=v0)
             out.append(section_ball_radii(u, chain))
         except CmalabError:
             out.append(NodeSections(idx, []))

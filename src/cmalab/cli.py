@@ -31,7 +31,7 @@ from . import w2p as w2p_mod
 from .errors import CmalabError, DomainMismatchError
 from .grid import GridDomain, GridFunction, build_domain, read_cache
 from .sections import Section, SectionChain, construct_section_chain
-from .solver import NEWTON_TOL, comparison_sandwich, solve_dirichlet
+from .solver import comparison_sandwich, solve_dirichlet
 
 _FUNCS = {
     "sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt,
@@ -112,24 +112,11 @@ def _resolution_for(n: int, resolution: int | None) -> int:
     return _DIM_RESOLUTION[n] if resolution is None else resolution
 
 
-def _profile_for(n: int, profile: str | None) -> str:
-    """The boundary profile to use in complex dimension n: the dimension's
-    own when None; the other dimension's profile is an error, never a swap."""
-    if n not in _DIM_PROFILE:
-        raise ValueError("n must be 1 or 2")
-    if profile is None:
-        return _DIM_PROFILE[n]
-    if profile == _DIM_PROFILE[3 - n]:
-        raise ValueError(f"profile {profile!r} does not fit n={n}")
-    return profile
-
-
 @dataclass
 class ExperimentConfig:
     n: int = 1
     resolution: int | None = None
     gamma: float = 0.05
-    profile: str | None = None
     eps: float = 0.01
     f_expr: str | None = None
     sigma: float = 0.2
@@ -144,7 +131,6 @@ class ExperimentConfig:
     chain_resolution: int | None = None
     engulf_pairs: int = 60
     cover_families: int = 10
-    newton_tol: float = NEWTON_TOL
 
     def __post_init__(self):
         self.resolution = _resolution_for(self.n, self.resolution)
@@ -152,7 +138,6 @@ class ExperimentConfig:
             raise ValueError("resolution must be at least 9")
         if not 0.0 <= self.gamma < 0.5:
             raise ValueError("gamma must lie in [0, 0.5)")
-        self.profile = _profile_for(self.n, self.profile)
         if not 0.0 <= self.eps <= 0.2:
             raise ValueError("eps must lie in [0, 0.2] (perturbative regime)")
         if not 0.0 < self.sigma < 1.0:
@@ -165,8 +150,6 @@ class ExperimentConfig:
             raise ValueError("stride must be at least 1")
         if self.chain_levels < 1:
             raise ValueError("chain_levels must be at least 1")
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
         if isinstance(self.eps_bar, str):
             if self.eps_bar != "recipe":
                 raise ValueError("eps_bar must be a float or 'recipe'")
@@ -190,7 +173,7 @@ class ExperimentConfig:
     def shape_spec(self) -> str:
         if self.gamma == 0.0:
             return "ball:1.0"
-        return f"perturbed:{self.gamma}:{self.profile}"
+        return f"perturbed:{self.gamma}:{_DIM_PROFILE[self.n]}"
 
     def f_function(self):
         if self.f_expr is not None:
@@ -288,8 +271,7 @@ def build_chains(cfg: ExperimentConfig, u: GridFunction, v0: GridFunction,
     """The sections stage: a chain of cfg.chain_levels levels at each centre
     (a node index of u's lattice)."""
     return [construct_section_chain(
-                u, idx, sigma=cfg.sigma, k_max=cfg.chain_levels,
-                newton_tol=cfg.newton_tol, mu0=cfg.mu0,
+                u, idx, sigma=cfg.sigma, k_max=cfg.chain_levels, mu0=cfg.mu0,
                 chain_resolution=cfg.chain_resolution, v0=v0)
             for idx in centres]
 
@@ -300,8 +282,7 @@ def decay_report(cfg: ExperimentConfig, u: GridFunction, v0: GridFunction,
     and the decay rows up to cfg.k_max, with eps_bar taken at the first p."""
     node_sections = badset_mod.sample_badset_chains(
         u, v0, stride=cfg.stride, levels=cfg.chain_levels,
-        sigma=cfg.sigma, mu0=cfg.mu0,
-        chain_resolution=cfg.chain_resolution, newton_tol=cfg.newton_tol)
+        sigma=cfg.sigma, mu0=cfg.mu0, chain_resolution=cfg.chain_resolution)
     return badset_mod.badset_decay_experiment(
         u, node_sections, cfg.eps_bar_value(cfg.p_list[0]), cfg.k_max,
         stride=cfg.stride, params=params)
@@ -353,8 +334,8 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
         if not eps_f <= 0.2:
             raise ValueError(f"eps_f = max|f - 1| = {eps_f:.4g} on the interior nodes "
                              f"must lie in [0, 0.2] (perturbative regime)")
-        u, urep = solve_dirichlet(dom, f, 0.0, cfg.newton_tol)
-        v0, vrep = solve_dirichlet(dom, 1.0, 0.0, cfg.newton_tol)
+        u, urep = solve_dirichlet(dom, f, 0.0)
+        v0, vrep = solve_dirichlet(dom, 1.0, 0.0)
         save_instance(u, out / "u", urep)
         save_instance(v0, out / "v0", vrep)
         u.write_csv(out / "u.csv")
@@ -529,10 +510,10 @@ def _add_instance_args(sp):
 
 
 def _cmd_solve(args) -> int:
-    dom = build_domain(args.n, _shape_from_args(args),
-                       _resolution_for(args.n, args.resolution))
+    resolution = _resolution_for(args.n, args.resolution)
+    dom = build_domain(args.n, _shape_from_args(args), resolution)
     f = compile_expression(args.f_expr, dom.d) if args.f_expr else 1.0
-    u, rep = solve_dirichlet(dom, f, 0.0, args.newton_tol)
+    u, rep = solve_dirichlet(dom, f, 0.0)
     if args.out:
         save_instance(u, Path(args.out), rep)
         if args.csv:
@@ -545,9 +526,9 @@ def _cmd_solve(args) -> int:
 
 
 def _shape_from_args(args) -> str:
-    profile = _profile_for(args.n, args.profile)
+    """The shape spec of the solve flags; n must already be checked."""
     if args.gamma and args.gamma > 0:
-        return f"perturbed:{args.gamma}:{profile}"
+        return f"perturbed:{args.gamma}:{_DIM_PROFILE[args.n]}"
     return f"ball:{args.radius}"
 
 
@@ -559,7 +540,7 @@ def _stage_inputs(args, **settings) -> tuple[ExperimentConfig, GridFunction, Gri
     u = load_instance(Path(args.instance))
     cfg = ExperimentConfig(n=u.domain.n, **settings)
     if not args.v0:
-        return cfg, u, solve_dirichlet(u.domain, 1.0, 0.0, cfg.newton_tol)[0]
+        return cfg, u, solve_dirichlet(u.domain, 1.0, 0.0)[0]
     v0 = load_instance(Path(args.v0))
     if not (u.domain.same_lattice(v0.domain)
             and u.domain.shape.spec() == v0.domain.shape.spec()):
@@ -646,14 +627,22 @@ def _cmd_w2p(args) -> int:
     return 0
 
 
+# the pipeline's config flags; each defaults to None, which leaves its
+# ExperimentConfig field at the field's default
+_PIPELINE_FLAGS = ("n", "resolution", "gamma", "eps", "sigma", "k_max", "stride", "seed")
+
+
+def _pipeline_flags_given(args) -> dict:
+    """The pipeline config flags on the command line, by field name."""
+    return {name: getattr(args, name) for name in _PIPELINE_FLAGS
+            if getattr(args, name) is not None}
+
+
 def _cmd_pipeline(args) -> int:
-    if args.config:
-        cfg = ExperimentConfig(**json.loads(Path(args.config).read_text()))
-    else:
-        cfg = ExperimentConfig(
-            n=args.n, resolution=args.resolution, gamma=args.gamma,
-            eps=args.eps, sigma=args.sigma, k_max=args.k_max,
-            stride=args.stride, seed=args.seed)
+    """Run the pipeline on the --config file's settings or else on the
+    config flags that were given; main refuses the two together."""
+    cfg = ExperimentConfig(**(json.loads(Path(args.config).read_text()) if args.config
+                              else _pipeline_flags_given(args)))
     manifest = run_pipeline(cfg, args.out_dir)
     print(f"pipeline complete: {len(manifest['files'])} artifacts in {args.out_dir}")
     return 0
@@ -671,11 +660,8 @@ def main(argv=None) -> int:
     sp.add_argument("--resolution", type=int, default=None,
                     help="default 65 for n=1, 33 for n=2")
     sp.add_argument("--gamma", type=float, default=0.0)
-    sp.add_argument("--profile", default=None,
-                    help="boundary profile; default cos3 for n=1, harmonic for n=2")
     sp.add_argument("--radius", type=float, default=1.0)
     sp.add_argument("--f-expr", dest="f_expr", default=None)
-    sp.add_argument("--newton-tol", dest="newton_tol", type=float, default=NEWTON_TOL)
     sp.add_argument("--out", default=None)
     sp.add_argument("--csv", action="store_true")
     sp.add_argument("--report", default=None)
@@ -730,18 +716,21 @@ def main(argv=None) -> int:
     sp = sub.add_parser("pipeline", help="full experiment pipeline")
     sp.add_argument("--config", default=None)
     sp.add_argument("--out-dir", dest="out_dir", required=True)
-    sp.add_argument("--n", type=int, default=ExperimentConfig.n)
+    sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--resolution", type=int, default=None,
                     help="default 65 for n=1, 33 for n=2")
-    sp.add_argument("--gamma", type=float, default=ExperimentConfig.gamma)
-    sp.add_argument("--eps", type=float, default=ExperimentConfig.eps)
-    sp.add_argument("--sigma", type=float, default=ExperimentConfig.sigma)
-    sp.add_argument("--k-max", dest="k_max", type=int, default=ExperimentConfig.k_max)
-    sp.add_argument("--stride", type=int, default=ExperimentConfig.stride)
-    sp.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    sp.add_argument("--gamma", type=float, default=None)
+    sp.add_argument("--eps", type=float, default=None)
+    sp.add_argument("--sigma", type=float, default=None)
+    sp.add_argument("--k-max", dest="k_max", type=int, default=None)
+    sp.add_argument("--stride", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(func=_cmd_pipeline)
 
     args = parser.parse_args(argv)
+    if args.command == "pipeline" and args.config and (given := _pipeline_flags_given(args)):
+        parser.error("--config cannot be combined with "
+                     + ", ".join("--" + name.replace("_", "-") for name in given))
     return args.func(args)
 
 

@@ -25,10 +25,6 @@ class DegenerateHessianError(CmalabError):
     """Complex Hessian is not positive definite where positivity is required,
     or its determinant is too far from 1 to normalize."""
 
-    def __init__(self, message: str, min_eigenvalue: float):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue
-
 
 class NonConvergenceError(CmalabError):
     """Newton iteration hit the cap before reaching the residual target."""

@@ -35,7 +35,7 @@ from .grid import (
     mask_window,
     node_differences,
 )
-from .solver import NEWTON_TOL, solve_dirichlet
+from .solver import solve_dirichlet
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +305,7 @@ def unit_determinant(A: np.ndarray) -> np.ndarray:
     det = float(np.linalg.det(A).real)
     if det <= 0:
         raise DegenerateHessianError(
-            "cannot normalize a matrix with non-positive determinant",
-            float(np.linalg.eigvalsh(A).min()))
+            f"cannot normalize a matrix with non-positive determinant {det:.3e}")
     return A / det ** (1.0 / A.shape[0])
 
 
@@ -321,11 +320,13 @@ def normalize_transform(A: np.ndarray) -> np.ndarray:
     lam, U = np.linalg.eigh(A)
     if lam.min() <= 0:
         raise DegenerateHessianError(
-            "cannot normalize a non-positive-definite form", float(lam.min()))
+            f"cannot normalize a non-positive-definite form "
+            f"(min eigenvalue {lam.min():.3e})")
     det = float(np.prod(lam))
     if abs(det - 1.0) > 0.2:
         raise DegenerateHessianError(
-            f"determinant {det:.4f} too far from 1 to normalize", float(lam.min()))
+            f"determinant {det:.4f} too far from 1 to normalize "
+            f"(min eigenvalue {lam.min():.3e})")
     lam_hat = lam / det ** (1.0 / lam.size)
     return np.asarray(U @ np.diag(lam_hat ** -0.5) @ U.conj().T, dtype=complex)
 
@@ -533,8 +534,7 @@ def allowed_top_height(dom: GridDomain, x0: tuple) -> float:
 
 
 def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
-                            k_max: int, newton_tol: float = NEWTON_TOL,
-                            mu0: float = 0.1, *, chain_resolution: int,
+                            k_max: int, mu0: float = 0.1, *, chain_resolution: int,
                             v0: GridFunction) -> SectionChain:
     """Build k_max levels of sections at x0 with shape tolerance sigma.
 
@@ -582,7 +582,7 @@ def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
         solve_iters, solve_res = 0, float("nan")
         try:
             if k > 1:
-                v_level, v_rep = solve_dirichlet(w_dom, 1.0, 0.0, newton_tol)
+                v_level, v_rep = solve_dirichlet(w_dom, 1.0, 0.0)
                 solve_iters, solve_res = v_rep.iterations, v_rep.residual
             h_inc, A = taylor_split(v_level, center)
             A_hat = unit_determinant(A)

@@ -10,8 +10,9 @@ domain's Laplacian, built once per domain with each level's restriction
 stored.  The harmonic extension of the initial boundary gap is computed once
 per domain and cut data, so solves with the same data share it.  A
 plurisubharmonicity guard halves the step whenever the smallest
-complex-Hessian eigenvalue would drop below the fixed floor _PSH_FLOOR.  The
-residual target newton_tol is the solver's only setting.
+complex-Hessian eigenvalue would drop below the fixed floor _PSH_FLOOR.
+Newton stops once max|log det - log f| <= NEWTON_TOL, a module constant read
+at each call; the solver has no setting.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .grid import (
 )
 
 
-NEWTON_TOL = 1e-8          # default residual target max|log det - log f|
+NEWTON_TOL = 1e-8          # residual target max|log det - log f|
 _MAX_ITERS = 30
 _PSH_FLOOR = 1e-6          # smallest complex-Hessian eigenvalue kept in a step
 _JACOBI_OMEGA = 0.8        # damping of the V-cycle's Jacobi smoother
@@ -353,19 +354,16 @@ def harmonic_extension(dom: GridDomain, cut_values: np.ndarray) -> np.ndarray:
 # The solver
 
 
-def solve_dirichlet(domain: GridDomain, f, g, newton_tol: float = NEWTON_TOL
-                    ) -> tuple[GridFunction, SolveReport]:
+def solve_dirichlet(domain: GridDomain, f, g) -> tuple[GridFunction, SolveReport]:
     """Solve det(u_{i jbar}) = f in the domain with Dirichlet data g.
 
     f is a callable of the points or a scalar (positive on the interior); g
     a callable or scalar sampled at the continuum cut points.
     Newton starts from |z|^2 - r^2 plus the harmonic extension of the
-    boundary gap and stops once max|log det - log f| <= newton_tol.
+    boundary gap and stops once max|log det - log f| <= NEWTON_TOL.
     Returns the solution and a residual certificate.  Raises
     NonConvergenceError, DegeneracyError or LinearSolveError on failure.
     """
-    if newton_tol <= 0:
-        raise ValueError("newton_tol must be positive")
     asm = _get_assembly(domain)
     int_flat = asm["int_flat"]
     if asm["n_int"] == 0:
@@ -406,10 +404,10 @@ def solve_dirichlet(domain: GridDomain, f, g, newton_tol: float = NEWTON_TOL
 
     residual = float(np.max(np.abs(np.log(det) - log_f)))
     iters = 0
-    while residual > newton_tol:
+    while residual > NEWTON_TOL:
         if iters >= _MAX_ITERS:
             raise NonConvergenceError(
-                f"Newton did not reach {newton_tol:.1e} in {_MAX_ITERS} "
+                f"Newton did not reach {NEWTON_TOL:.1e} in {_MAX_ITERS} "
                 f"iterations (last residual {residual:.3e})", residual, iters)
         weights = _hessian_weights(domain, fields)
         A_int, _ = _assemble(domain, weights)

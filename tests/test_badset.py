@@ -152,14 +152,15 @@ def test_sampling_records_every_chain_failure():
         assert records[(16, j)] == []
 
 
-def test_sampling_solves_to_the_given_newton_tol():
-    # newton_tol reaches every chain's level-2 solve: at a target below
-    # roundoff each chain breaks and its node gets an empty record.
+def test_sampling_solves_to_the_given_newton_tol(monkeypatch):
+    # Every chain's level-2 solve works to solver.NEWTON_TOL: at a target
+    # below roundoff each chain breaks and its node gets an empty record.
     dom = grid.build_domain(1, "ball:1.0", 33)
     u, _ = solver.solve_dirichlet(dom, 1.0, 0.0)
     kw = dict(stride=8, levels=2, chain_resolution=33)
     assert all(ns.radii for ns in badset.sample_badset_chains(u, u, **kw))
-    ns = badset.sample_badset_chains(u, u, newton_tol=1e-300, **kw)
+    monkeypatch.setattr(solver, "NEWTON_TOL", 1e-300)
+    ns = badset.sample_badset_chains(u, u, **kw)
     assert len(ns) == 5
     assert all(n.radii == [] for n in ns)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cmalab import badset, cli, grid, sections, solver
-from cmalab.errors import CmalabError, DomainMismatchError, NonConvergenceError
+from cmalab.errors import CmalabError, DomainMismatchError
 
 
 # -- expression language -----------------------------------------------------------
@@ -60,8 +60,6 @@ def test_config_validates_before_compute(tmp_path):
         with pytest.raises(ValueError, match="eps_bar"):
             cli.ExperimentConfig(eps_bar=eps_bar)
     with pytest.raises(ValueError):
-        cli.ExperimentConfig(newton_tol=0.0)
-    with pytest.raises(ValueError):
         cli.ExperimentConfig(chain_levels=0)
     with pytest.raises(ValueError):
         cli.ExperimentConfig(chain_resolution=7)
@@ -69,14 +67,11 @@ def test_config_validates_before_compute(tmp_path):
 
 
 def test_config_profile_fits_dimension():
-    # Each dimension has its own boundary profile; a mismatch is an error,
-    # never a silent swap, and the resolved default is what gets hashed.
-    assert cli.ExperimentConfig().to_dict()["profile"] == "cos3"
-    assert cli.ExperimentConfig(n=2, resolution=17).profile == "harmonic"
-    with pytest.raises(ValueError):
-        cli.ExperimentConfig(n=2, resolution=17, profile="cos3")
-    with pytest.raises(ValueError):
-        cli.ExperimentConfig(profile="harmonic")
+    # Each dimension has its own boundary profile, fixed by n: it is part of
+    # the shape spec and no config field.
+    assert cli.ExperimentConfig().shape_spec() == "perturbed:0.05:cos3"
+    assert cli.ExperimentConfig(n=2, resolution=17).shape_spec() == "perturbed:0.05:harmonic"
+    assert "profile" not in cli.ExperimentConfig().to_dict()
 
 
 def test_config_resolution_defaults_by_dimension():
@@ -165,23 +160,16 @@ def test_solve_subcommand_with_expression(tmp_path):
 
 
 def test_solve_subcommand_profile_fits_dimension(tmp_path):
-    # The solve subcommand resolves its profile by the same rule as
-    # ExperimentConfig: harmonic by default at n = 2, cos3 rejected there.
+    # The solve subcommand takes its profile from n, as ExperimentConfig
+    # does: harmonic at n = 2.  An n with no profile is refused as such.
     out = tmp_path / "n2"
     rc = cli.main(["solve", "--n", "2", "--resolution", "9", "--gamma", "0.05",
                    "--out", str(out)])
     assert rc == 0
     meta = json.loads(out.with_suffix(".meta.json").read_text())
     assert meta["shape"] == {"kind": "perturbed_ball", "gamma": 0.05, "profile": "harmonic"}
-    with pytest.raises(ValueError):
-        cli.main(["solve", "--n", "2", "--profile", "cos3"])
-
-
-def test_solve_subcommand_passes_newton_tol():
-    # A target below roundoff reaches the solve and is never met.
-    with pytest.raises(NonConvergenceError):
-        cli.main(["solve", "--n", "1", "--resolution", "17",
-                  "--f-expr", "1 + 0.1*x1*x1", "--newton-tol", "1e-300"])
+    with pytest.raises(ValueError, match="n must be 1 or 2"):
+        cli.main(["solve", "--n", "3", "--gamma", "0.05"])
 
 
 # -- sections / engulf subcommands ----------------------------------------------------
@@ -609,3 +597,59 @@ def test_pipeline_cli_entry(tmp_path):
     ])
     assert rc == 0
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def _stub_pipeline(monkeypatch):
+    """Stub run_pipeline; the returned list receives each config it gets."""
+    seen = []
+
+    def run(cfg, out_dir):
+        seen.append(cfg)
+        return {"files": {}}
+
+    monkeypatch.setattr(cli, "run_pipeline", run)
+    return seen
+
+
+def test_pipeline_flags_and_config_file_reach_the_config(tmp_path, monkeypatch):
+    # The flags given set their fields and the rest keep the config's
+    # defaults; a --config file's fields all reach the config, f_expr too.
+    seen = _stub_pipeline(monkeypatch)
+    out = str(tmp_path / "out")
+    cli.main(["pipeline", "--out-dir", out, "--seed", "5", "--n", "2"])
+    settings = {"n": 1, "resolution": 17, "seed": 7, "chain_points": 3,
+                "f_expr": "1 + 0.01*x1", "p_list": [2.0, 3.0]}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings))
+    cli.main(["pipeline", "--out-dir", out, "--config", str(config)])
+    assert [cfg.to_dict() for cfg in seen] == [
+        cli.ExperimentConfig(n=2, seed=5).to_dict(),
+        cli.ExperimentConfig(**settings).to_dict()]
+    assert seen[1].f_expr == "1 + 0.01*x1" and seen[1].p_list == (2.0, 3.0)
+
+
+@pytest.mark.parametrize("flag", [["--seed", "5"], ["--n", "2"], ["--k-max", "2"]])
+def test_pipeline_refuses_config_with_flags(tmp_path, monkeypatch, capsys, flag):
+    # Regression: --config with other flags ran the file's config and
+    # dropped the flags without a word.
+    seen = _stub_pipeline(monkeypatch)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 1, "resolution": 17}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["pipeline", "--out-dir", str(tmp_path / "out"),
+                  "--config", str(config), *flag])
+    assert exc.value.code == 2 and not seen
+    assert "--config cannot be combined with " + flag[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("newton_tol", 1e-8), ("profile", "cos3")])
+def test_pipeline_config_with_a_deleted_field_is_refused(tmp_path, field, value):
+    # An old manifest's config names the deleted settings; such a file is
+    # refused before any stage writes a file.
+    settings = dict(cli.ExperimentConfig(resolution=17).to_dict(), **{field: value})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings))
+    out = tmp_path / "out"
+    with pytest.raises(TypeError, match=field):
+        cli.main(["pipeline", "--out-dir", str(out), "--config", str(config)])
+    assert not out.exists()

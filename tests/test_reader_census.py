@@ -15,6 +15,12 @@ reader sets is a constant, not an option; passing the default is not
 setting it.  And some call in those files must leave it unset: a default
 that every reader overrides is a second, dead home of the setting.
 
+Config fields are read like defaults: each defaulted ``ExperimentConfig``
+field must be set, to an expression other than its default's, by a keyword
+of some ``ExperimentConfig(...)`` or ``_stage_inputs(...)`` call in those
+files, or be named in ``cli._PIPELINE_FLAGS``, the fields that ``cmalab
+pipeline`` sets from its flags.
+
 Failures are read too: every ``except`` handler of the package ends in
 ``raise``.  A handler that does not turns a typed failure into an outcome
 (a skipped pair, a fallback value, a count) that nothing can tell apart
@@ -155,6 +161,45 @@ def test_every_default_is_left_unset_by_a_reader():
             and (pos is None or pos >= len(node.args)))
     always_set = [qual for qual, *_ in params if qual not in left_unset]
     assert not always_set, f"defaults every reader overrides: {sorted(always_set)}"
+
+
+# Config fields nothing in the reader files sets, with the reason they stay.
+FIELDS_ALLOWED = {
+    "f_expr": "the right-hand side f, an outside input read only from a --config file",
+}
+
+
+def _config_fields():
+    """(name, default source) of every defaulted field of ExperimentConfig,
+    and the field names in cli._PIPELINE_FLAGS."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig")
+    fields = [(sub.target.id, ast.unparse(sub.value)) for sub in cls.body
+              if isinstance(sub, ast.AnnAssign) and sub.value is not None]
+    flags = next((ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and ast.unparse(node.targets[0]) == "_PIPELINE_FLAGS"), ())
+    return fields, set(flags)
+
+
+def test_every_config_field_is_set_by_a_reader():
+    # A config field no reader sets is a constant with the cost of a
+    # setting, as a parameter is.  A field counts as set when some
+    # ExperimentConfig(...) or _stage_inputs(...) call passes it by keyword
+    # an expression other than its default's, or when `cmalab pipeline` sets
+    # it from a flag.
+    fields, flags = _config_fields()
+    passed = defaultdict(set)
+    for name, node in _reader_calls():
+        if name in ("ExperimentConfig", "_stage_inputs"):
+            for kw in node.keywords:
+                passed[kw.arg].add(ast.unparse(kw.value))
+    unset = [field for field, default in fields
+             if field not in flags and not passed[field] - {default}]
+    assert sorted(unset) == sorted(FIELDS_ALLOWED), (
+        f"config fields no reader sets: {sorted(set(unset) - set(FIELDS_ALLOWED))}; "
+        f"allowed but now set: {sorted(set(FIELDS_ALLOWED) - set(unset))}")
 
 
 # Handlers that do not end in raise, by top-level definition, with the

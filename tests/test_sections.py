@@ -461,14 +461,15 @@ def test_chain_margin_precondition(ball_n1):
     assert err.value.level == 1
 
 
-def test_chain_solves_to_the_given_newton_tol(ball_n1):
-    # newton_tol reaches the level-2 solve: a target below roundoff breaks
-    # the chain there, with the solver's failure as the cause.
+def test_chain_solves_to_the_given_newton_tol(ball_n1, monkeypatch):
+    # The level-2 solve works to solver.NEWTON_TOL: a target below roundoff
+    # breaks the chain there, with the solver's failure as the cause.
     dom, u, _ = ball_n1
+    monkeypatch.setattr(solver, "NEWTON_TOL", 1e-300)
     with pytest.raises(ChainBrokenError) as err:
         sections.construct_section_chain(
             u, dom.node_index((0.25, -0.125)), sigma=0.2, k_max=2,
-            newton_tol=1e-300, v0=u, chain_resolution=33)
+            v0=u, chain_resolution=33)
     assert err.value.level == 2
     assert isinstance(err.value.__cause__, NonConvergenceError)
 

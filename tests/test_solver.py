@@ -36,7 +36,7 @@ def test_exact_ball_n2(ball_n2):
 
 def test_quadratic_boundary_data_converges_fast():
     # Boundary data sampled from |z|^2 - 1 reproduces the quadratic within
-    # newton_tol in at most 3 Newton steps.
+    # NEWTON_TOL in at most 3 Newton steps.
     dom = grid.build_domain(1, "ball:1.0", 65)
     g = lambda p: np.sum(np.atleast_2d(p) ** 2, axis=1) - 1.0
     u, rep = solver.solve_dirichlet(dom, 1.0, g)
@@ -119,13 +119,13 @@ def test_rejects_nonpositive_f():
         solver.solve_dirichlet(dom, lambda p: 4.0 * np.sum(np.atleast_2d(p) ** 2, axis=1), 0.0)
 
 
-def test_nonconvergence_carries_last_residual():
+def test_nonconvergence_carries_last_residual(monkeypatch):
     # A residual target below roundoff is never met: the iteration cap
-    # raises, carrying the last residual.
+    # raises, carrying the last residual.  NEWTON_TOL is read at each call.
     dom = grid.build_domain(1, "ball:1.0", 33)
+    monkeypatch.setattr(solver, "NEWTON_TOL", 1e-300)
     with pytest.raises(NonConvergenceError) as err:
-        solver.solve_dirichlet(dom, lambda p: 1.0 + 0.1 * np.atleast_2d(p)[:, 0] ** 2,
-                               0.0, newton_tol=1e-300)
+        solver.solve_dirichlet(dom, lambda p: 1.0 + 0.1 * np.atleast_2d(p)[:, 0] ** 2, 0.0)
     assert err.value.last_residual > 0
     assert err.value.iterations == 30
 
@@ -145,7 +145,7 @@ def test_degenerate_init_raises():
 
 
 def test_solve_report_invariant(perturbed_n1):
-    # On success: residual below newton_tol, minimum eigenvalue above the
+    # On success: residual below NEWTON_TOL, minimum eigenvalue above the
     # floor, boundary constraints satisfied to roundoff.
     _, u, _ = perturbed_n1
     _, rep = solver.solve_dirichlet(u.domain, 1.0, 0.0)
@@ -153,13 +153,6 @@ def test_solve_report_invariant(perturbed_n1):
     assert rep.residual <= solver.NEWTON_TOL
     assert rep.min_eigenvalue >= solver._PSH_FLOOR
     assert rep.boundary_max_error <= 1e-10
-
-
-def test_solve_config_validation():
-    dom = grid.build_domain(1, "ball:1.0", 9)
-    for tol in (0.0, -1e-8):
-        with pytest.raises(ValueError):
-            solver.solve_dirichlet(dom, 1.0, 0.0, newton_tol=tol)
 
 
 def test_boundary_support_cycle_raises_typed_error():
