@@ -34,9 +34,15 @@ CACHE_MAGIC = b"CMAG"
 CACHE_VERSION = 1
 _MEMORY_CAP_BYTES = 2 << 30     # largest solve footprint build_domain accepts
 # Peak RSS per lattice node of build_domain plus two Dirichlet solves, net of
-# the imports: n=1 grows with the LU fill from 1.4 KB at res 129 to 1.8 KB at
-# res 513; n=2 (multigrid) is 600 B at res 17 and 690 B at res 33.
-_BYTES_PER_NODE = {1: 1800, 2: 700}
+# the imports (tools/solver_memory.py), with at least 15% headroom over the
+# largest measured value: n=1 grows with the LU fill, 1175 / 1358 / 1600 B at
+# res 129 / 257 / 513; n=2 (multigrid) is at most 335 / 370 / 335 / 350 /
+# 383 B at res 17 / 25 / 33 / 41 / 45.  At n=2 the largest resolution under
+# the cap is 45, whose V-cycle coarsens to 12 nodes per axis.  The n=2
+# figure holds only for lattices that coarsen that far: a hierarchy that
+# stops at 20 or more nodes per axis (an even resolution, or 43 and 47) adds
+# the direct factorization of that level, 10 KB per node at res 20.
+_BYTES_PER_NODE = {1: 1850, 2: 480}
 
 
 # ---------------------------------------------------------------------------

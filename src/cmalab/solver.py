@@ -4,13 +4,17 @@ Damped Newton on G(u) = log det u_{i jbar} - log f.  Each step solves the
 linearized equation sum_ij u^{i jbar} d_{i jbar}(delta) = -G(u) over interior
 nodes; boundary nodes are eliminated through their linear extrapolation
 constraints (anchored at continuum cut points), which keeps the inner linear
-system elliptic and interior-only.  At n = 1 that system is solved directly;
-at n = 2 by GMRES preconditioned with a geometric-multigrid V-cycle of the
-domain's Laplacian, built once per domain with each level's restriction
-stored.  The harmonic extension of the initial boundary gap is computed once
-per domain and cut data, so solves with the same data share it.  A
-plurisubharmonicity guard halves the step whenever the smallest
-complex-Hessian eigenvalue would drop below the fixed floor _PSH_FLOOR.
+system elliptic and interior-only.  Each operator is assembled negated, in
+the positive-definite form both solvers take, from int32 stencil tables
+cached per domain through one preallocated COO buffer; the solvers only read
+it.  At n = 1 that system is solved directly; at n = 2 by GMRES
+preconditioned with a geometric-multigrid V-cycle of the domain's negated
+Laplacian, built once per domain: its finest level is the cached Laplacian
+itself, and each level stores its restriction.  The harmonic extension of
+the initial boundary gap is computed once per domain and cut data, so solves
+with the same data share it.  A plurisubharmonicity guard halves the step
+whenever the smallest complex-Hessian eigenvalue would drop below the fixed
+floor _PSH_FLOOR.
 Newton stops once max|log det - log f| <= NEWTON_TOL, a module constant read
 at each call; the solver has no setting.
 """
@@ -80,33 +84,34 @@ def _get_assembly(dom: GridDomain) -> dict:
     bnd_flat = dom.bc_table["flat"]
     n_int, n_bnd = int_flat.size, bnd_flat.size
 
-    int_col = np.full(res ** d, -1, dtype=np.int64)
-    int_col[int_flat] = np.arange(n_int)
-    bnd_col = np.full(res ** d, -1, dtype=np.int64)
-    bnd_col[bnd_flat] = np.arange(n_bnd)
-
-    idx_nd = np.argwhere(dom.interior_mask)
+    int_col = np.full(res ** d, -1, dtype=np.int32)
+    int_col[int_flat] = np.arange(n_int, dtype=np.int32)
+    bnd_col = np.full(res ** d, -1, dtype=np.int32)
+    bnd_col[bnd_flat] = np.arange(n_bnd, dtype=np.int32)
 
     def split_cols(off):
         """Rows and columns of the interior and of the boundary neighbors
-        off: (rows_i, cols_i, rows_b, cols_b)."""
-        nb = (idx_nd + np.asarray(off, dtype=np.int64)) @ strides
+        off: (rows_i, cols_i, rows_b, cols_b).  An interior node's stencil
+        stays in the box, so a neighbor is one flat offset away."""
+        nb = int_flat + np.dot(off, strides)
         ic = int_col[nb]
         bcn = bnd_col[nb]
         if np.any((ic < 0) & (bcn < 0)):
             raise StencilViolationError("interior stencil reaches an unvalued node")
-        rows_i = np.flatnonzero(ic >= 0)
-        rows_b = np.flatnonzero(bcn >= 0)
+        rows_i = np.flatnonzero(ic >= 0).astype(np.int32)
+        rows_b = np.flatnonzero(bcn >= 0).astype(np.int32)
         return rows_i, ic[rows_i], rows_b, bcn[rows_b]
 
+    # Coefficients of the negated second differences, so that every
+    # assembled operator is the positive-definite form the solvers take.
     ops = {}
     axis = lattice_offsets(d)
     for a in range(d):
-        entries = [(axis[2 * a + 1], 1.0), (axis[2 * a], 1.0), ((0,) * d, -2.0)]
+        entries = [(axis[2 * a + 1], -1.0), (axis[2 * a], -1.0), ((0,) * d, 2.0)]
         ops[("pure", a)] = [(c,) + split_cols(off) for off, c in entries]
     if dom.n == 2:
         for a, b in ((0, 2), (1, 3), (0, 3), (1, 2)):
-            ops[("mixed", a, b)] = [(0.25 * sign,) + split_cols(off)
+            ops[("mixed", a, b)] = [(-0.25 * sign,) + split_cols(off)
                                     for off, sign in mixed_terms(d, a, b)]
 
     # Boundary substitution u_B = S u_I + diag(coef_c) g_cut.  Supports are
@@ -139,39 +144,44 @@ def _get_assembly(dom: GridDomain) -> dict:
 
 
 def _assemble(dom: GridDomain, weights: dict) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Weighted difference operator restricted to interior unknowns.
+    """Negated weighted difference operator restricted to interior unknowns.
 
-    Returns (A_int, A_IB) with A_int = A_II + A_IB S already folded.
+    Returns (N_int, N_IB) with N_int = N_II + N_IB S already folded, where
+    N is minus the operator sum_key weights[key] * D_key.  The entries go
+    into one preallocated COO triple, interior columns first, freed once
+    both CSR blocks exist.
     """
     asm = _get_assembly(dom)
     n_int, n_bnd = asm["n_int"], asm["n_bnd"]
     inv_h2 = 1.0 / dom.h ** 2
-    ri, ci, vi = [], [], []
-    rb, cb, vb = [], [], []
-    for key, entries in asm["ops"].items():
-        w = weights.get(key)
-        if w is None:
-            continue
+    terms = [(weights[key], entries) for key, entries in asm["ops"].items()
+             if key in weights]
+    nnz_i = sum(e[1].size for _, entries in terms for e in entries)
+    nnz = nnz_i + sum(e[3].size for _, entries in terms for e in entries)
+    rows = np.empty(nnz, dtype=np.int32)
+    cols = np.empty(nnz, dtype=np.int32)
+    vals = np.empty(nnz)
+    pi, pb = 0, nnz_i
+    for w, entries in terms:
         for c, rows_i, cols_i, rows_b, cols_b in entries:
             coef = w * (c * inv_h2)
-            ri.append(rows_i)
-            ci.append(cols_i)
-            vi.append(coef[rows_i])
-            rb.append(rows_b)
-            cb.append(cols_b)
-            vb.append(coef[rows_b])
-    A_II = sp.coo_matrix(
-        (np.concatenate(vi), (np.concatenate(ri), np.concatenate(ci))),
-        shape=(n_int, n_int)).tocsr()
-    A_IB = sp.coo_matrix(
-        (np.concatenate(vb), (np.concatenate(rb), np.concatenate(cb))),
-        shape=(n_int, n_bnd)).tocsr()
-    A_int = (A_II + A_IB @ asm["S"]).tocsr()
-    return A_int, A_IB
+            for p, r, cl in ((pi, rows_i, cols_i), (pb, rows_b, cols_b)):
+                rows[p:p + r.size] = r
+                cols[p:p + r.size] = cl
+                vals[p:p + r.size] = coef[r]
+            pi += rows_i.size
+            pb += rows_b.size
+    N_II = sp.coo_matrix((vals[:nnz_i], (rows[:nnz_i], cols[:nnz_i])),
+                         shape=(n_int, n_int)).tocsr()
+    N_IB = sp.coo_matrix((vals[nnz_i:], (rows[nnz_i:], cols[nnz_i:])),
+                         shape=(n_int, n_bnd)).tocsr()
+    del rows, cols, vals
+    return N_II + N_IB @ asm["S"], N_IB
 
 
 def _laplacian(dom: GridDomain) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Unit-weight Laplacian (L, L_IB) of the domain, assembled once."""
+    """Negated unit-weight Laplacian (-L, -L_IB) of the domain, assembled
+    once; the V-cycle's finest level is this matrix."""
     if "laplacian" not in dom._cache:
         n_int = _get_assembly(dom)["n_int"]
         dom._cache["laplacian"] = _assemble(
@@ -224,7 +234,8 @@ def _cycle(levels: list, coarsest, b: np.ndarray, lvl: int = 0) -> np.ndarray:
 
 
 def _multigrid(dom: GridDomain):
-    """V-cycle preconditioner for the domain's negated Laplacian.
+    """V-cycle preconditioner for the domain's negated Laplacian, whose
+    finest level is the cached matrix of _laplacian itself.
 
     Coarse operators are Galerkin, P^T A P, so every level inherits the fine
     boundary substitution.  A lattice with an odd node count per axis
@@ -232,7 +243,7 @@ def _multigrid(dom: GridDomain):
     least one unknown; the coarsest operator is factored once.  A domain that
     cannot coarsen gets a one-level hierarchy: the direct solve.
     """
-    A = (-_laplacian(dom)[0]).tocsr()
+    A = _laplacian(dom)[0]
     mask = dom.interior_mask
     levels = []
     while mask.shape[0] % 2 == 1 and (mask.shape[0] + 1) // 2 >= _COARSEST_RES:
@@ -248,22 +259,23 @@ def _multigrid(dom: GridDomain):
     return functools.partial(_cycle, levels, spla.splu(A.tocsc()))
 
 
-def _linear_solve(dom: GridDomain, A: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve the interior system A x = rhs on the domain.
+def _linear_solve(dom: GridDomain, N: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve the interior system N x = rhs on the domain, N a negated
+    operator of _assemble; N is only read.
 
-    Planar (n = 1) grids go direct.  4-dimensional grids run GMRES on -A,
+    Planar (n = 1) grids go direct.  4-dimensional grids run GMRES on N,
     preconditioned by one multigrid V-cycle of the domain's negated
     Laplacian shared by every solve there; a miss of
-    max|A x - rhs| <= 1e-10 max|rhs| raises LinearSolveError.
+    max|N x - rhs| <= 1e-10 max|rhs| raises LinearSolveError.
     """
     if dom.n == 1:
-        return spla.spsolve(A.tocsc(), rhs)
+        return spla.spsolve(N.tocsc(), rhs)
     if "multigrid" not in dom._cache:
         dom._cache["multigrid"] = _multigrid(dom)
-    M = spla.LinearOperator(A.shape, dom._cache["multigrid"], dtype=A.dtype)
-    x, info = spla.gmres((-A).tocsr(), -rhs, M=M, rtol=1e-13, atol=0.0,
+    M = spla.LinearOperator(N.shape, dom._cache["multigrid"], dtype=N.dtype)
+    x, info = spla.gmres(N, rhs, M=M, rtol=1e-13, atol=0.0,
                          maxiter=400, restart=80)
-    residual = float(np.max(np.abs(A @ x - rhs)))
+    residual = float(np.max(np.abs(N @ x - rhs)))
     target = 1e-10 * (float(np.max(np.abs(rhs))) or 1.0)
     if info != 0 or residual > target:
         raise LinearSolveError(f"GMRES stopped (info {info}) at residual "
@@ -340,10 +352,10 @@ def harmonic_extension(dom: GridDomain, cut_values: np.ndarray) -> np.ndarray:
     if cached is not None and cached[0] == key:
         return cached[1]
     asm = _get_assembly(dom)
-    L, L_IB = _laplacian(dom)
+    N, N_IB = _laplacian(dom)
     g_off = asm["coef_c"] * cut_values
     out = np.full(dom.resolution ** dom.d, np.nan)
-    out[asm["int_flat"]] = _linear_solve(dom, L, -L_IB @ g_off)
+    out[asm["int_flat"]] = _linear_solve(dom, N, -(N_IB @ g_off))
     _set_boundary(dom, out, g_off)
     out.flags.writeable = False
     dom._cache["harmonic_extension"] = (key, out)
@@ -379,10 +391,10 @@ def solve_dirichlet(domain: GridDomain, f, g) -> tuple[GridFunction, SolveReport
     g_off = asm["coef_c"] * g_cut
 
     q = _reference_quadratic(domain)
-    pts = domain.coords()
-    u_flat = np.full(pts.shape[0], np.nan)
     valued = domain.valued_mask.ravel()
-    u_flat[valued] = q(pts[valued])
+    q_valued = q(domain.coords(valued))
+    u_flat = np.full(valued.size, np.nan)
+    u_flat[valued] = q_valued
     gap = g_cut - q(domain.bc_table["cuts"])
     if np.max(np.abs(gap)) > 1e-13:
         ext = harmonic_extension(domain, gap)
@@ -409,9 +421,10 @@ def solve_dirichlet(domain: GridDomain, f, g) -> tuple[GridFunction, SolveReport
             raise NonConvergenceError(
                 f"Newton did not reach {NEWTON_TOL:.1e} in {_MAX_ITERS} "
                 f"iterations (last residual {residual:.3e})", residual, iters)
-        weights = _hessian_weights(domain, fields)
-        A_int, _ = _assemble(domain, weights)
-        delta = _linear_solve(domain, A_int, -(np.log(det) - log_f))
+        # The operator is a temporary, freed before the next step assembles.
+        delta = _linear_solve(
+            domain, _assemble(domain, _hessian_weights(domain, fields))[0],
+            np.log(det) - log_f)
 
         step = 1.0
         halvings = 0
@@ -435,9 +448,7 @@ def solve_dirichlet(domain: GridDomain, f, g) -> tuple[GridFunction, SolveReport
     bmax = float(np.max(np.abs(_boundary_residual(domain, u_flat, g_cut)))) \
         if asm["n_bnd"] else 0.0
     u = GridFunction(domain, u_flat.reshape(shape_nd))
-    pts_v = domain.coords(domain.valued_mask.ravel())
-    quad_dist = float(np.max(np.abs(
-        u_flat[np.flatnonzero(domain.valued_mask.ravel())] - q(pts_v))))
+    quad_dist = float(np.max(np.abs(u_flat[valued] - q_valued)))
     report = SolveReport(
         iterations=iters,
         residual=residual,

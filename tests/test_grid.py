@@ -56,7 +56,7 @@ def test_build_domain_validation():
 
 
 def test_n2_res65_is_refused_before_allocating():
-    # 17.85M nodes at the measured ~700 B per node need about 12 GB.  A
+    # 17.85M nodes at the measured ~370 B per node need about 6.6 GB.  A
     # guess of 96 B per node put them under the 2 GiB cap, so the domain
     # was built and the solve ran the host out of memory.
     tracemalloc.start()
