@@ -34,15 +34,17 @@ CACHE_MAGIC = b"CMAG"
 CACHE_VERSION = 1
 _MEMORY_CAP_BYTES = 2 << 30     # largest solve footprint build_domain accepts
 # Peak RSS per lattice node of build_domain plus two Dirichlet solves, net of
-# the imports (tools/solver_memory.py), with at least 15% headroom over the
-# largest measured value: n=1 grows with the LU fill, 1175 / 1358 / 1600 B at
-# res 129 / 257 / 513; n=2 (multigrid) is at most 335 / 370 / 335 / 350 /
-# 383 B at res 17 / 25 / 33 / 41 / 45.  At n=2 the largest resolution under
-# the cap is 45, whose V-cycle coarsens to 12 nodes per axis.  The n=2
-# figure holds only for lattices that coarsen that far: a hierarchy that
-# stops at 20 or more nodes per axis (an even resolution, or 43 and 47) adds
-# the direct factorization of that level, 10 KB per node at res 20.
+# the imports, from tools/solver_memory.py with at least 15% headroom: n=1
+# grows with the LU fill to 1600 B at res 513; n=2 is at most 370 B at res
+# 17, 25 and 33.  The n=2 figure assumes a V-cycle that coarsens to a small
+# level; _DIRECT_RES_MAX bounds the level it factors directly.
 _BYTES_PER_NODE = {1: 1850, 2: 480}
+COARSEST_RES = 5        # fewest nodes per axis of a multigrid coarse lattice
+# The fill of that direct factorization grows much faster than its node
+# count: a whole n=2 lattice of 16 / 18 / 20 nodes per axis peaks at 310 /
+# 659 / 1572 MiB net.  build_domain refuses an n=2 lattice whose coarsening
+# (coarse_twin) stops above this many nodes per axis.
+_DIRECT_RES_MAX = 18
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +313,14 @@ class GridDomain:
         )
 
 
+def coarse_twin(count: int) -> int:
+    """Nodes per axis of the multigrid twin, of spacing 2h, of a lattice with
+    `count` nodes per axis; 0 where the V-cycle stops coarsening: an even
+    count has no twin, and a twin keeps at least COARSEST_RES nodes."""
+    twin = (count + 1) // 2
+    return twin if count % 2 == 1 and twin >= COARSEST_RES else 0
+
+
 def build_domain(n: int, shape_spec, resolution: int) -> GridDomain:
     """Discretize a near-ball domain in C^n on a symmetric box.
 
@@ -331,6 +341,15 @@ def build_domain(n: int, shape_spec, resolution: int) -> GridDomain:
         raise MemoryCapError(
             f"resolution {resolution} in {d} real dimensions needs about "
             f"{footprint / 1e9:.1f} GB (> cap {_MEMORY_CAP_BYTES / 1e9:.1f} GB)")
+    if n == 2:
+        coarsest = resolution
+        while coarse_twin(coarsest):
+            coarsest = coarse_twin(coarsest)
+        if coarsest > _DIRECT_RES_MAX:
+            raise MemoryCapError(
+                f"resolution {resolution} in {d} real dimensions leaves a V-cycle "
+                f"level of {coarsest} nodes per axis to factor directly "
+                f"(> {_DIRECT_RES_MAX})")
 
     L = shape.outer_radius()
     axes = [np.linspace(-L, L, resolution) for _ in range(d)]

@@ -40,6 +40,7 @@ from .errors import (
 from .grid import (
     GridDomain,
     GridFunction,
+    coarse_twin,
     hessian_det_field,
     hessian_eigen_fields,
     hessian_fields,
@@ -53,7 +54,6 @@ _MAX_ITERS = 30
 _PSH_FLOOR = 1e-6          # smallest complex-Hessian eigenvalue kept in a step
 _JACOBI_OMEGA = 0.8        # damping of the V-cycle's Jacobi smoother
 _JACOBI_SWEEPS = 2         # pre- and post-smoothing sweeps per level
-_COARSEST_RES = 5          # fewest nodes per axis of a coarse lattice
 
 
 @dataclass
@@ -238,15 +238,15 @@ def _multigrid(dom: GridDomain):
     finest level is the cached matrix of _laplacian itself.
 
     Coarse operators are Galerkin, P^T A P, so every level inherits the fine
-    boundary substitution.  A lattice with an odd node count per axis
-    coarsens while its coarse twin keeps _COARSEST_RES nodes per axis and at
-    least one unknown; the coarsest operator is factored once.  A domain that
-    cannot coarsen gets a one-level hierarchy: the direct solve.
+    boundary substitution.  A lattice coarsens while grid.coarse_twin gives
+    it a twin with at least one unknown; the coarsest operator is factored
+    once.  A domain that cannot coarsen gets a one-level hierarchy: the
+    direct solve.
     """
     A = _laplacian(dom)[0]
     mask = dom.interior_mask
     levels = []
-    while mask.shape[0] % 2 == 1 and (mask.shape[0] + 1) // 2 >= _COARSEST_RES:
+    while coarse_twin(mask.shape[0]):
         P, cmask = _prolongation(mask)
         if P.shape[1] == 0:
             break

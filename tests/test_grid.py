@@ -56,13 +56,34 @@ def test_build_domain_validation():
 
 
 def test_n2_res65_is_refused_before_allocating():
-    # 17.85M nodes at the measured ~370 B per node need about 6.6 GB.  A
+    # 17.85M nodes at the cap's 480 B per node need about 8.6 GB.  A
     # guess of 96 B per node put them under the 2 GiB cap, so the domain
     # was built and the solve ran the host out of memory.
     tracemalloc.start()
     try:
         with pytest.raises(MemoryCapError):
             grid.build_domain(2, "ball:1.0", 65)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_coarse_twin_follows_the_odd_lattices_down():
+    assert [grid.coarse_twin(c) for c in (45, 23, 12)] == [23, 12, 0]
+    assert [grid.coarse_twin(c) for c in (33, 17, 9, 5)] == [17, 9, 5, 0]
+    assert grid.coarse_twin(10) == 0
+
+
+@pytest.mark.parametrize("res", [20, 39, 42, 43, 44])
+def test_n2_lattice_whose_v_cycle_stops_early_is_refused(res):
+    # Each is under the per-node cap, but its V-cycle stops at 20 or more
+    # nodes per axis and factors that level directly: a whole lattice of
+    # 20 nodes per axis alone peaks at 1.57 GiB net.
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryCapError, match="factor directly"):
+            grid.build_domain(2, "ball:1.0", res)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
