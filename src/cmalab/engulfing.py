@@ -17,16 +17,9 @@ the lattice); the verdicts are those of full-box dilations.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
-from .grid import interp_multilinear, mask_window
+from .grid import grow, interp_multilinear, mask_window
 from .sections import Section
-
-
-def _grow(mask: np.ndarray) -> np.ndarray:
-    """The mask dilated by one node in every direction (Moore structure)."""
-    return ndimage.binary_dilation(
-        mask, structure=ndimage.generate_binary_structure(mask.ndim, mask.ndim))
 
 
 def dilate_membership(sec: Section, c: float, pts: np.ndarray) -> np.ndarray:
@@ -43,7 +36,7 @@ def dilate_membership(sec: Section, c: float, pts: np.ndarray) -> np.ndarray:
 def inclusion_with_slack(inner: np.ndarray, outer: np.ndarray) -> bool:
     """inner subset of outer, up to one-cell slack."""
     win = mask_window(inner)
-    return win is None or bool(np.all(_grow(outer[win])[inner[win]]))
+    return win is None or bool(np.all(grow(outer[win], diagonal=True)[inner[win]]))
 
 
 def in_dilations(inner: np.ndarray, sets: list[Section], c: float) -> bool:
@@ -62,7 +55,7 @@ def in_dilations(inner: np.ndarray, sets: list[Section], c: float) -> bool:
     corner = np.array([w.start for w in win])
     inner = inner[win]
     hit = np.zeros_like(inner)
-    todo = _grow(inner)
+    todo = grow(inner, diagonal=True)
     for sec in sets:
         idx = np.argwhere(todo)
         if idx.size == 0:
@@ -75,7 +68,7 @@ def in_dilations(inner: np.ndarray, sets: list[Section], c: float) -> bool:
 def sets_intersect(a: Section, b: Section) -> bool:
     """Shared node, or within lattice distance 1."""
     win = mask_window(a.mask)
-    return bool(np.any(_grow(a.mask[win]) & b.mask[win]))
+    return bool(np.any(grow(a.mask[win], diagonal=True) & b.mask[win]))
 
 
 def check_engulfing(s1: Section, s2: Section) -> str:

@@ -101,6 +101,64 @@ def mask_window(mask: np.ndarray) -> tuple[slice, ...] | None:
     return tuple(out)
 
 
+def grow(mask: np.ndarray, diagonal: bool) -> np.ndarray:
+    """The mask dilated by one node: to its face neighbours, or with
+    `diagonal` to its whole Moore cube, which is the face step along each
+    axis in turn."""
+    out = mask.copy()
+    for a in range(mask.ndim):
+        line = out.swapaxes(a, 0)
+        # In place: numpy reads an operand that overlaps its output as a
+        # copy.  In the Moore case the down step reads the up step's output,
+        # whose new nodes copy the node below them, so it adds only the
+        # step down from what the earlier axes grew.
+        src = line if diagonal else mask.swapaxes(a, 0)
+        line[1:] |= src[:-1]
+        line[:-1] |= src[1:]
+    return out
+
+
+def component(mask: np.ndarray, seed: tuple) -> np.ndarray:
+    """The face-connected component of the mask through `seed`; empty when
+    the seed is off the mask.
+
+    The work runs on the mask's bounding box.  Along each axis the mask
+    splits into runs of consecutive nodes, numbered by one cumsum over the
+    runs' first nodes.  Each sweep along an axis takes in every run that
+    holds a reached node.  Once the sweeps along every axis since the one
+    that last grew the reached set have added nothing, it is closed under
+    face steps.
+    """
+    out = np.zeros_like(mask)
+    if not mask[seed]:
+        return out
+    win = mask_window(mask)
+    box = mask[win]
+    d = box.ndim
+    # per axis: the run number of each mask node of the box, in C order
+    runs = []
+    for a in range(d):
+        lines = box.swapaxes(a, -1)
+        first = lines.copy()
+        first[..., 1:] &= ~lines[..., :-1]
+        number = np.cumsum(first, axis=None)
+        runs.append((number.reshape(lines.shape).swapaxes(a, -1)[box], number[-1] + 1))
+    reached = np.zeros(runs[0][0].size, dtype=bool)
+    at = np.ravel_multi_index([c - w.start for c, w in zip(seed, win)], box.shape)
+    reached[np.count_nonzero(box.ravel()[:at])] = True
+    count, closed, a = 1, 0, 0
+    while closed < d and count < reached.size:
+        run, size = runs[a]
+        hit = np.zeros(size, dtype=bool)
+        hit[run[reached]] = True
+        reached = hit[run]
+        grown = int(np.count_nonzero(reached))
+        closed = closed + 1 if grown == count else 1
+        count, a = grown, (a + 1) % d
+    out[win][box] = reached
+    return out
+
+
 # Offsets the complex-Hessian stencil touches.  Pure second differences use
 # axis steps; the mixed terms of u_{z_i zbar_j} (i != j) pair a real axis of
 # z_i with one of z_j, so n = 1 needs no diagonals at all and n = 2 only
@@ -367,9 +425,7 @@ def lattice_domain(n: int, L: float, signed: np.ndarray, shape=None) -> GridDoma
     d = 2 * n
     inside = signed < 0.0
 
-    ring = np.zeros_like(inside)
-    for off in lattice_offsets(d):
-        ring |= (~inside) & shift(inside, off, fill=False)
+    ring = grow(inside, diagonal=False) & ~inside
 
     ok = inside | ring
     good = inside.copy()

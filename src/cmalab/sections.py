@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (
     ChainBrokenError,
@@ -31,6 +30,8 @@ from .grid import (
     GridFunction,
     build_domain,  # noqa: F401  perfbench/layers.py wraps cmalab.sections.build_domain
     complex_hessian,
+    component,
+    grow,
     lattice_domain,
     mask_window,
     node_differences,
@@ -340,14 +341,6 @@ def mu0_from_sigma(sigma: float) -> float:
     return min(root * root, 0.009 * (1.0 - 1e-12))
 
 
-def _connected_component(mask: np.ndarray, seed: tuple) -> np.ndarray:
-    """Face-connected component of mask through seed, which must lie in
-    mask (label 0 would select the complement)."""
-    structure = ndimage.generate_binary_structure(mask.ndim, 1)
-    labels, _ = ndimage.label(mask, structure=structure)
-    return labels == labels[seed]
-
-
 # Windows give each node the full-box floats: numpy's einsum and matmul
 # compute every row of a batch of three or more rows alike (one or two rows
 # take other paths), and every window below holds at least four nodes.
@@ -390,7 +383,6 @@ def build_section(u: GridFunction, x0: tuple, mu: float,
         raise ValueError(f"base node {x0} carries no value")
     if not dom.interior_mask[x0]:
         raise ValueError(f"base node {x0} is not interior")
-    structure = ndimage.generate_binary_structure(dom.d, 1)
     half = math.ceil(1.25 * math.sqrt(mu) / dom.h) + 2
     while True:
         win = _centered_window(x0, half, dom.resolution)
@@ -401,13 +393,12 @@ def build_section(u: GridFunction, x0: tuple, mu: float,
         seed = tuple(c - s.start for c, s in zip(x0, win))
         if not sub[seed]:
             raise ValueError(f"base node {x0} lies outside its section: h(x0) < -mu")
-        comp = _connected_component(sub & dom.interior_mask[win], seed)
+        comp = component(sub & dom.interior_mask[win], seed)
 
         # Escape: a boundary-collar node satisfying the sublevel inequality and
         # touching the component means the section is not compactly contained.
         sub_bnd = sub & dom.boundary_mask[win]
-        if np.any(sub_bnd) and np.any(
-                ndimage.binary_dilation(comp, structure=structure) & sub_bnd):
+        if np.any(sub_bnd) and np.any(grow(comp, diagonal=False) & sub_bnd):
             raise SectionEscapeError(
                 f"section at {x0} with height {mu} reaches the domain boundary")
         if not _reaches_window_edge(comp, win, dom.resolution):
@@ -607,7 +598,7 @@ def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
 
         w_dom = w.domain
         center = (chain_resolution // 2,) * dom.d
-        comp = _connected_component(w_dom.interior_mask, center)
+        comp = component(w_dom.interior_mask, center)
         pts_new = w_dom.coords()
         rad = np.linalg.norm(pts_new, axis=1).reshape(comp.shape)
         r_out = float(np.max(rad[comp], initial=0.0))

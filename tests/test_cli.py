@@ -2,7 +2,10 @@
 
 import importlib.util
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +398,27 @@ def test_pipeline_n2_runs_every_stage(tmp_path):
     assert m["stages"] == {s: "ok" for s in ("solve", "certificates", "sections", "engulf",
                                              "cover", "badset", "w2p")}
     assert len(m["files"]) == 14
+
+
+_FOOTPRINT_CHILD = """
+import json, sys
+from cmalab.cli import ExperimentConfig, run_pipeline
+cfg = ExperimentConfig(n=1, resolution=33, chain_points=4, stride=8, engulf_pairs=10,
+                       cover_families=2)
+run_pipeline(cfg, sys.argv[1])
+print(json.dumps([m for m in ("scipy.ndimage", "scipy.spatial") if m in sys.modules]))
+"""
+
+
+def test_pipeline_loads_neither_ndimage_nor_spatial(tmp_path):
+    # Imports are most of a pipeline run's peak memory.  The library's
+    # dilations and components are lattice-native (grid.grow,
+    # grid.component), and the pipeline builds no convex envelope, the one
+    # user of scipy.spatial; a fresh interpreter sees what a run loads.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _FOOTPRINT_CHILD, str(tmp_path)], env=env,
+                         check=True, stdout=subprocess.PIPE, text=True).stdout
+    assert json.loads(out.splitlines()[-1]) == []
 
 
 def test_pipeline_stage_error_recorded_in_manifest(tmp_path):

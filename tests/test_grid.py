@@ -8,6 +8,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from cmalab import grid, sections
 from cmalab.errors import BoundaryConstraintError, MemoryCapError, StencilViolationError
@@ -459,3 +462,39 @@ def test_flat_gather_interpolation_matches_index_tuples(d, res):
     assert np.array_equal(got, ref, equal_nan=True)
     assert np.isfinite(ref[:200]).any()
     assert np.isnan(ref).any() and np.isfinite(ref).any()
+
+
+# -- lattice morphology -----------------------------------------------------------
+
+
+@st.composite
+def _masks_and_seeds(draw):
+    """A random mask of d = 2, 3 or 4 axes of 1 to 9 - d nodes, and a node
+    of its box, on the mask or off it."""
+    d = draw(st.integers(2, 4))
+    shape = tuple(draw(st.integers(1, 9 - d)) for _ in range(d))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mask = rng.random(shape) < draw(st.floats(0.0, 1.0))
+    return mask, tuple(draw(st.integers(0, s - 1)) for s in shape)
+
+
+@given(case=_masks_and_seeds())
+@example(case=(np.zeros((4, 3), dtype=bool), (1, 2)))
+@example(case=(np.array([[[True, False, True, True]]]), (0, 0, 1)))
+@example(case=(np.ones((1, 5, 1, 2), dtype=bool), (0, 3, 0, 1)))
+@settings(max_examples=150, deadline=None)
+def test_lattice_morphology_matches_ndimage(case):
+    # grow is binary_dilation by the face (rank 1) or Moore (rank d)
+    # structure; component is the face-structure label through the seed.
+    # ndimage labels off-mask nodes 0, so a seed off the mask would select
+    # the complement; the component is empty there.
+    mask, seed = case
+    d = mask.ndim
+    for diagonal, rank in ((False, 1), (True, d)):
+        ref = ndimage.binary_dilation(mask, structure=ndimage.generate_binary_structure(d, rank))
+        assert np.array_equal(grid.grow(mask, diagonal=diagonal), ref)
+    labels, _ = ndimage.label(mask, structure=ndimage.generate_binary_structure(d, 1))
+    ref = (labels == labels[seed]) & mask
+    got = grid.component(mask, seed)
+    assert got.shape == mask.shape and got.dtype == bool
+    assert np.array_equal(got, ref)

@@ -8,7 +8,10 @@ For each ``n:resolution`` argument a fresh interpreter builds the domain of
 
 - ``peak_rss_mb``: the interpreter's peak resident set (``ru_maxrss``), in
   MiB (2**20 bytes);
-- ``net_rss_mb``: that peak less the peak after the imports;
+- ``import_rss_mb``: the peak after the imports (``cmalab.cli``,
+  ``cmalab.grid``, ``cmalab.solver``, and with them numpy and scipy), in
+  MiB: the footprint every run of the package starts from;
+- ``net_rss_mb``: ``peak_rss_mb`` less ``import_rss_mb``;
 - ``bytes_per_node``: the net peak in bytes per lattice node of the box,
   resolution ** (2 n).  ``grid._BYTES_PER_NODE`` is read from this column.
 
@@ -44,6 +47,7 @@ solve_dirichlet(dom, 1.0, 0.0)
 peak = peak_kib()
 print(json.dumps({"n": n, "resolution": res,
                   "peak_rss_mb": round(peak / 1024, 1),
+                  "import_rss_mb": round(imports / 1024, 1),
                   "net_rss_mb": round((peak - imports) / 1024, 1),
                   "bytes_per_node": round((peak - imports) * 1024 / res ** (2 * n))}))
 """
