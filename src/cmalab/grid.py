@@ -35,16 +35,13 @@ CACHE_VERSION = 1
 _MEMORY_CAP_BYTES = 2 << 30     # largest solve footprint build_domain accepts
 # Peak RSS per lattice node of build_domain plus two Dirichlet solves, net of
 # the imports, from tools/solver_memory.py with at least 15% headroom: n=1
-# grows with the LU fill to 1600 B at res 513; n=2 is at most 370 B at res
-# 17, 25 and 33.  The n=2 figure assumes a V-cycle that coarsens to a small
-# level; _DIRECT_RES_MAX bounds the level it factors directly.
+# grows with the LU fill to 1600 B at res 513; n=2, where odd and even
+# lattices alike coarsen to a V-cycle level of at most 7 nodes per axis,
+# reads 304 / 333 / 317 / 324 / 364 / 335 / 349 / 355 / 355 B at res 16 / 17
+# / 18 / 20 / 24 / 33 / 40 / 44 / 45.  At 480 B the cap admits every n=2
+# resolution from 9 to 45.
 _BYTES_PER_NODE = {1: 1850, 2: 480}
 COARSEST_RES = 5        # fewest nodes per axis of a multigrid coarse lattice
-# The fill of that direct factorization grows much faster than its node
-# count: a whole n=2 lattice of 16 / 18 / 20 nodes per axis peaks at 310 /
-# 659 / 1572 MiB net.  build_domain refuses an n=2 lattice whose coarsening
-# (coarse_twin) stops above this many nodes per axis.
-_DIRECT_RES_MAX = 18
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +370,12 @@ class GridDomain:
 
 def coarse_twin(count: int) -> int:
     """Nodes per axis of the multigrid twin, of spacing 2h, of a lattice with
-    `count` nodes per axis; 0 where the V-cycle stops coarsening: an even
-    count has no twin, and a twin keeps at least COARSEST_RES nodes."""
-    twin = (count + 1) // 2
-    return twin if count % 2 == 1 and twin >= COARSEST_RES else 0
+    `count` nodes per axis: its even-index nodes, count // 2 + 1 of them once
+    an even count is padded by one node at the high end.  0 where the V-cycle
+    stops coarsening, because the twin would keep fewer than COARSEST_RES
+    nodes."""
+    twin = count // 2 + 1
+    return twin if twin >= COARSEST_RES else 0
 
 
 def build_domain(n: int, shape_spec, resolution: int) -> GridDomain:
@@ -399,15 +398,6 @@ def build_domain(n: int, shape_spec, resolution: int) -> GridDomain:
         raise MemoryCapError(
             f"resolution {resolution} in {d} real dimensions needs about "
             f"{footprint / 1e9:.1f} GB (> cap {_MEMORY_CAP_BYTES / 1e9:.1f} GB)")
-    if n == 2:
-        coarsest = resolution
-        while coarse_twin(coarsest):
-            coarsest = coarse_twin(coarsest)
-        if coarsest > _DIRECT_RES_MAX:
-            raise MemoryCapError(
-                f"resolution {resolution} in {d} real dimensions leaves a V-cycle "
-                f"level of {coarsest} nodes per axis to factor directly "
-                f"(> {_DIRECT_RES_MAX})")
 
     L = shape.outer_radius()
     axes = [np.linspace(-L, L, resolution) for _ in range(d)]

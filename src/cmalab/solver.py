@@ -240,13 +240,18 @@ def _multigrid(dom: GridDomain):
     Coarse operators are Galerkin, P^T A P, so every level inherits the fine
     boundary substitution.  A lattice coarsens while grid.coarse_twin gives
     it a twin with at least one unknown; the coarsest operator is factored
-    once.  A domain that cannot coarsen gets a one-level hierarchy: the
-    direct solve.
+    once.  An even-count lattice is first padded by one high-end layer of
+    non-unknowns, which adds no unknown and keeps their row-major numbering,
+    so its even-index nodes span the whole lattice.  Every lattice
+    build_domain admits, and every chain lattice, has at least 9 nodes per
+    axis and so coarsens at least once.
     """
     A = _laplacian(dom)[0]
     mask = dom.interior_mask
     levels = []
     while coarse_twin(mask.shape[0]):
+        if mask.shape[0] % 2 == 0:
+            mask = np.pad(mask, [(0, 1)] * mask.ndim)
         P, cmask = _prolongation(mask)
         if P.shape[1] == 0:
             break

@@ -400,6 +400,15 @@ def test_pipeline_n2_runs_every_stage(tmp_path):
     assert len(m["files"]) == 14
 
 
+def test_pipeline_n2_even_res20_runs_every_stage(tmp_path):
+    # An even n = 2 lattice coarsens through the V-cycle like an odd one;
+    # res 20 used to be refused, because its V-cycle stopped at the whole
+    # lattice and factoring that would have taken more than 1.5 GiB.
+    m = cli.run_pipeline(cli.ExperimentConfig(n=2, resolution=20), tmp_path / "n2")
+    assert m["stages"] == {s: "ok" for s in ("solve", "certificates", "sections", "engulf",
+                                             "cover", "badset", "w2p")}
+
+
 _FOOTPRINT_CHILD = """
 import json, sys
 from cmalab.cli import ExperimentConfig, run_pipeline

@@ -72,20 +72,30 @@ def test_n2_res65_is_refused_before_allocating():
     assert peak < 1 << 20
 
 
-def test_coarse_twin_follows_the_odd_lattices_down():
-    assert [grid.coarse_twin(c) for c in (45, 23, 12)] == [23, 12, 0]
-    assert [grid.coarse_twin(c) for c in (33, 17, 9, 5)] == [17, 9, 5, 0]
-    assert grid.coarse_twin(10) == 0
+def test_coarse_twin_halves_odd_and_even_counts():
+    # The twin is the even-index nodes, of an even count padded by one node.
+    assert [grid.coarse_twin(c) for c in (45, 12, 18, 10, 9, 7)] == [23, 7, 10, 6, 5, 0]
 
 
-@pytest.mark.parametrize("res", [20, 39, 42, 43, 44])
-def test_n2_lattice_whose_v_cycle_stops_early_is_refused(res):
-    # Each is under the per-node cap, but its V-cycle stops at 20 or more
-    # nodes per axis and factors that level directly: a whole lattice of
-    # 20 nodes per axis alone peaks at 1.57 GiB net.
+class _Admitted(Exception):
+    pass
+
+
+class _UnbuiltBall(grid.BallShape):
+    def outer_radius(self):
+        raise _Admitted
+
+
+@pytest.mark.parametrize("res", [20, 39, 42, 43, 44, 45, 46])
+def test_n2_lattice_meets_only_the_byte_cap_before_allocating(monkeypatch, res):
+    # Every n = 2 lattice coarsens, so only the byte cap decides: 45**4 *
+    # 480 B is under 2 GiB and 46**4 * 480 B over it.  A shape that raises
+    # when the lattice is laid out shows that a lattice passed the cap
+    # without building it.
+    monkeypatch.setattr(grid, "shape_from_spec", lambda spec: _UnbuiltBall(1.0))
     tracemalloc.start()
     try:
-        with pytest.raises(MemoryCapError, match="factor directly"):
+        with pytest.raises(_Admitted if res <= 45 else MemoryCapError):
             grid.build_domain(2, "ball:1.0", res)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

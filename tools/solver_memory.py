@@ -13,7 +13,9 @@ For each ``n:resolution`` argument a fresh interpreter builds the domain of
   MiB: the footprint every run of the package starts from;
 - ``net_rss_mb``: ``peak_rss_mb`` less ``import_rss_mb``;
 - ``bytes_per_node``: the net peak in bytes per lattice node of the box,
-  resolution ** (2 n).  ``grid._BYTES_PER_NODE`` is read from this column.
+  resolution ** (2 n).  ``grid._BYTES_PER_NODE`` is read from this column;
+- ``levels``: at n = 2, the unknowns of each V-cycle level, finest first,
+  the last one factored directly; null at n = 1, which solves directly.
 
 The package is imported from the ``src`` directory next to this script, so
 each checkout measures its own code.
@@ -45,7 +47,10 @@ dom = build_domain(cfg.n, cfg.shape_spec(), cfg.resolution)
 solve_dirichlet(dom, cfg.f_function(), 0.0)
 solve_dirichlet(dom, 1.0, 0.0)
 peak = peak_kib()
-print(json.dumps({"n": n, "resolution": res,
+multigrid = dom._cache.get("multigrid")
+levels = None if multigrid is None else (
+    [A.shape[0] for A, *_ in multigrid.args[0]] + [multigrid.args[1].shape[0]])
+print(json.dumps({"n": n, "resolution": res, "levels": levels,
                   "peak_rss_mb": round(peak / 1024, 1),
                   "import_rss_mb": round(imports / 1024, 1),
                   "net_rss_mb": round((peak - imports) / 1024, 1),
