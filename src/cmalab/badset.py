@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CmalabError
 from .grid import (
     GridDomain,
     GridFunction,
@@ -38,15 +37,20 @@ from .sections import SectionChain, construct_section_chain
 @dataclass
 class NodeSections:
     """Ball-fit data of the sections available at one sampled node:
-    (height, max distance of section nodes from the center)."""
+    (height, max distance of section nodes from the center), and the break
+    of its chain (SectionChain.broken)."""
 
     idx: tuple
     radii: list[tuple[float, float]]
+    broken: tuple[int, str, str] | None = None
 
 
 def section_ball_radii(u: GridFunction, chain: SectionChain) -> NodeSections:
     """Max center-distance of each resolvable section of the chain (height
-    at least (2h)^2), evaluated on the original grid."""
+    at least (2h)^2), evaluated on the original grid.  A broken chain gets
+    no radii and keeps its break."""
+    if chain.broken is not None:
+        return NodeSections(chain.center_idx, [], chain.broken)
     dom = u.domain
     mu_min = (2.0 * dom.h) ** 2
     ctr = chain.center_point
@@ -78,19 +82,13 @@ def sample_badset_chains(u: GridFunction, v0: GridFunction,
                          sigma: float = 0.2, mu0: float = 0.1,
                          chain_resolution: int = 33) -> list[NodeSections]:
     """Chains (reduced to ball-fit radii) at the stride-lattice nodes inside
-    B_{r_1}, the largest ball a decay row counts.  A node whose chain fails
-    gets a zero-record (it classifies as bad at every k)."""
+    B_{r_1}, the largest ball a decay row counts.  A node whose chain breaks
+    gets no radii (it classifies as bad at every k) and keeps the break."""
     nodes, dist = _stride_lattice(u.domain, stride)
-    out = []
-    for idx in nodes[dist <= radius_schedule(1)[1]]:
-        idx = tuple(int(i) for i in idx)
-        try:
-            chain = construct_section_chain(
-                u, idx, sigma=sigma, k_max=levels, mu0=mu0,
-                chain_resolution=chain_resolution, v0=v0)
-            out.append(section_ball_radii(u, chain))
-        except CmalabError:
-            out.append(NodeSections(idx, []))
+    out = [section_ball_radii(u, construct_section_chain(
+               u, tuple(int(i) for i in idx), sigma=sigma, k_max=levels, mu0=mu0,
+               chain_resolution=chain_resolution, v0=v0))
+           for idx in nodes[dist <= radius_schedule(1)[1]]]
     if not out:
         raise ValueError("no sampled nodes; lower the stride")
     return out

@@ -18,6 +18,7 @@ import math
 import operator
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -369,8 +370,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
         stage_done("sections")
 
         stage = "engulf"
-        verdicts, pair_rows = _engulf_pairs(
-            u, chains, rng, cfg.engulf_pairs if len(chains) >= 2 else 0)
+        verdicts, pair_rows = _engulf_pairs(u, chains, rng, cfg.engulf_pairs)
         write_json(out / "engulf.json", {"counts": verdicts, "pairs": pair_rows})
         files.append(out / "engulf.json")
         stage_done("engulf")
@@ -429,20 +429,22 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
 
 
 def _engulf_pairs(u: GridFunction, chains: list, rng, pairs: int) -> tuple[dict, list]:
-    """Engulfing verdicts on random section pairs drawn from the chains.
-    Both heights stay at or below their chain's mu_top, whose section the
-    chain cut without escape when it was built; a pair that cannot be cut
-    raises, and is never skipped."""
+    """Engulfing verdicts on random section pairs drawn from the chains
+    with a built level, none when fewer than two have one.  Both heights
+    stay at or below their chain's mu_top, whose section the chain cut
+    without escape when it was built; a pair that cannot be cut raises,
+    and is never skipped."""
+    usable = [i for i, c in enumerate(chains) if c.levels]
     verdicts = {"pass": 0, "fail": 0, "not-applicable": 0}
     rows = []
-    for _ in range(pairs):
-        i, j = rng.integers(0, len(chains), size=2)
-        c1, c2 = chains[int(i)], chains[int(j)]
+    for _ in range(pairs if len(usable) >= 2 else 0):
+        i, j = (usable[int(a)] for a in rng.integers(0, len(usable), size=2))
+        c1, c2 = chains[i], chains[j]
         mu2 = c2.mu_top * float(rng.uniform(0.4, 1.0))
         mu1 = min(float(rng.uniform(0.25, 4.0)) * mu2, c1.mu_top)
         v = engulfing_mod.check_engulfing(c1.section(u, mu1), c2.section(u, mu2))
         verdicts[v] += 1
-        rows.append({"i": int(i), "j": int(j), "mu1": mu1, "mu2": mu2, "verdict": v})
+        rows.append({"i": i, "j": j, "mu1": mu1, "mu2": mu2, "verdict": v})
     return verdicts, rows
 
 
@@ -557,6 +559,9 @@ def _cmd_sections(args) -> int:
     chains = build_chains(cfg, u, v0, centres)
     write_json(Path(args.out_chain), [c.to_dict() for c in chains])
     print(f"built {len(chains)} chains -> {args.out_chain}")
+    broken = Counter(c.broken[:2] for c in chains if c.broken)
+    for (level, cause), count in sorted(broken.items()):
+        print(f"  {count} broken at level {level}: {cause}")
     return 0
 
 

@@ -60,17 +60,6 @@ class SectionFitError(CmalabError):
     allows."""
 
 
-class ChainBrokenError(CmalabError):
-    """Section chain construction failed at a specific level, 1 to k_max.
-    Every package failure inside a level, from the level solve to the
-    re-grid, becomes one of these at that level, with the typed failure as
-    its __cause__."""
-
-    def __init__(self, message: str, level: int):
-        super().__init__(message)
-        self.level = level
-
-
 class CoverageError(CmalabError):
     """Target set is not covered by the supplied family."""
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ChainBrokenError,
     CmalabError,
     DegeneracyError,
     DegenerateHessianError,
@@ -189,6 +188,7 @@ class SectionChain:
     mu_top: float
     levels: list[ChainLevel] = field(default_factory=list)
     paper_mu0: float = float("nan")
+    broken: tuple[int, str, str] | None = None     # (level, cause type, message)
 
     @property
     def center_point(self) -> np.ndarray:
@@ -213,7 +213,7 @@ class SectionChain:
         return build_section(u, self.center_idx, mu, self.shift_for_height(mu))
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "center": [float(c) for c in self.center_point],
             "sigma": self.sigma,
             "mu0": self.mu0,
@@ -236,6 +236,9 @@ class SectionChain:
                 for lv in self.levels
             ],
         }
+        if self.broken is not None:
+            out["broken"] = list(self.broken)
+        return out
 
     @classmethod
     def from_dict(cls, data: dict, domain: GridDomain) -> "SectionChain":
@@ -253,7 +256,8 @@ class SectionChain:
 
         chain = cls(domain, domain.node_index(np.array(data["center"])),
                     float(data["sigma"]), float(data["mu0"]), float(data["mu_top"]),
-                    paper_mu0=float(data["paper_mu0"]))
+                    paper_mu0=float(data["paper_mu0"]),
+                    broken=tuple(data["broken"]) if "broken" in data else None)
         for lv in data["levels"]:
             chain.levels.append(ChainLevel(
                 k=lv["k"], height=float(lv["height"]),
@@ -537,7 +541,10 @@ def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
     (allowed_top_height).
 
     Any package failure inside level k, from the solve through the re-grid,
-    raises ChainBrokenError at level k with the typed failure as its cause.
+    ends the chain there: it is returned with the k - 1 levels built before,
+    and broken holds k and the failure's type name and message.  A node too
+    close to the boundary for any first-level height breaks at level 1 with
+    SectionEscapeError.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -552,11 +559,7 @@ def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
     if not dom.interior_mask[x0]:
         raise ValueError(f"base node {x0} is not interior")
 
-    top_allowed = allowed_top_height(dom, x0)
-    if top_allowed <= 0:
-        raise ChainBrokenError(
-            f"no safe first-level height at {x0}: too close to the boundary", 1)
-    mu_top = min(mu0, top_allowed)
+    mu_top = min(mu0, allowed_top_height(dom, x0))
     chain = SectionChain(dom, x0, sigma, mu0, mu_top, paper_mu0=mu0_from_sigma(sigma))
 
     w = u
@@ -572,6 +575,9 @@ def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
         level_mu = mu_top if k == 1 else mu0
         solve_iters, solve_res = 0, float("nan")
         try:
+            if level_mu <= 0:
+                raise SectionEscapeError(
+                    f"no safe first-level height at {x0}: too close to the boundary")
             if k > 1:
                 v_level, v_rep = solve_dirichlet(w_dom, 1.0, 0.0)
                 solve_iters, solve_res = v_rep.iterations, v_rep.residual
@@ -588,7 +594,8 @@ def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
             w = rescale_to_unit(w, center, level_mu, h_inc, T_tilde,
                                 chain_resolution, 1.0 + max(0.3, 0.5 * sigma))
         except CmalabError as exc:
-            raise ChainBrokenError(f"level {k} {exc}", k) from exc
+            chain.broken = (k, type(exc).__name__, str(exc))
+            return chain
 
         # Composite shift in original coordinates, then composite transform.
         prev_height = chain.height_of_level(k - 1) if k >= 2 else 1.0

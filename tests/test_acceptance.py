@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from cmalab import badset, cli, covering, engulfing, grid, sections, solver, w2p
-from cmalab.errors import CmalabError
 from cmalab.grid import GridFunction
 from oracle import dilated_mask
 
@@ -304,13 +303,9 @@ def _chains_out_to(u, v0, stride, radius):
     for idx in np.argwhere(dom.interior_mask):
         if np.any(idx % stride) or np.linalg.norm(dom.coords(tuple(idx))) > radius:
             continue
-        idx = tuple(int(i) for i in idx)
-        try:
-            chain = sections.construct_section_chain(
-                u, idx, sigma=0.2, k_max=2, v0=v0, chain_resolution=33)
-            out.append(badset.section_ball_radii(u, chain))
-        except CmalabError:
-            out.append(badset.NodeSections(idx, []))
+        chain = sections.construct_section_chain(
+            u, tuple(int(i) for i in idx), sigma=0.2, k_max=2, v0=v0, chain_resolution=33)
+        out.append(badset.section_ball_radii(u, chain))
     return out
 
 

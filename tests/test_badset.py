@@ -11,7 +11,6 @@ from scipy import ndimage, spatial
 from scipy.spatial import ConvexHull
 
 from cmalab import badset, cli, grid, sections, solver, w2p
-from cmalab.errors import ChainBrokenError, DegeneracyError, SectionEscapeError
 from cmalab.grid import GridFunction
 import oracle
 
@@ -136,25 +135,26 @@ def _default_instance(**kw):
 def test_sampling_records_every_chain_failure():
     # With f = exp(2 x_1) the level-one sections at (16, 24..40) reach the
     # boundary, which breaks the chain at level 1; the sampling records
-    # those nodes as empty (bad) and goes on.
+    # those nodes as empty (bad), with the break, and goes on.
     cfg, dom, u, v0 = _default_instance(f_expr="exp(2*x1)")
-    with pytest.raises(ChainBrokenError) as err:
-        sections.construct_section_chain(
-            u, (16, 24), sigma=cfg.sigma, k_max=2, mu0=cfg.mu0,
-            chain_resolution=cfg.chain_resolution, v0=v0)
-    assert err.value.level == 1
-    assert isinstance(err.value.__cause__, SectionEscapeError)
+    chain = sections.construct_section_chain(
+        u, (16, 24), sigma=cfg.sigma, k_max=2, mu0=cfg.mu0,
+        chain_resolution=cfg.chain_resolution, v0=v0)
+    assert chain.levels == []
+    assert chain.broken[:2] == (1, "SectionEscapeError")
     ns = badset.sample_badset_chains(u, v0, stride=4, levels=2, sigma=cfg.sigma,
                                      mu0=cfg.mu0, chain_resolution=cfg.chain_resolution)
-    records = {n.idx: n.radii for n in ns}
+    records = {n.idx: n for n in ns}
     assert len(records) == 69
     for j in range(24, 41, 4):
-        assert records[(16, j)] == []
+        assert records[(16, j)].radii == []
+        assert records[(16, j)].broken[:2] == (1, "SectionEscapeError")
 
 
 def test_sampling_solves_to_the_given_newton_tol(monkeypatch):
     # Every chain's level-2 solve works to solver.NEWTON_TOL: at a target
-    # below roundoff each chain breaks and its node gets an empty record.
+    # below roundoff each chain breaks there and its node gets an empty
+    # record that names the solver's failure.
     dom = grid.build_domain(1, "ball:1.0", 33)
     u, _ = solver.solve_dirichlet(dom, 1.0, 0.0)
     kw = dict(stride=8, levels=2, chain_resolution=33)
@@ -163,6 +163,7 @@ def test_sampling_solves_to_the_given_newton_tol(monkeypatch):
     ns = badset.sample_badset_chains(u, u, **kw)
     assert len(ns) == 5
     assert all(n.radii == [] for n in ns)
+    assert all(n.broken[:2] == (2, "NonConvergenceError") for n in ns)
 
 
 def test_known_level2_failures_outside_counted_ball():
@@ -172,11 +173,13 @@ def test_known_level2_failures_outside_counted_ball():
     cfg, dom, u, v0 = _default_instance()
     for idx in ((8, 28), (8, 36)):
         assert np.linalg.norm(dom.coords(idx)) > badset.radius_schedule(1)[1]
-        with pytest.raises(ChainBrokenError, match=r"level 2 fit \(0\.363, 0\.514\)") as err:
-            sections.construct_section_chain(
-                u, idx, sigma=cfg.sigma, k_max=cfg.chain_levels, mu0=cfg.mu0,
-                chain_resolution=cfg.chain_resolution, v0=v0)
-        assert err.value.level == 2
+        chain = sections.construct_section_chain(
+            u, idx, sigma=cfg.sigma, k_max=cfg.chain_levels, mu0=cfg.mu0,
+            chain_resolution=cfg.chain_resolution, v0=v0)
+        assert len(chain.levels) == 1
+        level, cause, message = chain.broken
+        assert (level, cause) == (2, "SectionFitError")
+        assert message.startswith("fit (0.363, 0.514)")
 
 
 def test_n2_census_of_counted_nodes(perturbed_n2):
@@ -191,14 +194,9 @@ def test_n2_census_of_counted_nodes(perturbed_n2):
     ns = badset.sample_badset_chains(u, v0, stride=4, levels=2, chain_resolution=13)
     assert len(ns) == 9
     assert [n.idx for n in ns if n.radii] == [(8, 8, 8, 8)]
-    breaks = []
-    for node in (n for n in ns if not n.radii):
-        with pytest.raises(ChainBrokenError) as err:
-            sections.construct_section_chain(u, node.idx, sigma=0.2, k_max=2,
-                                             chain_resolution=13, v0=v0)
-        breaks.append((err.value.level, type(err.value.__cause__)))
-    assert Counter(breaks) == {(2, SectionEscapeError): 4, (2, DegeneracyError): 2,
-                               (1, DegeneracyError): 2}
+    assert [n.idx for n in ns if not n.broken] == [(8, 8, 8, 8)]
+    assert Counter(n.broken[:2] for n in ns if n.broken) == {
+        (2, "SectionEscapeError"): 4, (2, "DegeneracyError"): 2, (1, "DegeneracyError"): 2}
 
 
 @pytest.mark.parametrize("idx", [(8, 4, 8, 8), (8, 12, 8, 8)])
@@ -207,11 +205,11 @@ def test_empty_regrid_breaks_its_own_level(perturbed_n2, idx):
     # center.  The chain breaks there, at level 1; it must not build with
     # omega radii (inf, 0.0) when k_max = 1.
     _, u, v0 = perturbed_n2
-    with pytest.raises(ChainBrokenError, match="no interior node at its center") as err:
-        sections.construct_section_chain(u, idx, sigma=0.2, k_max=1,
-                                         chain_resolution=13, v0=v0)
-    assert err.value.level == 1
-    assert isinstance(err.value.__cause__, DegeneracyError)
+    chain = sections.construct_section_chain(u, idx, sigma=0.2, k_max=1,
+                                             chain_resolution=13, v0=v0)
+    assert chain.levels == []
+    assert chain.broken == (1, "DegeneracyError",
+                            "rescaled section has no interior node at its center")
 
 
 def test_positive_control_anisotropic_quadratic():
@@ -232,21 +230,15 @@ def test_positive_control_anisotropic_quadratic():
         u = GridFunction.from_callable(
             dom, lambda p: lam * (p[:, 0] ** 2 + p[:, 1] ** 2)
             + (p[:, 2] ** 2 + p[:, 3] ** 2) / lam - 1.0)
-        out, breaks = [], []
-        for node in nodes:
-            try:
-                chain = sections.construct_section_chain(
-                    u, node, sigma=0.2, k_max=1, mu0=mu, chain_resolution=13, v0=u)
-                out.append(badset.section_ball_radii(u, chain))
-            except ChainBrokenError as err:
-                breaks.append((err.level, type(err.__cause__)))
-                out.append(badset.NodeSections(node, []))
-        return u, out, breaks
+        out = [badset.section_ball_radii(u, sections.construct_section_chain(
+                   u, node, sigma=0.2, k_max=1, mu0=mu, chain_resolution=13, v0=u))
+               for node in nodes]
+        return u, out, [ns.broken[:2] for ns in out if ns.broken]
 
     u, out, breaks = sample(20.0)
     built = [bool(ns.radii) for ns in out]
     assert sum(built) == 29
-    assert breaks == [(1, SectionEscapeError)] * 4
+    assert breaks == [(1, "SectionEscapeError")] * 4
     for ns in (ns for ns in out if ns.radii):
         (height, rad), = ns.radii
         assert height == mu

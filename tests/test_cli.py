@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,35 @@ def test_sections_and_engulf_subcommands(tmp_path):
     assert rc == 0
     counts = json.loads((tmp_path / "eng.json").read_text())
     assert counts["fail"] == 0
+
+
+def test_engulf_needs_two_chains_with_a_level(tmp_path, capsys):
+    # Pairs are drawn only from chains that built a level, and none when
+    # fewer than two did.  One chain was paired with itself --pairs times,
+    # and an empty file died in numpy with "high <= 0".
+    base = tmp_path / "inst"
+    cli.main(["solve", "--n", "1", "--resolution", "17", "--gamma", "0.05",
+              "--out", str(base)])
+    intact, broken = tmp_path / "intact.json", tmp_path / "broken.json"
+    lines = []
+    for path, centre in ((intact, "0.1,0.0"), (broken, "0.7,0.0")):
+        capsys.readouterr()
+        cli.main(["sections", "--instance", str(base), "--center", centre,
+                  "--out-chain", str(path)])
+        lines.append(capsys.readouterr().out.splitlines())
+    assert lines == [[f"built 1 chains -> {intact}"],
+                     [f"built 1 chains -> {broken}", "  1 broken at level 1: SectionEscapeError"]]
+    (broken_chain,) = json.loads(broken.read_text())
+    assert broken_chain["levels"] == [] and broken_chain["broken"][:2] == [1, "SectionEscapeError"]
+    files = {"one": json.loads(intact.read_text()), "none": [],
+             "one with a level": json.loads(intact.read_text()) + [broken_chain]}
+    for name, chains in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(chains))
+        report = tmp_path / f"{name}.report.json"
+        assert cli.main(["engulf", "--instance", str(base), "--chains", str(path),
+                         "--pairs", "5", "--report", str(report)]) == 0
+        assert json.loads(report.read_text()) == {"pass": 0, "fail": 0, "not-applicable": 0}
 
 
 # -- cover subcommand ------------------------------------------------------------------
@@ -430,18 +460,39 @@ def test_pipeline_loads_neither_ndimage_nor_spatial(tmp_path):
     assert json.loads(out.splitlines()[-1]) == []
 
 
-def test_pipeline_stage_error_recorded_in_manifest(tmp_path):
-    # Resolution 9 leaves no room for level-one sections: the sections stage
-    # fails, the manifest records it, and the error propagates by name.
-    from cmalab.errors import CmalabError
+def test_pipeline_stage_error_recorded_in_manifest(tmp_path, monkeypatch):
+    # A stage that raises: the manifest records it, and the error propagates
+    # by name.
+    def no_chains(*args, **kwargs):
+        raise CmalabError("no chains today")
 
+    monkeypatch.setattr(cli, "build_chains", no_chains)
     cfg = cli.ExperimentConfig(n=1, resolution=9, gamma=0.0, eps=0.0,
                                chain_points=2, stride=2)
     with pytest.raises(CmalabError, match="sections"):
         cli.run_pipeline(cfg, tmp_path / "broken")
     manifest = json.loads((tmp_path / "broken" / "manifest.json").read_text())
-    assert manifest["stages"]["sections"].startswith("error:")
+    assert manifest["stages"]["sections"] == "error: no chains today"
     assert manifest["stages"]["solve"] == "ok"
+
+
+@pytest.mark.parametrize("settings, breaks", [
+    ({"resolution": 17, "seed": 0}, {(2, "SectionFitError"): 5}),
+    ({"resolution": 17, "seed": 1}, {(2, "SectionFitError"): 4}),
+    ({"n": 2, "resolution": 18}, {(2, "DegeneracyError"): 1}),
+    ({"resolution": 9}, {(1, "SectionEscapeError"): 11, (2, "SectionFitError"): 1}),
+])
+def test_pipeline_records_broken_chains(tmp_path, settings, breaks):
+    # A broken chain is recorded in chains.json, with the levels it built,
+    # and the pipeline goes on.  The first three configs aborted in stage
+    # sections; at res 9 at most one chain has a level, so no engulfing
+    # pair is drawn.
+    m = cli.run_pipeline(cli.ExperimentConfig(**settings), tmp_path)
+    assert m["stages"] == {s: "ok" for s in ("solve", "certificates", "sections", "engulf",
+                                             "cover", "badset", "w2p")}
+    chains = json.loads((tmp_path / "chains.json").read_text())
+    assert Counter(tuple(c["broken"][:2]) for c in chains if "broken" in c) == breaks
+    assert all(len(c["levels"]) == c["broken"][0] - 1 for c in chains if "broken" in c)
 
 
 def test_pipeline_refuses_f_far_from_one(tmp_path):
@@ -519,6 +570,8 @@ def test_decay_subcommands_use_the_pipeline_chain_resolution(tmp_path, monkeypat
         return [badset.NodeSections((4, 4, 4, 4), [])]
 
     class ChainStub:
+        broken = None
+
         def to_dict(self):
             return {}
 

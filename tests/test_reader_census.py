@@ -24,7 +24,9 @@ pipeline`` sets from its flags.
 Failures are read too: every ``except`` handler of the package ends in
 ``raise``.  A handler that does not turns a typed failure into an outcome
 (a skipped pair, a fallback value, a count) that nothing can tell apart
-from a result.
+from a result.  The one allowed handler keeps the failure as data: a
+section chain that breaks records the level and its cause's type and
+message, and every reader of the chain gets them from there.
 """
 
 import ast
@@ -205,9 +207,11 @@ def test_every_config_field_is_set_by_a_reader():
 # Handlers that do not end in raise, by top-level definition, with the
 # reason they stay.
 SWALLOWED_ALLOWED = {
-    "badset.sample_badset_chains":
-        "a failed chain gets the zero-record of an unresolved node until "
-        "NodeSections records a status (ROADMAP item 1)",
+    "sections.construct_section_chain":
+        "a package failure inside a level ends the chain: it is returned with "
+        "the levels built before and records the level, the cause's type and "
+        "its message in SectionChain.broken, which chains.json and every "
+        "NodeSections carry",
 }
 
 

@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 
 import oracle
 from cmalab import cli, grid, sections, solver
-from cmalab.errors import (
-    ChainBrokenError,
-    LinearSolveError,
-    NonConvergenceError,
-    SectionEscapeError,
-)
+from cmalab.errors import LinearSolveError, SectionEscapeError
 from cmalab.grid import GridFunction
 
 
@@ -455,10 +450,10 @@ def test_chain_margin_precondition(ball_n1):
         near = tuple(np.argwhere(dom.interior_mask)[
             np.argmax(np.linalg.norm(dom.coords(dom.interior_mask.ravel()), axis=1))])
     # No room for a first level is a chain failure at level 1.
-    with pytest.raises(ChainBrokenError) as err:
-        sections.construct_section_chain(u, near, sigma=0.2, k_max=1, v0=u,
-                                         chain_resolution=49)
-    assert err.value.level == 1
+    chain = sections.construct_section_chain(u, near, sigma=0.2, k_max=1, v0=u,
+                                             chain_resolution=49)
+    assert chain.levels == []
+    assert chain.broken[:2] == (1, "SectionEscapeError")
 
 
 def test_chain_solves_to_the_given_newton_tol(ball_n1, monkeypatch):
@@ -466,34 +461,39 @@ def test_chain_solves_to_the_given_newton_tol(ball_n1, monkeypatch):
     # breaks the chain there, with the solver's failure as the cause.
     dom, u, _ = ball_n1
     monkeypatch.setattr(solver, "NEWTON_TOL", 1e-300)
-    with pytest.raises(ChainBrokenError) as err:
-        sections.construct_section_chain(
-            u, dom.node_index((0.25, -0.125)), sigma=0.2, k_max=2,
-            v0=u, chain_resolution=33)
-    assert err.value.level == 2
-    assert isinstance(err.value.__cause__, NonConvergenceError)
+    chain = sections.construct_section_chain(
+        u, dom.node_index((0.25, -0.125)), sigma=0.2, k_max=2,
+        v0=u, chain_resolution=33)
+    assert len(chain.levels) == 1
+    assert chain.broken[:2] == (2, "NonConvergenceError")
 
 
 @pytest.mark.parametrize("stage, exc, expected", [
-    ("solve_dirichlet", LinearSolveError("no convergence", 1.0), ChainBrokenError),
+    ("solve_dirichlet", LinearSolveError("no convergence", 1.0), "broken"),
     ("solve_dirichlet", TypeError("programming error"), TypeError),
     ("taylor_split", TypeError("programming error"), TypeError),
 ])
 def test_chain_wraps_only_package_failures(ball_n1, monkeypatch, stage, exc, expected):
-    # A package failure in a level's solve becomes ChainBrokenError at that
-    # level; a programming error surfaces unchanged.
+    # A package failure in a level's solve breaks the chain at that level,
+    # recorded with its type and message; a programming error surfaces
+    # unchanged.
     dom, u, _ = ball_n1
 
     def broken(*args, **kwargs):
         raise exc
 
     monkeypatch.setattr(sections, stage, broken)
-    with pytest.raises(expected) as err:
-        sections.construct_section_chain(
+
+    def build():
+        return sections.construct_section_chain(
             u, dom.node_index((0.25, -0.125)), sigma=0.2, k_max=2, v0=u,
             chain_resolution=33)
-    if expected is ChainBrokenError:
-        assert err.value.level == 2
+
+    if expected is TypeError:
+        with pytest.raises(TypeError, match="programming error"):
+            build()
+    else:
+        assert build().broken == (2, "LinearSolveError", "no convergence")
 
 
 def test_chain_perturbed_instance(perturbed_n1):
@@ -645,6 +645,7 @@ def test_chain_serialization_roundtrip(exact_chain):
     lv = d["levels"][0]
     assert len(lv["transform"]) == 2 * chain.domain.n ** 2
     assert "fit" in lv and "omega_radii" in lv and "composite_shift" in lv
+    assert "broken" not in d
 
 
 def test_chain_from_dict_cuts_the_written_sections(perturbed_n1, tmp_path):
@@ -663,3 +664,21 @@ def test_chain_from_dict_cuts_the_written_sections(perturbed_n1, tmp_path):
     mu2 = chain.height_of_level(2)
     for mu in (chain.mu_top, 0.5 * (chain.mu_top + mu2), mu2, 0.5 * mu2):
         assert np.array_equal(back.section(u, mu).mask, chain.section(u, mu).mask)
+
+
+def test_broken_chain_from_dict_keeps_its_break(ball_n1, monkeypatch, tmp_path):
+    # A chain broken at level 2 writes its break beside the level it built,
+    # and reads both back.
+    dom, u, _ = ball_n1
+    monkeypatch.setattr(solver, "NEWTON_TOL", 1e-300)
+    chain = sections.construct_section_chain(
+        u, dom.node_index((0.25, -0.125)), sigma=0.2, k_max=2, v0=u, chain_resolution=33)
+    path = tmp_path / "chains.json"
+    cli.write_json(path, [chain.to_dict()])
+    data = json.loads(path.read_text())[0]
+    assert data["broken"] == list(chain.broken)
+    back = sections.SectionChain.from_dict(data, dom)
+    assert back.broken == chain.broken
+    assert len(back.levels) == 1
+    assert np.array_equal(back.section(u, chain.mu_top).mask,
+                          chain.section(u, chain.mu_top).mask)
