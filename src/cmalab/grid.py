@@ -36,10 +36,10 @@ _MEMORY_CAP_BYTES = 2 << 30     # largest solve footprint build_domain accepts
 # Peak RSS per lattice node of build_domain plus two Dirichlet solves, net of
 # the imports, from tools/solver_memory.py with at least 15% headroom: n=1
 # grows with the LU fill to 1600 B at res 513; n=2, where odd and even
-# lattices alike coarsen to a V-cycle level of at most 7 nodes per axis,
-# reads 304 / 333 / 317 / 324 / 364 / 335 / 349 / 355 / 355 B at res 16 / 17
-# / 18 / 20 / 24 / 33 / 40 / 44 / 45.  At 480 B the cap admits every n=2
-# resolution from 9 to 45.
+# lattices alike coarsen to a V-cycle level of at most 7 nodes per axis and
+# Newton steps never fold their operator, reads 272 / 281 / 272 / 285 / 291
+# / 276 / 284 / 287 / 287 B at res 16 / 17 / 18 / 20 / 24 / 33 / 40 / 44 /
+# 45.  At 480 B the cap admits every n=2 resolution from 9 to 45.
 _BYTES_PER_NODE = {1: 1850, 2: 480}
 COARSEST_RES = 5        # fewest nodes per axis of a multigrid coarse lattice
 

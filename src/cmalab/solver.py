@@ -4,11 +4,12 @@ Damped Newton on G(u) = log det u_{i jbar} - log f.  Each step solves the
 linearized equation sum_ij u^{i jbar} d_{i jbar}(delta) = -G(u) over interior
 nodes; boundary nodes are eliminated through their linear extrapolation
 constraints (anchored at continuum cut points), which keeps the inner linear
-system elliptic and interior-only.  Each operator is assembled negated, in
-the positive-definite form both solvers take, from int32 stencil tables
-cached per domain through one preallocated COO buffer; the solvers only read
-it.  At n = 1 that system is solved directly; at n = 2 by GMRES
-preconditioned with a geometric-multigrid V-cycle of the domain's negated
+system elliptic and interior-only.  Each operator is negated, in the
+positive-definite form both solvers take, and built from int32 stencil
+tables cached per domain into row-grouped CSR blocks; the solvers only read
+it.  At n = 1 the assembled system is solved directly; at n = 2 GMRES
+applies a Newton step's blocks unfolded, N_II x + N_IB (S x), preconditioned
+with a geometric-multigrid V-cycle of the domain's assembled negated
 Laplacian, built once per domain: its finest level is the cached Laplacian
 itself, and each level stores its restriction.  The harmonic extension of
 the initial boundary gap is computed once per domain and cut data, so solves
@@ -143,40 +144,81 @@ def _get_assembly(dom: GridDomain) -> dict:
     return asm
 
 
-def _assemble(dom: GridDomain, weights: dict) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Negated weighted difference operator restricted to interior unknowns.
+def _stencil_blocks(dom: GridDomain, weights: dict) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The interior and boundary blocks (N_II, N_IB) of the negated
+    operator N = -sum_key weights[key] * D_key.
 
-    Returns (N_int, N_IB) with N_int = N_II + N_IB S already folded, where
-    N is minus the operator sum_key weights[key] * D_key.  The entries go
-    into one preallocated COO triple, interior columns first, freed once
-    both CSR blocks exist.
+    N_II holds one entry per stencil term that lands on an interior node,
+    row by row in the order of the assembly's ops, with duplicates neither
+    summed nor sorted: each row's entries are counted first, and each entry
+    set is then placed at its rows' running fill.  N_IB is small and goes
+    through COO.
     """
     asm = _get_assembly(dom)
     n_int, n_bnd = asm["n_int"], asm["n_bnd"]
     inv_h2 = 1.0 / dom.h ** 2
-    terms = [(weights[key], entries) for key, entries in asm["ops"].items()
-             if key in weights]
-    nnz_i = sum(e[1].size for _, entries in terms for e in entries)
-    nnz = nnz_i + sum(e[3].size for _, entries in terms for e in entries)
-    rows = np.empty(nnz, dtype=np.int32)
-    cols = np.empty(nnz, dtype=np.int32)
-    vals = np.empty(nnz)
-    pi, pb = 0, nnz_i
-    for w, entries in terms:
-        for c, rows_i, cols_i, rows_b, cols_b in entries:
-            coef = w * (c * inv_h2)
-            for p, r, cl in ((pi, rows_i, cols_i), (pb, rows_b, cols_b)):
-                rows[p:p + r.size] = r
-                cols[p:p + r.size] = cl
-                vals[p:p + r.size] = coef[r]
-            pi += rows_i.size
-            pb += rows_b.size
-    N_II = sp.coo_matrix((vals[:nnz_i], (rows[:nnz_i], cols[:nnz_i])),
-                         shape=(n_int, n_int)).tocsr()
-    N_IB = sp.coo_matrix((vals[nnz_i:], (rows[nnz_i:], cols[nnz_i:])),
-                         shape=(n_int, n_bnd)).tocsr()
-    del rows, cols, vals
-    return N_II + N_IB @ asm["S"], N_IB
+    entries = [(weights[key], e) for key, ops in asm["ops"].items() if key in weights
+               for e in ops]
+    indptr = np.zeros(n_int + 1, dtype=np.int32)
+    for _, (_, rows_i, *_) in entries:
+        indptr[1:] += np.bincount(rows_i, minlength=n_int)
+    np.cumsum(indptr, out=indptr)
+    fill = indptr[:-1].copy()
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    rows, cols, vals = [], [], []
+    # take and put, not fancy indexing: this loop is most of a build's time.
+    for w, (c, rows_i, cols_i, rows_b, cols_b) in entries:
+        k = c * inv_h2
+        at = fill.take(rows_i)
+        indices.put(at, cols_i)
+        data.put(at, w.take(rows_i) * k)
+        at += 1
+        fill.put(rows_i, at)
+        rows.append(rows_b)
+        cols.append(cols_b)
+        vals.append(w.take(rows_b) * k)
+    N_II = sp.csr_matrix((data, indices, indptr), shape=(n_int, n_int))
+    N_IB = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_int, n_bnd)).tocsr()
+    return N_II, N_IB
+
+
+def _assemble(dom: GridDomain, weights: dict) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Negated weighted difference operator restricted to interior unknowns.
+
+    Returns (N_int, N_IB) with N_int = N_II + N_IB S already folded, where
+    N is minus the operator sum_key weights[key] * D_key, from the blocks of
+    _stencil_blocks.  Summing N_II's duplicates in place gives the CSR a
+    COO assembly in the same entry order would give.  The domain's Laplacian
+    and every n = 1 operator are assembled; an n = 2 Newton step applies its
+    blocks unfolded (_newton_operator).
+    """
+    N_II, N_IB = _stencil_blocks(dom, weights)
+    N_II.sum_duplicates()
+    return N_II + N_IB @ _get_assembly(dom)["S"], N_IB
+
+
+def _newton_operator(dom: GridDomain, weights: dict
+                     ) -> sp.csr_matrix | spla.LinearOperator:
+    """The interior operator of one Newton step, as _linear_solve takes it.
+
+    At n = 1 the assembled matrix, which the direct solve factors.  At
+    n = 2 a LinearOperator applying N_II x + N_IB (S x) from the stencil
+    blocks, since GMRES only applies N: the folded matrix is never built.
+    """
+    if dom.n == 1:
+        return _assemble(dom, weights)[0]
+    N_II, N_IB = _stencil_blocks(dom, weights)
+    S = _get_assembly(dom)["S"]
+
+    def apply(x):
+        y = N_II @ x
+        y += N_IB @ (S @ x)
+        return y
+
+    return spla.LinearOperator(N_II.shape, apply, dtype=N_II.dtype)
 
 
 def _laplacian(dom: GridDomain) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -264,9 +306,11 @@ def _multigrid(dom: GridDomain):
     return functools.partial(_cycle, levels, spla.splu(A.tocsc()))
 
 
-def _linear_solve(dom: GridDomain, N: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+def _linear_solve(dom: GridDomain, N: sp.csr_matrix | spla.LinearOperator,
+                  rhs: np.ndarray) -> np.ndarray:
     """Solve the interior system N x = rhs on the domain, N a negated
-    operator of _assemble; N is only read.
+    operator of _assemble or, at n = 2, of _newton_operator (the block
+    operator N_II + N_IB S, never folded); N is only read.
 
     Planar (n = 1) grids go direct.  4-dimensional grids run GMRES on N,
     preconditioned by one multigrid V-cycle of the domain's negated
@@ -426,9 +470,9 @@ def solve_dirichlet(domain: GridDomain, f, g) -> tuple[GridFunction, SolveReport
             raise NonConvergenceError(
                 f"Newton did not reach {NEWTON_TOL:.1e} in {_MAX_ITERS} "
                 f"iterations (last residual {residual:.3e})", residual, iters)
-        # The operator is a temporary, freed before the next step assembles.
+        # The operator is a temporary, freed before the next step builds one.
         delta = _linear_solve(
-            domain, _assemble(domain, _hessian_weights(domain, fields))[0],
+            domain, _newton_operator(domain, _hessian_weights(domain, fields)),
             np.log(det) - log_f)
 
         step = 1.0

@@ -1,12 +1,14 @@
 """Full-box oracles for the tests: quantities the library computes only
 where something reads them, or one array at a time, computed here on every
-lattice node (every hull facet) or one node at a time; and the index-array forms of routines
-the library computes on flat indices or with stored operators."""
+lattice node (every hull facet) or one node at a time; the index-array forms of routines
+the library computes on flat indices or with stored operators; and the COO
+form of the operator assembly."""
 
 import math
 from itertools import combinations
 
 import numpy as np
+import scipy.sparse as sp
 from scipy import ndimage
 
 from cmalab import badset, engulfing, grid, sections, solver
@@ -276,3 +278,33 @@ def cycle_transposing(levels, coarsest, b, lvl=0):
     for _ in range(solver._JACOBI_SWEEPS):
         x += solver._JACOBI_OMEGA * dinv * (b - A @ x)
     return x
+
+
+def assemble_coo(dom, weights):
+    """solver._assemble through one preallocated COO triple: every entry,
+    interior columns first, summed by tocsr, then the fold N_II + N_IB S."""
+    asm = solver._get_assembly(dom)
+    n_int, n_bnd = asm["n_int"], asm["n_bnd"]
+    inv_h2 = 1.0 / dom.h ** 2
+    terms = [(weights[key], entries) for key, entries in asm["ops"].items()
+             if key in weights]
+    nnz_i = sum(e[1].size for _, entries in terms for e in entries)
+    nnz = nnz_i + sum(e[3].size for _, entries in terms for e in entries)
+    rows = np.empty(nnz, dtype=np.int32)
+    cols = np.empty(nnz, dtype=np.int32)
+    vals = np.empty(nnz)
+    pi, pb = 0, nnz_i
+    for w, entries in terms:
+        for c, rows_i, cols_i, rows_b, cols_b in entries:
+            coef = w * (c * inv_h2)
+            for p, r, cl in ((pi, rows_i, cols_i), (pb, rows_b, cols_b)):
+                rows[p:p + r.size] = r
+                cols[p:p + r.size] = cl
+                vals[p:p + r.size] = coef[r]
+            pi += rows_i.size
+            pb += rows_b.size
+    N_II = sp.coo_matrix((vals[:nnz_i], (rows[:nnz_i], cols[:nnz_i])),
+                         shape=(n_int, n_int)).tocsr()
+    N_IB = sp.coo_matrix((vals[nnz_i:], (rows[nnz_i:], cols[nnz_i:])),
+                         shape=(n_int, n_bnd)).tocsr()
+    return N_II + N_IB @ asm["S"], N_IB

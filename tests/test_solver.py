@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from cmalab import grid, solver
+from cmalab import grid, sections, solver
 from cmalab.errors import (
     BoundaryConstraintError,
     DegeneracyError,
@@ -257,6 +257,8 @@ def test_multigrid_solve_matches_direct_solve(monkeypatch):
     # linear systems are solved directly, Newton step for Newton step.
     u, rep = solver.solve_dirichlet(
         grid.build_domain(2, "perturbed:0.05:harmonic", 9), _f_n2, 0.0)
+    monkeypatch.setattr(solver, "_newton_operator",
+                        lambda dom, weights: solver._assemble(dom, weights)[0])
     monkeypatch.setattr(solver, "_linear_solve",
                         lambda dom, A, rhs: spla.spsolve(A.tocsc(), rhs))
     ref, ref_rep = solver.solve_dirichlet(
@@ -313,34 +315,108 @@ def test_krylov_failure_raises_typed_error(monkeypatch):
     assert np.isfinite(err.value.residual) and err.value.residual > 0.0
 
 
-def _operator_bytes(dom, N):
-    """The matrix given to _linear_solve, the domain's cached Laplacian and
-    the V-cycle's finest operator, each as its shape and bytes."""
-    levels, _ = dom._cache["multigrid"].args
+def _newton_weights(u):
+    """The weights of the Newton operator linearized at u."""
+    dom = u.domain
+    return solver._hessian_weights(
+        dom, grid.hessian_fields(u, solver._get_assembly(dom)["int_flat"]))
+
+
+def _matrix_bytes(*matrices):
+    """Each matrix as its shape and bytes."""
     return [(A.shape, A.data.tobytes(), A.indices.tobytes(), A.indptr.tobytes())
-            for A in (N, solver._laplacian(dom)[0], levels[0][0])]
+            for A in matrices]
 
 
 @pytest.mark.parametrize("gmres_fails", [False, True])
 def test_linear_solve_only_reads_its_matrices(monkeypatch, gmres_fails):
     # GMRES and the V-cycle read the same cached Laplacian; negating a
     # matrix in place for one solve would change the preconditioner of
-    # every later solve on the domain.
+    # every later solve on the domain.  The Newton operator's stencil
+    # blocks and the cached boundary substitution S are only read too.
     dom = grid.build_domain(2, "perturbed:0.05:harmonic", 13)
-    u, _ = solver.solve_dirichlet(dom, _f_n2, 0.0)
-    fields = grid.hessian_fields(u, solver._get_assembly(dom)["int_flat"])
-    newton = solver._assemble(dom, solver._hessian_weights(dom, fields))[0]
-    rhs = np.random.default_rng(13).standard_normal(newton.shape[0])
+    weights = _newton_weights(solver.solve_dirichlet(dom, _f_n2, 0.0)[0])
+    blocks = []
+    real = solver._stencil_blocks
+    monkeypatch.setattr(solver, "_stencil_blocks",
+                        lambda *a: blocks.append(real(*a)) or blocks[-1])
+    newton = solver._newton_operator(dom, weights)
+    laplacian = solver._laplacian(dom)[0]
+    assert len(blocks) == 1
+    read = (laplacian, dom._cache["multigrid"].args[0][0][0], *blocks[0],
+            solver._get_assembly(dom)["S"])
+    rhs = np.random.default_rng(13).standard_normal(laplacian.shape[0])
     if gmres_fails:
         monkeypatch.setattr(solver.spla, "gmres", lambda A, b, **kw: (np.zeros_like(b), 1))
-    for N in (newton, solver._laplacian(dom)[0]):
-        before = _operator_bytes(dom, N)
+    for N in (newton, laplacian):
+        before = _matrix_bytes(*read)
         if gmres_fails:
             with pytest.raises(LinearSolveError):
                 solver._linear_solve(dom, N, rhs)
         else:
             solver._linear_solve(dom, N, rhs)
-        assert _operator_bytes(dom, N) == before
+        assert _matrix_bytes(*read) == before
+
+
+def _chain_lattice_n1(request):
+    # A level-one chain lattice at the chains' n = 1 resolution, built by
+    # grid.lattice_domain from the rescaled section's values.
+    dom, u, _ = request.getfixturevalue("perturbed_n1")
+    x0 = dom.node_index((-0.2, 0.15))
+    hh, A = sections.taylor_split(u, x0)
+    T = sections.normalize_transform(sections.unit_determinant(A))
+    return sections.rescale_to_unit(u, x0, 0.05, hh, T, resolution=33,
+                                    box_halfwidth=1.3).domain
+
+
+@pytest.mark.parametrize("make", [
+    lambda request: grid.build_domain(1, "perturbed:0.05:cos3", 33),
+    _chain_lattice_n1,
+    lambda request: grid.build_domain(2, "perturbed:0.05:harmonic", 9),
+], ids=["n1_res33", "n1_chain", "n2_res9"])
+def test_assembly_matches_the_coo_oracle(request, make):
+    # The row-grouped stencil blocks, their duplicates summed in place,
+    # give the matrices of one COO assembly byte for byte: every n = 1
+    # solve and every Laplacian are unchanged.
+    dom = make(request)
+    n_int = solver._get_assembly(dom)["n_int"]
+    laplacian = {("pure", a): np.ones(n_int) for a in range(dom.d)}
+    u, _ = solver.solve_dirichlet(dom, _f_n2 if dom.n == 2 else perturbed_f(0.01), 0.0)
+    for weights in (laplacian, _newton_weights(u)):
+        assert (_matrix_bytes(*solver._assemble(dom, weights))
+                == _matrix_bytes(*oracle.assemble_coo(dom, weights)))
+
+
+@pytest.mark.parametrize("res", [9, 13])
+def test_newton_operator_applies_the_assembled_matrix(res):
+    # At n = 2 a Newton step hands GMRES its stencil blocks unfolded; they
+    # apply the folded matrix up to the order of summation.
+    dom = grid.build_domain(2, "perturbed:0.05:harmonic", res)
+    weights = _newton_weights(solver.solve_dirichlet(dom, _f_n2, 0.0)[0])
+    N = solver._newton_operator(dom, weights)
+    A = solver._assemble(dom, weights)[0]
+    assert isinstance(N, spla.LinearOperator)
+    rng = np.random.default_rng(res)
+    for _ in range(3):
+        x = rng.standard_normal(A.shape[0])
+        want = A @ x
+        assert np.max(np.abs(N @ x - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_n2_newton_operator_memory(perturbed_n2):
+    # Measured peak (numpy 2.4, scipy 1.17): 5.39 MiB for one Newton
+    # operator at n = 2 res 17, against 9.84 MiB for the folded matrix
+    # from a COO triple; the bound leaves at least 15% headroom.
+    dom, u, _ = perturbed_n2
+    weights = _newton_weights(u)
+    solver._newton_operator(dom, weights)  # caches out of the count
+    tracemalloc.start()
+    try:
+        solver._newton_operator(dom, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.3 * 2 ** 20
 
 
 @pytest.mark.parametrize("res, bound_mib", [(17, 27), (18, 35)], ids=["res17", "res18"])

@@ -15,7 +15,8 @@ For each ``n:resolution`` argument a fresh interpreter builds the domain of
 - ``bytes_per_node``: the net peak in bytes per lattice node of the box,
   resolution ** (2 n).  ``grid._BYTES_PER_NODE`` is read from this column;
 - ``levels``: at n = 2, the unknowns of each V-cycle level, finest first,
-  the last one factored directly; null at n = 1, which solves directly.
+  the last one factored directly; null at n = 1, which solves directly;
+- ``seconds``: the wall time of the domain build and the two solves.
 
 The package is imported from the ``src`` directory next to this script, so
 each checkout measures its own code.
@@ -31,7 +32,7 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 CHILD = """
-import json, resource, sys
+import json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 from cmalab.cli import ExperimentConfig
 from cmalab.grid import build_domain
@@ -42,10 +43,12 @@ def peak_kib():
 
 n, res = int(sys.argv[2]), int(sys.argv[3])
 imports = peak_kib()
+start = time.perf_counter()
 cfg = ExperimentConfig(n=n, resolution=res)
 dom = build_domain(cfg.n, cfg.shape_spec(), cfg.resolution)
 solve_dirichlet(dom, cfg.f_function(), 0.0)
 solve_dirichlet(dom, 1.0, 0.0)
+seconds = time.perf_counter() - start
 peak = peak_kib()
 multigrid = dom._cache.get("multigrid")
 levels = None if multigrid is None else (
@@ -54,7 +57,8 @@ print(json.dumps({"n": n, "resolution": res, "levels": levels,
                   "peak_rss_mb": round(peak / 1024, 1),
                   "import_rss_mb": round(imports / 1024, 1),
                   "net_rss_mb": round((peak - imports) / 1024, 1),
-                  "bytes_per_node": round((peak - imports) * 1024 / res ** (2 * n))}))
+                  "bytes_per_node": round((peak - imports) * 1024 / res ** (2 * n)),
+                  "seconds": round(seconds, 2)}))
 """
 
 
