@@ -24,10 +24,9 @@ from .grid import (
     GridFunction,
     complex_hessian,
     node_differences,
-    real_hessian_field,
-    shift,
+    node_lookup,
 )
-from .sections import SectionChain, construct_section_chain
+from .sections import DIM_CHAIN_RESOLUTION, SectionChain, construct_section_chain
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +79,13 @@ def _stride_lattice(dom: GridDomain, stride: int) -> tuple[np.ndarray, np.ndarra
 def sample_badset_chains(u: GridFunction, v0: GridFunction,
                          stride: int, levels: int = 2,
                          sigma: float = 0.2, mu0: float = 0.1,
-                         chain_resolution: int = 33) -> list[NodeSections]:
+                         chain_resolution: int | None = None) -> list[NodeSections]:
     """Chains (reduced to ball-fit radii) at the stride-lattice nodes inside
-    B_{r_1}, the largest ball a decay row counts.  A node whose chain breaks
+    B_{r_1}, the largest ball a decay row counts, on the dimension's chain
+    lattice unless chain_resolution is given.  A node whose chain breaks
     gets no radii (it classifies as bad at every k) and keeps the break."""
+    if chain_resolution is None:
+        chain_resolution = DIM_CHAIN_RESOLUTION[u.domain.n]
     nodes, dist = _stride_lattice(u.domain, stride)
     out = [section_ball_radii(u, construct_section_chain(
                u, tuple(int(i) for i in idx), sigma=sigma, k_max=levels, mu0=mu0,
@@ -374,12 +376,15 @@ def contact_set(w: GridFunction, gamma: GridFunction, tol: float = 1e-8
 
 
 def lattice_convexity_defect(gamma: GridFunction, region: np.ndarray) -> float:
-    """Largest midpoint-concavity violation along lattice directions."""
+    """Largest midpoint-concavity violation along lattice directions at the
+    region nodes."""
     vals = np.where(region, gamma.values, np.nan)
+    at = node_lookup(vals, np.flatnonzero(region))
+    center = at((0,) * vals.ndim)
     worst = 0.0
     for e in _envelope_directions(vals.ndim):
-        mid = 0.5 * (shift(vals, e) + shift(vals, tuple(-x for x in e)))
-        gap = vals - mid
+        mid = 0.5 * (at(e) + at(tuple(-x for x in e)))
+        gap = center - mid
         if np.any(~np.isnan(gap)):
             worst = max(worst, float(np.nanmax(gap)))
     return worst
@@ -491,7 +496,7 @@ def touching_paraboloid_opening(u: GridFunction, x0: tuple,
     # Supporting slope of u - kappa |z - x0|^2 for every kappa: the
     # paraboloid's gradient vanishes at the center, so this is the centered
     # gradient of u.  Where it is NaN no opening is admissible.
-    D1, _ = node_differences(u.values, x0, dom.h)
+    D1, _ = node_differences(u.values, np.ravel_multi_index(x0, u.values.shape), dom.h)
     slope = np.array([D1(a) for a in range(dom.d)])
     gap0 = vals - u0 - (pts - x0_pt) @ slope
 
@@ -548,18 +553,29 @@ def hessian_bounds_on_Dk(u: GridFunction, nodes: list[tuple], k: int) -> dict:
     }
 
 
+def _real_hessian(values: np.ndarray, nodes: np.ndarray, h: float) -> np.ndarray:
+    """Real Hessian (m, d, d) by centered differences at flat node indices."""
+    D2 = node_differences(values, nodes, h)[1]
+    d = values.ndim
+    H = np.empty(nodes.shape + (d, d))
+    for a in range(d):
+        for b in range(a, d):
+            H[:, a, b] = H[:, b, a] = D2(a, b)
+    return H
+
+
 def subdeterminant_check(u0: GridFunction, v0: GridFunction,
                          gamma: GridFunction, contact: np.ndarray) -> dict:
     """det(D^2 Gamma)^(1/2n) + det(D^2 v0/2)^(1/2n) <= det(D^2 u0)^(1/2n)
-    node-wise where all three real Hessians are positive semidefinite."""
+    at the contact nodes where all three real Hessians are positive
+    semidefinite."""
     dom = u0.domain
-    Hu = real_hessian_field(u0.values, dom.h)
-    Hv = 0.5 * real_hessian_field(v0.values, dom.h)
-    Hg = real_hessian_field(gamma.values, dom.h)
-    ok = contact & ~(np.isnan(Hu).any(axis=(-2, -1))
-                     | np.isnan(Hv).any(axis=(-2, -1))
-                     | np.isnan(Hg).any(axis=(-2, -1)))
-    eigs = [np.linalg.eigvalsh(H[ok]) for H in (Hg, Hv, Hu)]
+    nodes = np.flatnonzero(contact)
+    Hs = [_real_hessian(gamma.values, nodes, dom.h),
+          0.5 * _real_hessian(v0.values, nodes, dom.h),
+          _real_hessian(u0.values, nodes, dom.h)]
+    ok = ~np.any([np.isnan(H).any(axis=(-2, -1)) for H in Hs], axis=0)
+    eigs = [np.linalg.eigvalsh(H[ok]) for H in Hs]
     psd = np.all([e.min(axis=1) >= -1e-8 for e in eigs], axis=0)
     roots = [np.prod(np.clip(e[psd], 0.0, None), axis=1) ** (1.0 / (2 * dom.n))
              for e in eigs]

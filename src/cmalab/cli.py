@@ -31,7 +31,7 @@ from . import engulfing as engulfing_mod
 from . import w2p as w2p_mod
 from .errors import CmalabError, DomainMismatchError
 from .grid import GridDomain, GridFunction, build_domain, read_cache
-from .sections import Section, SectionChain, construct_section_chain
+from .sections import DIM_CHAIN_RESOLUTION, Section, SectionChain, construct_section_chain
 from .solver import comparison_sandwich, solve_dirichlet
 
 _FUNCS = {
@@ -100,8 +100,6 @@ def compile_expression(expr: str, d: int):
 
 # cos3 is the planar boundary profile, harmonic the 4-dimensional one
 _DIM_PROFILE = {1: "cos3", 2: "harmonic"}
-# default section-chain lattice; 4 real dimensions cannot afford the planar one
-_DIM_CHAIN_RESOLUTION = {1: 33, 2: 13}
 # default experiment lattice; at n = 2 res 65 exceeds the memory cap
 _DIM_RESOLUTION = {1: 65, 2: 33}
 
@@ -160,7 +158,7 @@ class ExperimentConfig:
             raise ValueError("every p must be at least 1")
         self.p_list = tuple(float(p) for p in self.p_list)
         if self.chain_resolution is None:
-            self.chain_resolution = _DIM_CHAIN_RESOLUTION[self.n]
+            self.chain_resolution = DIM_CHAIN_RESOLUTION[self.n]
         if self.chain_resolution < 9:
             raise ValueError("chain_resolution must be at least 9")
         if self.chain_resolution % 2 == 0:

@@ -8,12 +8,13 @@ through cut points: three-point, exact on quadratics, where two interior
 nodes line up behind the boundary node, else two-point, exact on linears.
 
 Complex derivatives follow d/dz_i = (d/dx_i - i d/dy_i)/2; real coordinate
-axes are ordered (x_1, y_1, ..., x_n, y_n).  One set of centered
-differences serves the whole box (the fields), a set of interior nodes
-(hessian_fields with nodes, the fields read there) and a single node
-(node_differences, the fields read at that node): both box and node are NaN
-where the stencil leaves the box or meets an unvalued node.  The complex
-Hessian at a node is a complex (n, n) array.
+axes are ordered (x_1, y_1, ..., x_n, y_n).  Every finite difference is
+read at a set of flat node indices through one lookup (node_lookup): the
+centered differences (node_differences), the complex Hessian fields over
+a node set (hessian_fields) and at one node (node_jet, complex_hessian)
+are arrays over the nodes read, NaN where the stencil leaves the box or
+meets an unvalued node.  Nothing differentiates the whole box.  The
+complex Hessian at a node is a complex (n, n) array.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ import csv
 import math
 import struct
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import combinations
-from operator import add
 
 import numpy as np
 
@@ -48,18 +47,11 @@ COARSEST_RES = 5        # fewest nodes per axis of a multigrid coarse lattice
 # Lattice offsets and shifts
 
 
-def shift(values: np.ndarray, off, fill=np.nan) -> np.ndarray:
-    """values evaluated at x + off; fill where x + off leaves the box."""
-    out = np.full_like(values, fill)
-    src = tuple(
-        slice(o, None) if o > 0 else slice(None, o if o < 0 else None)
-        for o in off
-    )
-    dst = tuple(
-        slice(None, -o) if o > 0 else slice(-o if o < 0 else 0, None)
-        for o in off
-    )
-    out[dst] = values[src]
+def shift(mask: np.ndarray, off) -> np.ndarray:
+    """The boolean mask read at x + off; False where x + off leaves the box."""
+    out = np.zeros_like(mask)
+    out[tuple(slice(max(-o, 0), s - max(o, 0)) for o, s in zip(off, mask.shape))] = (
+        mask[tuple(slice(max(o, 0), s + min(o, 0)) for o, s in zip(off, mask.shape))])
     return out
 
 
@@ -421,14 +413,14 @@ def lattice_domain(n: int, L: float, signed: np.ndarray, shape=None) -> GridDoma
     good = inside.copy()
     offsets = _stencil_offsets(d)
     for off in offsets:
-        good &= shift(ok, off, fill=False)
+        good &= shift(ok, off)
     interior = inside & good
 
     # Boundary nodes are exactly the stencil-referenced collar of the
     # interior; unreferenced ring nodes carry no information and are dropped.
     referenced = np.zeros_like(inside)
     for off in offsets:
-        referenced |= shift(interior, off, fill=False)
+        referenced |= shift(interior, off)
     boundary = referenced & ~interior
 
     return GridDomain(
@@ -692,10 +684,38 @@ def read_cache(path) -> tuple[int, int, float, np.ndarray]:
 # Complex differential calculus
 
 
-def _differences(at, d: int, h: float):
-    """Centered-difference accessors D1(a) and D2(a, b) over a lookup at(off)
-    of the values at x + off: a whole-box shift or a single node.  D2 is
+def node_lookup(values: np.ndarray, nodes):
+    """at(off): the values at x + off for each flat index x of `nodes`, an
+    array of their shape; NaN where x + off leaves the box or meets an
+    unvalued (NaN) node.  off moves at most one node along each axis.  A node
+    set clear of the box faces, as one boolean gather of the box's inner core
+    tells, reads a flat gather; any other, clipped index tuples."""
+    nodes = np.asarray(nodes)
+    shape = values.shape
+    flat = values.ravel()
+    strides = [math.prod(shape[a + 1:]) for a in range(values.ndim)]
+    core = np.zeros(shape, dtype=bool)
+    core[(slice(1, -1),) * values.ndim] = True
+    if core.ravel()[nodes].all():
+        return lambda off: flat[nodes + sum(o * s for o, s in zip(off, strides))]
+    idx = np.unravel_index(nodes, shape)
+
+    def at(off):
+        y = [i + o for i, o in zip(idx, off)]
+        inside = np.logical_and.reduce([(c >= 0) & (c < s) for c, s in zip(y, shape)])
+        got = values[tuple(np.clip(c, 0, s - 1) for c, s in zip(y, shape))]
+        return np.where(inside, got, np.nan)
+
+    return at
+
+
+def node_differences(values: np.ndarray, nodes, h: float):
+    """Centered-difference accessors D1(a) and D2(a, b) at the flat node
+    indices `nodes`, arrays of their shape, through one node_lookup (NaN
+    where the stencil leaves the box or meets an unvalued node).  D2 is
     pure for a == b, else the 4-point mixed difference."""
+    at = node_lookup(values, nodes)
+    d = values.ndim
     axis = lattice_offsets(d)
 
     def D1(a):
@@ -712,17 +732,6 @@ def _differences(at, d: int, h: float):
     return D1, D2
 
 
-def node_differences(values: np.ndarray, x: tuple, h: float):
-    """D1, D2 read at node x: first_diff_field and second_diff_field at x,
-    NaN where the stencil leaves the box or meets a NaN value."""
-    def at(off):
-        y = tuple(map(add, x, off))
-        inside = all(0 <= i < s for i, s in zip(y, values.shape))
-        return values[y] if inside else np.nan
-
-    return _differences(at, values.ndim, h)
-
-
 def _hessian_parts(D, n: int) -> dict:
     """Complex Hessian u_{z_i zbar_j} from a second-difference accessor D(a, b).
 
@@ -737,64 +746,36 @@ def _hessian_parts(D, n: int) -> dict:
     return parts
 
 
-def complex_hessian(u: GridFunction, x: tuple) -> np.ndarray:
-    """Mixed complex Hessian u_{z_i zbar_j} at an interior node, as an
-    exactly Hermitian complex (n, n) array.
-
-    Entry (i, j) is ((u_{x_i x_j} + u_{y_i y_j}) + i (u_{x_i y_j} - u_{y_i x_j}))/4
-    from centered differences; exact on quadratics.  Raises
-    StencilViolationError where the stencil meets an unvalued node.
-    """
+def node_jet(u: GridFunction, x: tuple):
+    """(D1, D2, H) at an interior node x, from one lookup of the one-node
+    set: node_differences there, and the mixed complex Hessian
+    u_{z_i zbar_j} (_hessian_parts), an exactly Hermitian complex (n, n)
+    array, exact on quadratics.  Raises StencilViolationError where x is
+    not interior or the Hessian stencil meets an unvalued node."""
     dom = u.domain
     x = tuple(x)
     if not dom.interior_mask[x]:
         raise StencilViolationError(f"node {x} is not interior")
-    p = _hessian_parts(node_differences(u.values, x, dom.h)[1], dom.n)
+    D1, D2 = node_differences(u.values, np.ravel_multi_index(x, u.values.shape), dom.h)
+    p = _hessian_parts(D2, dom.n)
     if np.isnan(list(p.values())).any():
         raise StencilViolationError(f"difference stencil leaves domain at {x}")
     if dom.n == 1:
-        return np.array([[p["h11"]]], dtype=complex)
+        return D1, D2, np.array([[p["h11"]]], dtype=complex)
     h12 = complex(p["h12re"], p["h12im"])
-    return np.array([[p["h11"], h12], [h12.conjugate(), p["h22"]]])
+    return D1, D2, np.array([[p["h11"], h12], [h12.conjugate(), p["h22"]]])
 
 
-# Vectorized Hessian components over the whole box (NaN where unsupported).
+def complex_hessian(u: GridFunction, x: tuple) -> np.ndarray:
+    """The complex Hessian of node_jet at an interior node x."""
+    return node_jet(u, x)[2]
 
 
-def second_diff_field(values: np.ndarray, a: int, b: int, h: float) -> np.ndarray:
-    """Centered second difference D_ab of the values over the whole box."""
-    return _differences(partial(shift, values), values.ndim, h)[1](a, b)
-
-
-def first_diff_field(values: np.ndarray, a: int, h: float) -> np.ndarray:
-    """Centered first difference along axis a over the whole box."""
-    return _differences(partial(shift, values), values.ndim, h)[0](a)
-
-
-def hessian_fields(u: GridFunction, nodes: np.ndarray | None = None) -> dict:
-    """Complex Hessian components as full-box arrays, or as arrays over the
-    flat indices `nodes`, computed there only: the same floats, for nodes
-    whose stencil stays in the box (interior nodes).
-
-    n = 1: {"h11"}; n = 2: {"h11", "h22", "h12re", "h12im"}.
-    """
-    dom = u.domain
-    if nodes is None:
-        return _hessian_parts(partial(second_diff_field, u.values, h=dom.h), dom.n)
-    values = u.values.ravel()
-    strides = np.array([dom.resolution ** (dom.d - 1 - a) for a in range(dom.d)])
-    D2 = _differences(lambda off: values[nodes + np.dot(off, strides)], dom.d, dom.h)[1]
-    return _hessian_parts(D2, dom.n)
-
-
-def real_hessian_field(values: np.ndarray, h: float) -> np.ndarray:
-    """Real Hessian by centered differences as a (..., d, d) array."""
-    d = values.ndim
-    H = np.empty(values.shape + (d, d))
-    for a in range(d):
-        for b in range(a, d):
-            H[..., a, b] = H[..., b, a] = second_diff_field(values, a, b, h)
-    return H
+def hessian_fields(u: GridFunction, nodes: np.ndarray) -> dict:
+    """Complex Hessian components as arrays over the flat node indices
+    `nodes` (NaN as node_differences): n = 1 {"h11"}; n = 2 {"h11", "h22",
+    "h12re", "h12im"}."""
+    return _hessian_parts(node_differences(u.values, nodes, u.domain.h)[1], u.domain.n)
 
 
 def hessian_eigen_fields(fields: dict) -> tuple[np.ndarray, np.ndarray]:

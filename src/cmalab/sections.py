@@ -28,12 +28,11 @@ from .grid import (
     GridDomain,
     GridFunction,
     build_domain,  # noqa: F401  perfbench/layers.py wraps cmalab.sections.build_domain
-    complex_hessian,
     component,
     grow,
     lattice_domain,
     mask_window,
-    node_differences,
+    node_jet,
 )
 from .solver import solve_dirichlet
 
@@ -283,12 +282,12 @@ def taylor_split(v: GridFunction, x0: tuple) -> tuple[PluriharmonicPoly, np.ndar
     """Split v near a node into pluriharmonic part and Hermitian form.
 
     h collects the Re-linear terms 2 v_{z_i} and the holomorphic-quadratic
-    terms v_{z_i z_j} of the Taylor expansion, read from one node lookup;
-    the returned array is the complex Hessian at the node.
+    terms v_{z_i z_j} of the Taylor expansion, read from one node lookup
+    (node_jet); the returned array is the complex Hessian at the node.
     """
     x0 = tuple(x0)
     n = v.domain.n
-    D1, D = node_differences(v.values, x0, v.domain.h)
+    D1, D, A = node_jet(v, x0)
     # v_{z_i} = (v_{x_i} - i v_{y_i})/2
     lin = 2.0 * np.array([0.5 * (D1(2 * i) - 1j * D1(2 * i + 1)) for i in range(n)])
     quad = np.zeros((n, n), dtype=complex)
@@ -298,7 +297,6 @@ def taylor_split(v: GridFunction, x0: tuple) -> tuple[PluriharmonicPoly, np.ndar
             re = D(2 * i, 2 * j) - D(2 * i + 1, 2 * j + 1)
             im = D(2 * i, 2 * j + 1) + D(2 * i + 1, 2 * j)
             quad[i, j] = quad[j, i] = 0.25 * (re - 1j * im)
-    A = complex_hessian(v, x0)
     # The Hessian reads every node the gradient does, not the x_i, y_i diagonals.
     if np.isnan(quad).any():
         raise StencilViolationError(f"difference stencil leaves domain at {x0}")
@@ -526,6 +524,11 @@ def allowed_top_height(dom: GridDomain, x0: tuple) -> float:
 
 # ---------------------------------------------------------------------------
 # The inductive chain
+
+
+# Default section-chain lattice, nodes per axis, by complex dimension; 4 real
+# dimensions cannot afford the planar one.
+DIM_CHAIN_RESOLUTION = {1: 33, 2: 13}
 
 
 def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,

@@ -17,11 +17,10 @@ import numpy as np
 from .badset import DYADIC_RADIUS, BadSetReport
 from .grid import (
     GridFunction,
-    first_diff_field,
     hessian_eigen_fields,
     hessian_fields,
     lattice_offsets,
-    second_diff_field,
+    node_differences,
     shift,
 )
 
@@ -34,14 +33,14 @@ def eps_bar_recipe(p: float, n: int) -> float:
     return 0.5 / (10.0 ** ((n - 1) * p) * 12.0 ** (2 * n))
 
 
-def lp_norm(values, p: float, region: np.ndarray, h: float, d: int) -> float:
-    """Node-sum quadrature: (sum |f|^p h^d)^(1/p)."""
+def lp_norm(values, p: float, h: float, d: int) -> float:
+    """Node-sum quadrature over the values given, one per node of the
+    region: (sum |f|^p h^d)^(1/p)."""
     if p < 1:
         raise ValueError("p must be at least 1")
-    picked = np.asarray(values)[region]
-    if np.any(~np.isfinite(picked)):
+    if np.any(~np.isfinite(values)):
         raise ValueError("field must be finite on the region")
-    return float(np.sum(np.abs(picked) ** p) * h ** d) ** (1.0 / p)
+    return float(np.sum(np.abs(values) ** p) * h ** d) ** (1.0 / p)
 
 
 def complex_trace_field(fields: dict) -> np.ndarray:
@@ -152,24 +151,26 @@ def full_w2p(u: GridFunction, p: float, region: np.ndarray) -> tuple[float, floa
     # diagonals around the node carry values.
     ok = region & valued
     for off in lattice_offsets(d, combinations(range(d), 2)):
-        ok &= shift(valued, off, fill=False)
-    if not np.any(ok):
+        ok &= shift(valued, off)
+    nodes = np.flatnonzero(ok)
+    if nodes.size == 0:
         raise ValueError("no region nodes with full second-difference stencils")
 
+    D1, D2 = node_differences(vals, nodes, h)
     total = 0.0
-    lap = np.zeros_like(vals)
+    lap = 0.0
     for a in range(d):
         for b in range(a, d):
-            fld = second_diff_field(vals, a, b, h)
+            fld = D2(a, b)
             if a == b:
                 lap = lap + fld
-            total += lp_norm(fld, p, ok, h, d)
+            total += lp_norm(fld, p, h, d)
     grad_norm = 0.0
     for a in range(d):
-        grad_norm += lp_norm(first_diff_field(vals, a, h), p, ok, h, d)
-    u_norm = lp_norm(vals, p, ok, h, d)
+        grad_norm += lp_norm(D1(a), p, h, d)
+    u_norm = lp_norm(vals.ravel()[nodes], p, h, d)
     full = total + grad_norm + u_norm
-    lap_norm = lp_norm(lap, p, ok, h, d)
+    lap_norm = lp_norm(lap, p, h, d)
     denom = u_norm + lap_norm
     return full, full / denom if denom > 0 else float("inf")
 
@@ -182,15 +183,14 @@ def norm_report(u: GridFunction, report: BadSetReport, p: float) -> NormReport:
     where u is not strictly plurisubharmonic has no inverse trace and
     raises, rather than leaving the region."""
     dom = u.domain
-    pts = dom.coords()
-    dist = np.linalg.norm(pts, axis=1).reshape(u.values.shape)
-    region = dom.interior_mask & (dist <= DYADIC_RADIUS)
+    region = dom.interior_mask.copy()
+    region[region] = np.linalg.norm(dom.coords(region), axis=1) <= DYADIC_RADIUS
 
-    fields = hessian_fields(u)
+    fields = hessian_fields(u, np.flatnonzero(region))
     tr = complex_trace_field(fields)
     itr = inverse_trace_field(fields)
-    direct_tr = lp_norm(tr, p, region, dom.h, dom.d) ** p
-    direct_itr = lp_norm(itr, p, region, dom.h, dom.d) ** p
+    direct_tr = lp_norm(tr, p, dom.h, dom.d) ** p
+    direct_itr = lp_norm(itr, p, dom.h, dom.d) ** p
 
     dy_tr = dyadic_bound(report, p, kind="trace")
     dy_itr = dyadic_bound(report, p, kind="inverse-trace")

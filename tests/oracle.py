@@ -1,8 +1,9 @@
 """Full-box oracles for the tests: quantities the library computes only
 where something reads them, or one array at a time, computed here on every
 lattice node (every hull facet) or one node at a time; the index-array forms of routines
-the library computes on flat indices or with stored operators; and the COO
-form of the operator assembly."""
+the library computes on flat indices or with stored operators; the COO
+form of the operator assembly; and the centered differences over the whole
+box, which the library reads only at node sets."""
 
 import math
 from itertools import combinations
@@ -11,9 +12,111 @@ import numpy as np
 import scipy.sparse as sp
 from scipy import ndimage
 
-from cmalab import badset, engulfing, grid, sections, solver
+from cmalab import badset, engulfing, grid, sections, solver, w2p
 from cmalab.errors import BoundaryConstraintError, SectionEscapeError, StencilViolationError
-from cmalab.grid import interp_multilinear, real_hessian_field
+from cmalab.grid import interp_multilinear
+
+
+def shifted(values, off):
+    """values at x + off over the whole box; NaN where x + off leaves it."""
+    padded = np.pad(values, 1, constant_values=np.nan)
+    return padded[tuple(slice(1 + o, 1 + o + s) for o, s in zip(off, values.shape))]
+
+
+def diff_fields(values, h):
+    """Centered differences D1(a), D2(a, b) as whole-box arrays, NaN where
+    the stencil leaves the box or meets a NaN value: the library's formulas
+    in its summation order, each term a whole-box shift."""
+    d = values.ndim
+    axis = grid.lattice_offsets(d)
+
+    def D1(a):
+        return (shifted(values, axis[2 * a + 1]) - shifted(values, axis[2 * a])) / (2.0 * h)
+
+    def D2(a, b):
+        if a == b:
+            return (shifted(values, axis[2 * a + 1]) - 2.0 * values
+                    + shifted(values, axis[2 * a])) / h ** 2
+        acc = 0.0
+        for off, sign in grid.mixed_terms(d, a, b):
+            acc = acc + sign * shifted(values, off)
+        return acc / (4.0 * h ** 2)
+
+    return D1, D2
+
+
+def hessian_fields(u):
+    """The complex Hessian components over the whole box."""
+    D2 = diff_fields(u.values, u.domain.h)[1]
+    parts = {"h11": 0.25 * (D2(0, 0) + D2(1, 1))}
+    if u.domain.n == 2:
+        parts["h22"] = 0.25 * (D2(2, 2) + D2(3, 3))
+        parts["h12re"] = 0.25 * (D2(0, 2) + D2(1, 3))
+        parts["h12im"] = 0.25 * (D2(0, 3) - D2(1, 2))
+    return parts
+
+
+def real_hessian_field(values, h):
+    """The real Hessian over the whole box, a (..., d, d) array."""
+    D2 = diff_fields(values, h)[1]
+    d = values.ndim
+    H = np.empty(values.shape + (d, d))
+    for a in range(d):
+        for b in range(a, d):
+            H[..., a, b] = H[..., b, a] = D2(a, b)
+    return H
+
+
+def _lp(field, ok, p, h, d):
+    return float(np.sum(np.abs(field[ok]) ** p) * h ** d) ** (1.0 / p)
+
+
+def full_w2p(u, p, region):
+    """w2p.full_w2p from whole-box fields, summed over the region nodes
+    whose every axis step and two-axis diagonal carries a value."""
+    dom = u.domain
+    d, h, vals = dom.d, dom.h, u.values
+    ok = region & ~np.isnan(vals)
+    for off in grid.lattice_offsets(d, combinations(range(d), 2)):
+        ok &= ~np.isnan(shifted(vals, off))
+    D1, D2 = diff_fields(vals, h)
+    total = 0.0
+    lap = np.zeros_like(vals)
+    for a in range(d):
+        for b in range(a, d):
+            fld = D2(a, b)
+            if a == b:
+                lap = lap + fld
+            total += _lp(fld, ok, p, h, d)
+    grad_norm = 0.0
+    for a in range(d):
+        grad_norm += _lp(D1(a), ok, p, h, d)
+    u_norm = _lp(vals, ok, p, h, d)
+    full = total + grad_norm + u_norm
+    return full, full / (u_norm + _lp(lap, ok, p, h, d))
+
+
+def direct_norms(u, p):
+    """norm_report's direct integrals of the trace and the inverse trace to
+    the p, from whole-box fields, over the interior nodes of B_0.6."""
+    dom = u.domain
+    r = np.linalg.norm(dom.coords(), axis=1).reshape(u.values.shape)
+    region = dom.interior_mask & (r <= badset.DYADIC_RADIUS)
+    fields = hessian_fields(u)
+    return (_lp(w2p.complex_trace_field(fields), region, p, dom.h, dom.d) ** p,
+            _lp(w2p.inverse_trace_field(fields), region, p, dom.h, dom.d) ** p)
+
+
+def convexity_defect(gamma, region):
+    """Largest midpoint-concavity violation along lattice directions, over
+    the whole box."""
+    vals = np.where(region, gamma.values, np.nan)
+    worst = 0.0
+    for e in badset._envelope_directions(vals.ndim):
+        gap = vals - 0.5 * (shifted(vals, e) + shifted(vals, tuple(-x for x in e)))
+        if np.any(~np.isnan(gap)):
+            worst = max(worst, float(np.nanmax(gap)))
+    return worst
 
 
 def lattice_signed(axes, values):

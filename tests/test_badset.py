@@ -166,6 +166,26 @@ def test_sampling_solves_to_the_given_newton_tol(monkeypatch):
     assert all(n.broken[:2] == (2, "NonConvergenceError") for n in ns)
 
 
+def test_sampling_defaults_to_the_dimension_chain_lattice(perturbed_n2, monkeypatch):
+    # Left unset, the chain lattice is the dimension's (13 nodes per axis at
+    # n = 2, as the pipeline's config), not the planar 33.
+    dom, u, v0 = perturbed_n2
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def record(*args, chain_resolution, **kwargs):
+        seen.append(chain_resolution)
+        raise Stop
+
+    monkeypatch.setattr(badset, "construct_section_chain", record)
+    with pytest.raises(Stop):
+        badset.sample_badset_chains(u, v0, stride=4)
+    assert seen == [sections.DIM_CHAIN_RESOLUTION[2]]
+    assert seen == [cli.ExperimentConfig(n=2).chain_resolution] == [13]
+
+
 def test_known_level2_failures_outside_counted_ball():
     # Known failure at the default n=1 config: the chains at the two nodes
     # at r = 0.798 break at level 2.  They lie beyond r_1, so the bad-set
@@ -487,6 +507,24 @@ def test_envelope_of_nonconvex_data_n2_is_convex(perturbed_n2):
     assert not np.all(badset.contact_set(w, env)[region])
 
 
+def test_convexity_defect_matches_the_whole_box_reference(perturbed_n1, perturbed_n2):
+    # Read at the region nodes, the defect is the whole-box one bit for bit,
+    # on convex, non-convex and box-face data.
+    cases = []
+    for dom, u, v0 in (perturbed_n1, perturbed_n2):
+        region, _ = region_ball(dom, 0.9)
+        w = GridFunction(dom, np.where(region, u.values - 0.5 * v0.values, np.nan))
+        cases += [(w, region), (u, dom.valued_mask)]
+    face = grid.build_domain(1, "ball:1.0", 17)
+    every = np.ones_like(face.valued_mask)
+    bumps = GridFunction(face, np.random.default_rng(2).standard_normal(every.shape))
+    cases.append((bumps, every))
+    for gam, region in cases:
+        want = oracle.convexity_defect(gam, region)
+        assert badset.lattice_convexity_defect(gam, region) == want
+    assert want > 0.0
+
+
 def test_subdeterminant_inequality_at_contact(perturbed_n1):
     dom, u, v0 = perturbed_n1
     region, r = region_ball(dom, 0.9)
@@ -743,11 +781,12 @@ def test_paraboloid_on_perturbed_contact_nodes(perturbed_n1):
 
 def test_paraboloid_slope_is_the_centred_difference_at_x0(perturbed_n1):
     # The slope is the full-box centred difference read at x0; where its
-    # stencil meets an unvalued node it is NaN and the opening unsupported.
+    # stencil meets an unvalued node, or leaves the box at a box-face node,
+    # it is NaN and the opening unsupported.
     dom, u, _ = perturbed_n1
     region, r = region_ball(dom, 0.9)
-    field = np.stack([grid.first_diff_field(u.values, a, dom.h) for a in range(dom.d)],
-                     axis=-1)
+    D1 = oracle.diff_fields(u.values, dom.h)[0]
+    field = np.stack([D1(a) for a in range(dom.d)], axis=-1)
     for it in np.argwhere(region & (r <= 0.6))[::97]:
         res = badset.touching_paraboloid_opening(u, tuple(it), region)
         assert np.array_equal(res.slope, field[tuple(it)])
@@ -755,6 +794,15 @@ def test_paraboloid_slope_is_the_centred_difference_at_x0(perturbed_n1):
     res = badset.touching_paraboloid_opening(u, edge, dom.valued_mask)
     assert np.array_equal(res.slope, field[edge], equal_nan=True)
     assert not res.supported and res.kappa == 0.0
+
+    face = grid.build_domain(1, "ball:1.0", 17)
+    quad = GridFunction(face, np.sum(face.coords() ** 2, axis=1).reshape((17, 17)))
+    D1 = oracle.diff_fields(quad.values, face.h)[0]
+    field = np.stack([D1(a) for a in range(face.d)], axis=-1)
+    res = badset.touching_paraboloid_opening(quad, (16, 8), np.ones((17, 17), dtype=bool))
+    assert np.array_equal(res.slope, field[16, 8], equal_nan=True)
+    assert np.isnan(res.slope[0]) and res.slope[1] == 0.0
+    assert not res.supported
 
 
 # -- Hessian bounds on good sets -------------------------------------------------------

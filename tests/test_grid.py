@@ -360,23 +360,25 @@ def test_hessian_hermitian_exactly():
                                           (2, 13, "perturbed:0.05:harmonic")])
 def test_pointwise_hessian_equals_field_hessian(n, res, spec):
     # One formula: the node-wise complex Hessian, the fields read at the
-    # interior nodes only, and taylor_split's linear and quadratic
-    # coefficients, are bit-for-bit the whole-box fields at every interior
-    # node of non-quadratic data.  Where a field is NaN (the
-    # holomorphic part reads diagonals the Hessian stencil does not) the
-    # split is refused.
+    # interior nodes or at every node, and taylor_split's linear and
+    # quadratic coefficients, are bit-for-bit the whole-box fields of the
+    # reference at every node read, on non-quadratic data.  Where a field is
+    # NaN (the holomorphic part reads diagonals the Hessian stencil does
+    # not) the split is refused.
     dom = grid.build_domain(n, spec, res)
     rng = np.random.default_rng(5)
     vals = np.full((res,) * dom.d, np.nan)
     vals[dom.valued_mask] = rng.standard_normal(int(dom.valued_mask.sum()))
     u = grid.GridFunction(dom, vals)
-    f = grid.hessian_fields(u)
+    f = oracle.hessian_fields(u)
     at = grid.hessian_fields(u, np.flatnonzero(dom.interior_mask.ravel()))
-    assert at.keys() == f.keys()
+    every = grid.hessian_fields(u, np.arange(vals.size))
+    assert at.keys() == every.keys() == f.keys()
     assert all(np.array_equal(at[k], f[k][dom.interior_mask]) for k in f)
-    D1 = [grid.first_diff_field(vals, a, dom.h) for a in range(dom.d)]
-    D2 = {(a, b): grid.second_diff_field(vals, a, b, dom.h)
-          for a in range(dom.d) for b in range(dom.d)}
+    assert all(np.array_equal(every[k], f[k].ravel(), equal_nan=True) for k in f)
+    D1, D2 = oracle.diff_fields(vals, dom.h)
+    D1 = [D1(a) for a in range(dom.d)]
+    D2 = {(a, b): D2(a, b) for a in range(dom.d) for b in range(dom.d)}
     lin = np.stack([2.0 * (0.5 * (D1[2 * i] - 1j * D1[2 * i + 1])) for i in range(n)], -1)
     quad = np.empty(vals.shape + (n, n), dtype=complex)
     for i in range(n):
@@ -401,6 +403,26 @@ def test_pointwise_hessian_equals_field_hessian(n, res, spec):
         assert np.all(h.quad == quad[idx])
         split += 1
     assert split > 0
+
+
+@pytest.mark.parametrize("node", [(0, 8), (16, 8)])
+def test_box_face_node_reads_nan_off_the_box(node):
+    # On a 17^2 lattice valued at every node, a node on an x-face of the box
+    # reads the whole-box fields: NaN in the x terms, which step off the
+    # box, and no read wrapped to the opposite face or past the last node.
+    dom = grid.build_domain(1, "ball:1.0", 17)
+    u = grid.GridFunction(dom, np.sum(dom.coords() ** 3, axis=1).reshape((17, 17)))
+    flat = [np.ravel_multi_index(node, (17, 17))]
+    got = grid.hessian_fields(u, flat)
+    want = oracle.hessian_fields(u)
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[k], want[k][node][None], equal_nan=True) for k in want)
+    assert np.isnan(got["h11"][0])
+    D1, D2 = grid.node_differences(u.values, flat, dom.h)
+    W1, W2 = oracle.diff_fields(u.values, dom.h)
+    assert np.isnan(D1(0)[0]) and np.isnan(D2(0, 0)[0]) and np.isnan(D2(0, 1)[0])
+    assert D1(1)[0] == W1(1)[node] and D2(1, 1)[0] == W2(1, 1)[node]
+    assert np.isfinite(D2(1, 1)[0])
 
 
 def test_taylor_split_on_the_high_box_face_is_refused():

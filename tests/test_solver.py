@@ -71,8 +71,8 @@ def test_dirichlet_barrier_perturbed_n1(perturbed_n1):
 
 def test_residual_certificate(perturbed_n1):
     dom, u, _ = perturbed_n1
-    fields = grid.hessian_fields(u)
-    det = grid.hessian_det_field(fields)[dom.interior_mask]
+    fields = grid.hessian_fields(u, np.flatnonzero(dom.interior_mask))
+    det = grid.hessian_det_field(fields)
     pts = dom.coords(dom.interior_mask.ravel())
     f = 1.0 + 0.01 * np.cos(2 * np.pi * pts[:, 0]) * np.cos(2 * np.pi * pts[:, 1])
     assert np.max(np.abs(np.log(det) - np.log(f))) <= 1e-8
