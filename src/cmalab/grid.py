@@ -400,8 +400,8 @@ def build_domain(n: int, shape_spec, resolution: int) -> GridDomain:
 
 def lattice_domain(n: int, L: float, signed: np.ndarray, shape=None) -> GridDomain:
     """The domain {signed < 0} on the lattice of the values `signed`, which
-    spans the box [-L, L]^d.  Cut points come from `shape` when one is
-    given, else in closed form from the multilinear interpolant of `signed`.
+    spans the box [-L, L]^d.  Cut points are closed form in the multilinear
+    interpolant of `signed`, refined on `shape` when one is given.
     """
     resolution = signed.shape[0]
     d = 2 * n
@@ -450,7 +450,6 @@ def _build_bc_table(dom: GridDomain, signed: np.ndarray) -> dict:
     shape = dom.shape
     h = dom.h
     lo = dom.box[:, 0]
-    interior_flat = dom.interior_mask.ravel()
     signed_flat = signed.ravel()
     strides = np.array([res ** (d - 1 - a) for a in range(d)], dtype=np.int64)
 
@@ -458,36 +457,31 @@ def _build_bc_table(dom: GridDomain, signed: np.ndarray) -> dict:
     b_flat = b_idx @ strides
     nb = b_idx.shape[0]
     # Candidate directions are richer than the stencil: any axis or two-axis
-    # diagonal may carry the extrapolation line.  A step is one flat offset;
-    # node + r * step stays in the box while every axis the step moves along
-    # has room for r nodes in its direction.
+    # diagonal may carry the extrapolation line.  A step is one flat offset.
+    # Two steps from a node stay inside the interior mask padded by two
+    # non-interior layers, so x_1 and x_2 are tested there without a bounds
+    # check.  x_1's value is gathered with clipped indices and counts only
+    # where x_1 is interior, hence in the box.
     steps = np.array(lattice_offsets(d, combinations(range(d), 2)), dtype=np.int64)
     step_off = steps @ strides
-    room_up = (res - 1 - b_idx).T
-    room_down = b_idx.T
+    interior_pad = np.pad(dom.interior_mask, 2).ravel()
+    pad_strides = np.array([(res + 4) ** (d - 1 - a) for a in range(d)], dtype=np.int64)
+    b_pad = (b_idx + 2) @ pad_strides
+    pad_off = steps @ pad_strides
 
     # Score each direction by the normalized depth of x_1, with a strong
     # bonus when x_2 is interior (making the three-point form available).
     best_score = np.full(nb, -np.inf)
     best_k = np.zeros(nb, dtype=np.int64)
-    best_room = np.zeros(nb, dtype=np.int64)
     for k, st in enumerate(steps):
         slen_st = math.sqrt(float(st @ st))
-        room = np.minimum.reduce([room_up[a] if st[a] > 0 else room_down[a]
-                                  for a in np.flatnonzero(st)])
-        valid = room >= 1
-        score = np.full(nb, -np.inf)
-        f1 = b_flat[valid] + step_off[k]
-        sub = interior_flat[f1]
-        rows_v = np.flatnonzero(valid)[sub]
-        score[rows_v] = -signed_flat[f1[sub]] / slen_st
-        ok2 = room >= 2
-        ok2[ok2] = interior_flat[b_flat[ok2] + 2 * step_off[k]]
-        score[ok2] += 1e6
+        x1 = b_pad + pad_off[k]
+        depth = -signed_flat.take(b_flat + step_off[k], mode="clip") / slen_st
+        score = np.where(interior_pad[x1], depth, -np.inf)
+        np.add(score, 1e6, out=score, where=interior_pad[x1 + pad_off[k]])
         better = score > best_score
-        best_score[better] = score[better]
-        best_k[better] = k
-        best_room[better] = room[better]
+        np.copyto(best_score, score, where=better)
+        np.copyto(best_k, k, where=better)
     if not np.all(np.isfinite(best_score)):
         raise StencilViolationError("boundary node without an interior stencil neighbor")
     best_step = steps[best_k]
@@ -498,42 +492,46 @@ def _build_bc_table(dom: GridDomain, signed: np.ndarray) -> dict:
     dhat = best_step * h / slen[:, None]
     sb = signed_flat[b_flat]
 
-    # A lattice domain is the multilinear interpolant of `signed` itself, so
-    # its cuts have a closed form in the lattice values; a shape is bisected.
-    t_c = np.zeros(nb)
+    # Every cut lies on one lattice step, from `start` to `start + step`:
+    # for a ring node, from the node to x_1; for an inside node, the first
+    # step back from it whose far end is outside (off the box counts as
+    # outside), `back` steps behind it.  The cut is closed form in the
+    # multilinear interpolant of the lattice values, which is the whole of
+    # a lattice domain; on a shape that is the seed of _shape_cut, given the
+    # step's end values f_start, f_end: lattice values, which build_domain
+    # samples from the shape, or shape values the hit tests below read.
     ring = sb > 0.0
-    if np.any(ring):
+    start, step = b_idx.copy(), best_step.copy()
+    back = np.zeros(nb)
+    f_start, f_end = sb.copy(), signed_flat[b_flat + best_off]
+    rows = np.flatnonzero(sb < 0.0)
+    for reach in (1, 2):
+        if rows.size == 0:
+            break
+        far = b_idx[rows] - reach * best_step[rows]
         if shape is None:
-            t_c[ring] = slen[ring] * _lattice_cut(signed, b_idx[ring], best_step[ring])
+            in_box = np.all((far >= 0) & (far < res), axis=1)
+            s_out = np.ones(rows.size)
+            s_out[in_box] = signed[tuple(far[in_box].T)]
         else:
-            t_c[ring] = _bisect_cut_batch(shape, xb[ring], xb[ring] + best_step[ring] * h)
-    dem = sb < 0.0
-    if np.any(dem):
-        rows = np.flatnonzero(dem)
-        for reach in (1, 2):
-            if rows.size == 0:
-                break
-            if shape is None:
-                far = b_idx[rows] - reach * best_step[rows]
-                in_box = np.all((far >= 0) & (far < res), axis=1)
-                s_out = np.ones(rows.size)
-                s_out[in_box] = signed[tuple(far[in_box].T)]
-            else:
-                x_out = xb[rows] - dhat[rows] * (reach * slen[rows])[:, None]
-                s_out = shape.signed(x_out)
-            hit = s_out > 0.0
-            rr = rows[hit]
-            if rr.size:
-                if shape is None:
-                    near = b_idx[rr] - (reach - 1) * best_step[rr]
-                    t = _lattice_cut(signed, near, -best_step[rr])
-                    t_c[rr] = -slen[rr] * ((reach - 1) + t)
-                else:
-                    t_c[rr] = -_bisect_cut_batch(shape, xb[rr], x_out[hit])
-            rows = rows[~hit]
-        if rows.size:
-            raise BoundaryConstraintError(
-                f"{rows.size} inside boundary nodes have no cut within two steps")
+            s_out = shape.signed(lo + h * far)
+        hit = s_out > 0.0
+        rr = rows[hit]
+        start[rr] = far[hit] + best_step[rr]
+        step[rr] = -best_step[rr]
+        back[rr] = reach - 1
+        f_end[rr] = s_out[hit]
+        rows = rows[~hit]
+        f_start[rows] = s_out[~hit]
+    if rows.size:
+        raise BoundaryConstraintError(
+            f"{rows.size} inside boundary nodes have no cut within two steps")
+    t_c = np.zeros(nb)
+    cut = np.flatnonzero(sb != 0.0)
+    t = _lattice_cut(signed, start[cut], step[cut])
+    if shape is not None:
+        t = _shape_cut(shape, lo + h * start[cut], step[cut] * h, t, f_start[cut], f_end[cut])
+    t_c[cut] = np.where(ring[cut], 1.0, -1.0) * slen[cut] * (back[cut] + t)
     cuts = xb + dhat * t_c[:, None]
 
     # x_1 is interior on every row (its direction scored finite).  A cut
@@ -542,8 +540,7 @@ def _build_bc_table(dom: GridDomain, signed: np.ndarray) -> dict:
     if np.any((t1 - t_c) <= 1e-3 * slen):
         raise BoundaryConstraintError("a boundary cut point nearly collides with x_1")
     t2 = 2.0 * slen
-    quad = best_room >= 2
-    quad[quad] = interior_flat[b_flat[quad] + 2 * best_off[quad]]
+    quad = interior_pad[b_pad + 2 * pad_off[best_k]]
 
     # Three-point (quadratic) form through (x_1, x_2) where x_2 is interior,
     # else two-point (linear) through x_1.
@@ -597,23 +594,62 @@ def _lattice_cut(signed: np.ndarray, start: np.ndarray, step: np.ndarray) -> np.
     return t
 
 
-def _bisect_cut_batch(shape, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    """Roots of the signed shape function on segments [p0_i, p1_i], returned
-    as distances from p0_i.  Endpoints must have opposite signs."""
-    a = np.atleast_2d(p0).astype(float)
-    b = np.atleast_2d(p1).astype(float)
-    fa = shape.signed(a)
-    lo_t = np.zeros(a.shape[0])
-    hi_t = np.ones(a.shape[0])
-    # 60 halvings of [0, 1] reach below double-precision resolution.
-    for _ in range(60):
-        mid = 0.5 * (lo_t + hi_t)
-        fm = shape.signed(a + mid[:, None] * (b - a))
-        same = (fm > 0.0) == (fa > 0.0)
-        lo_t = np.where(same, mid, lo_t)
-        hi_t = np.where(same, hi_t, mid)
-    t = 0.5 * (lo_t + hi_t)
-    return t * np.linalg.norm(b - a, axis=1)
+_CUT_TOL = 2.0 * np.finfo(float).eps   # bracket width that closes a cut, per unit segment
+_CUT_SWEEPS = 64                        # refinement sweeps before a cut counts as stuck
+
+
+def _shape_cut(shape, p0: np.ndarray, span: np.ndarray, seed: np.ndarray,
+               f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
+    """Fractions t in [0, 1] at which shape.signed vanishes on the segments
+    p0_i + t span_i, whose ends have the signed values f0_i and f1_i.
+
+    Regula falsi with the Illinois step (Dowell & Jarratt, BIT 11, 1971),
+    vectorized over the rows still open: the seed is the first iterate, a
+    sign-changing bracket is kept, and a step that does not fall strictly
+    inside it takes the bracket's midpoint.  A row closes on an exact zero
+    or once its bracket is _CUT_TOL wide, at the bracket's midpoint.  Ends
+    of one sign, or a row still open after _CUT_SWEEPS sweeps, raise
+    BoundaryConstraintError.
+    """
+    same = np.sign(f0) * np.sign(f1) > 0.0
+    if np.any(same):
+        raise BoundaryConstraintError(
+            f"{np.count_nonzero(same)} cut segments have ends of one sign")
+    t = np.where(f0 == 0.0, 0.0, 1.0)
+    rows = np.flatnonzero((f0 != 0.0) & (f1 != 0.0))
+    # The bracket by sign: signed(xn) = fn < 0 < fp = signed(xp).
+    up = f1[rows] > 0.0
+    xn, xp = np.where(up, 0.0, 1.0), np.where(up, 1.0, 0.0)
+    fn, fp = np.where(up, f0[rows], f1[rows]), np.where(up, f1[rows], f0[rows])
+    p0, span, x = p0[rows], span[rows], seed[rows]
+    moved_p = None                  # per row: the last step replaced xp
+    for _ in range(_CUT_SWEEPS):
+        if rows.size == 0:
+            return t
+        x = np.where((x - xn) * (x - xp) < 0.0, x, 0.5 * (xn + xp))
+        fx = shape.signed(p0 + x[:, None] * span)
+        pos = fx > 0.0
+        if moved_p is not None:
+            # Illinois: an end kept twice running has its value halved.
+            np.multiply(fn, 0.5, out=fn, where=pos & moved_p)
+            np.multiply(fp, 0.5, out=fp, where=~(pos | moved_p))
+        np.copyto(xp, x, where=pos)
+        np.copyto(fp, fx, where=pos)
+        np.copyto(xn, x, where=~pos)
+        np.copyto(fn, fx, where=~pos)
+        moved_p = pos
+        zero = fx == 0.0
+        done = zero | (np.abs(xp - xn) <= _CUT_TOL)
+        if done.any():
+            t[rows[done]] = np.where(zero, x, 0.5 * (xn + xp))[done]
+            keep = np.flatnonzero(~done)
+            rows, xn, xp, fn, fp, moved_p, p0, span = (
+                v.take(keep, axis=0) for v in (rows, xn, xp, fn, fp, moved_p, p0, span))
+        x = xp - fp * (xp - xn) / (fp - fn)
+    if rows.size:
+        raise BoundaryConstraintError(
+            f"{rows.size} cut refinements still open after {_CUT_SWEEPS} sweeps")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -684,19 +720,30 @@ def read_cache(path) -> tuple[int, int, float, np.ndarray]:
 # Complex differential calculus
 
 
+def _clear_of_faces(shape: tuple, nodes: np.ndarray) -> bool:
+    """Whether no flat index of `nodes` lies on a face of a box of this
+    shape.  A set under 1/64 of the box is read from its own unravelled
+    indices (each in 1..res-2), at a cost in its size; a larger one by one
+    boolean gather of the box's inner core, at a cost in the box's."""
+    if 64 * nodes.size < math.prod(shape):
+        return all(np.all((i >= 1) & (i <= s - 2))
+                   for i, s in zip(np.unravel_index(nodes, shape), shape))
+    core = np.zeros(shape, dtype=bool)
+    core[(slice(1, -1),) * len(shape)] = True
+    return bool(core.ravel()[nodes].all())
+
+
 def node_lookup(values: np.ndarray, nodes):
     """at(off): the values at x + off for each flat index x of `nodes`, an
     array of their shape; NaN where x + off leaves the box or meets an
     unvalued (NaN) node.  off moves at most one node along each axis.  A node
-    set clear of the box faces, as one boolean gather of the box's inner core
-    tells, reads a flat gather; any other, clipped index tuples."""
+    set clear of the box faces (_clear_of_faces) reads a flat gather; any
+    other, clipped index tuples."""
     nodes = np.asarray(nodes)
     shape = values.shape
     flat = values.ravel()
     strides = [math.prod(shape[a + 1:]) for a in range(values.ndim)]
-    core = np.zeros(shape, dtype=bool)
-    core[(slice(1, -1),) * values.ndim] = True
-    if core.ravel()[nodes].all():
+    if _clear_of_faces(shape, nodes):
         return lambda off: flat[nodes + sum(o * s for o, s in zip(off, strides))]
     idx = np.unravel_index(nodes, shape)
 

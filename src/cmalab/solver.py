@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,25 +238,35 @@ def _prolongation(mask: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
 
     A coarse unknown is an even-index node whose fine twin is an unknown
     (injection), so P holds an identity block and has full column rank.
+    An even fine index sits on a coarse node, an odd one between two.  Each
+    unknown's odd axes are coded once as bits; a cell corner that steps up
+    along some axes reaches the unknowns whose code holds all of them, with
+    weight 1/2 per odd axis.
     """
     d = mask.ndim
     cmask = mask[(slice(None, None, 2),) * d]
     ccol = np.full(cmask.size, -1, dtype=np.int64)
     ccol[np.flatnonzero(cmask)] = np.arange(np.count_nonzero(cmask))
-    idx = np.argwhere(mask)
-    odd = idx % 2 == 1
+    cstrides = [math.prod(cmask.shape[a + 1:]) for a in range(d)]
+    idx = np.nonzero(mask)
+    code = np.zeros(idx[0].size, dtype=np.int64)   # bit a: odd index on axis a
+    base = np.zeros(idx[0].size, dtype=np.int64)   # flat coarse index of idx // 2
+    for a, i in enumerate(idx):
+        code |= (i & 1) << a
+        base += (i >> 1) * cstrides[a]
+    weight = 0.5 ** np.bitwise_count(code)
     rows, cols, vals = [], [], []
     for corner in itertools.product((0, 1), repeat=d):
-        # An even fine index sits on a coarse node; an odd one between two.
-        use = np.flatnonzero(np.all(odd | (np.array(corner) == 0), axis=1))
-        col = ccol[np.ravel_multi_index(((idx[use] + corner) // 2).T, cmask.shape)]
+        bits = sum(c << a for a, c in enumerate(corner))
+        use = np.flatnonzero((code & bits) == bits)
+        col = ccol[base[use] + sum(c * s for c, s in zip(corner, cstrides))]
         keep = col >= 0
         rows.append(use[keep])
         cols.append(col[keep])
-        vals.append(0.5 ** np.count_nonzero(odd[use[keep]], axis=1))
+        vals.append(weight[use[keep]])
     P = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(idx.shape[0], np.count_nonzero(cmask))).tocsr()
+        shape=(idx[0].size, np.count_nonzero(cmask))).tocsr()
     return P, cmask
 
 

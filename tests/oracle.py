@@ -6,7 +6,7 @@ form of the operator assembly; and the centered differences over the whole
 box, which the library reads only at node sets."""
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import scipy.sparse as sp
@@ -161,19 +161,23 @@ def subdeterminant_check(u0, v0, gamma, contact):
     ok = contact & ~(np.isnan(Hu).any(axis=(-2, -1))
                      | np.isnan(Hv).any(axis=(-2, -1))
                      | np.isnan(Hg).any(axis=(-2, -1)))
-    checked = 0
-    worst = -math.inf
+    dets = []   # per checked node, the three eigenvalue products
     for it in np.argwhere(ok):
         it = tuple(it)
         eigs = [np.linalg.eigvalsh(m) for m in (Hg[it], Hv[it], Hu[it])]
         if any(e.min() < -1e-8 for e in eigs):
             continue
-        checked += 1
-        roots = [np.prod(np.clip(e, 0.0, None)) ** (1.0 / (2 * dom.n)) for e in eigs]
-        worst = max(worst, roots[0] + roots[1] - roots[2])
+        dets.append([np.prod(np.clip(e, 0.0, None)) for e in eigs])
+    checked = len(dets)
+    worst = float("nan")
+    if checked:
+        # The root is an array power over the checked nodes, as in the
+        # library: numpy's array and scalar powers may round apart.
+        roots = [np.array(col) ** (1.0 / (2 * dom.n)) for col in zip(*dets)]
+        worst = float(np.max(roots[0] + roots[1] - roots[2]))
     return {
         "checked": checked,
-        "worst_excess": worst if checked else float("nan"),
+        "worst_excess": worst,
         "passed": bool(checked == 0 or worst <= 1e-6),
     }
 
@@ -262,9 +266,31 @@ def interp_by_index(axes, values, pts):
     return out
 
 
-def bc_table_by_index(dom, signed):
+def bisect_cut(shape, p0, p1):
+    """Roots of the signed shape function on segments [p0_i, p1_i], whose
+    ends have opposite signs, as distances from p0_i: 60 halvings of the
+    unit parameter, below double-precision resolution."""
+    a = np.atleast_2d(p0).astype(float)
+    b = np.atleast_2d(p1).astype(float)
+    fa = shape.signed(a)
+    lo_t = np.zeros(a.shape[0])
+    hi_t = np.ones(a.shape[0])
+    for _ in range(60):
+        mid = 0.5 * (lo_t + hi_t)
+        fm = shape.signed(a + mid[:, None] * (b - a))
+        same = (fm > 0.0) == (fa > 0.0)
+        lo_t = np.where(same, mid, lo_t)
+        hi_t = np.where(same, hi_t, mid)
+    t = 0.5 * (lo_t + hi_t)
+    return t * np.linalg.norm(b - a, axis=1)
+
+
+def bc_table_by_index(dom, signed, bisect=False):
     """grid._build_bc_table searching directions with (nb, d) index
-    arrays for every candidate step."""
+    arrays for every candidate step.  With `bisect`, a shape's cuts are
+    bisected on the whole segment from the boundary node to the first
+    node outside (bisect_cut) instead of taken through the library's
+    seeded refinement."""
     d = dom.d
     res = dom.resolution
     shape = dom.shape
@@ -310,39 +336,45 @@ def bc_table_by_index(dom, signed):
     dhat = best_step * h / slen[:, None]
     sb = signed_flat[b_idx @ strides]
 
-    # A lattice domain is the multilinear interpolant of `signed` itself, so
-    # its cuts have a closed form in the lattice values; a shape is bisected.
+    # Closed-form lattice cuts, refined on a shape by grid._shape_cut from
+    # the lattice values of the segment ends, unless bisected.
     t_c = np.zeros(nb)
     ring = sb > 0.0
     if np.any(ring):
-        if shape is None:
-            t_c[ring] = slen[ring] * grid._lattice_cut(signed, b_idx[ring], best_step[ring])
+        if bisect:
+            t_c[ring] = bisect_cut(shape, xb[ring], xb[ring] + best_step[ring] * h)
         else:
-            t_c[ring] = grid._bisect_cut_batch(shape, xb[ring], xb[ring] + best_step[ring] * h)
+            t = grid._lattice_cut(signed, b_idx[ring], best_step[ring])
+            if shape is not None:
+                x1 = (b_idx[ring] + best_step[ring]) @ strides
+                t = grid._shape_cut(shape, xb[ring], best_step[ring] * h, t, sb[ring],
+                                    signed_flat[x1])
+            t_c[ring] = slen[ring] * t
     dem = sb < 0.0
     if np.any(dem):
         rows = np.flatnonzero(dem)
         for reach in (1, 2):
             if rows.size == 0:
                 break
+            far = b_idx[rows] - reach * best_step[rows]
             if shape is None:
-                far = b_idx[rows] - reach * best_step[rows]
                 in_box = np.all((far >= 0) & (far < res), axis=1)
                 s_out = np.ones(rows.size)
                 s_out[in_box] = signed[tuple(far[in_box].T)]
             else:
-                x_out = xb[rows] - dhat[rows] * (reach * slen[rows])[:, None]
-                s_out = shape.signed(x_out)
+                s_out = shape.signed(lo + h * far)
             hit = s_out > 0.0
             rr = rows[hit]
-            if rr.size:
-                if shape is None:
-                    near = b_idx[rr] - (reach - 1) * best_step[rr]
-                    t = grid._lattice_cut(signed, near, -best_step[rr])
-                    t_c[rr] = -slen[rr] * ((reach - 1) + t)
-                else:
-                    t_c[rr] = -grid._bisect_cut_batch(shape, xb[rr], x_out[hit])
-            rows = rows[~hit]
+            if rr.size and bisect:
+                t_c[rr] = -bisect_cut(shape, xb[rr], lo + h * far[hit])
+            elif rr.size:
+                near = b_idx[rr] - (reach - 1) * best_step[rr]
+                t = grid._lattice_cut(signed, near, -best_step[rr])
+                if shape is not None:
+                    t = grid._shape_cut(shape, lo + h * near, -best_step[rr] * h, t,
+                                        sb[rr] if reach == 1 else s_in[hit], s_out[hit])
+                t_c[rr] = -slen[rr] * ((reach - 1) + t)
+            rows, s_in = rows[~hit], s_out[~hit]
         if rows.size:
             raise BoundaryConstraintError("inside boundary node with no cut within two steps")
     cuts = xb + dhat * t_c[:, None]
@@ -366,6 +398,29 @@ def bc_table_by_index(dom, signed):
         "coef_2": np.where(quad, (t_c * t1) / ((t2 - t_c) * (t2 - t1)), 0.0),
         "cuts": cuts,
     }
+
+
+def prolongation_by_corner(mask):
+    """solver._prolongation testing every unknown's index arrays against
+    each cell corner in turn."""
+    d = mask.ndim
+    cmask = mask[(slice(None, None, 2),) * d]
+    ccol = np.full(cmask.size, -1, dtype=np.int64)
+    ccol[np.flatnonzero(cmask)] = np.arange(np.count_nonzero(cmask))
+    idx = np.argwhere(mask)
+    odd = idx % 2 == 1
+    rows, cols, vals = [], [], []
+    for corner in product((0, 1), repeat=d):
+        use = np.flatnonzero(np.all(odd | (np.array(corner) == 0), axis=1))
+        col = ccol[np.ravel_multi_index(((idx[use] + corner) // 2).T, cmask.shape)]
+        keep = col >= 0
+        rows.append(use[keep])
+        cols.append(col[keep])
+        vals.append(0.5 ** np.count_nonzero(odd[use[keep]], axis=1))
+    P = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(idx.shape[0], np.count_nonzero(cmask))).tocsr()
+    return P, cmask
 
 
 def cycle_transposing(levels, coarsest, b, lvl=0):

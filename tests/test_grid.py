@@ -115,12 +115,24 @@ def _lattice_signed(dom):
 
 
 def _bisection_table(dom, signed):
-    """The domain's bc table rebuilt through the bisection path, with the
-    shape, or the multilinear interpolant of a lattice domain's values,
-    hidden behind an object that has only `signed`."""
+    """The domain's bc table with every cut bisected (oracle.bisect_cut) on
+    the shape, or on the multilinear interpolant of a lattice domain's
+    values, hidden behind an object that has only `signed`."""
     fn = oracle.lattice_signed(dom.axes, signed) if dom.shape is None else dom.shape.signed
     opaque = dataclasses.replace(dom, shape=SimpleNamespace(signed=fn))
-    return grid._build_bc_table(opaque, signed)
+    return oracle.bc_table_by_index(opaque, signed, bisect=True)
+
+
+class _CountingShape:
+    """A shape that counts the points its signed function is read at."""
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.points = 0
+
+    def signed(self, pts):
+        self.points += len(pts)
+        return self.shape.signed(pts)
 
 
 def _chain_domain_n1(request):
@@ -233,6 +245,47 @@ def test_lattice_cut_off_box_counts_as_outside():
     # The face cuts sit on the face nodes themselves.
     nodes = dom.coords()[table["flat"][on_face]]
     assert np.abs(table["cuts"][on_face] - nodes).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n, res", [(1, 33), (1, 65), (2, 13), (2, 17)])
+@pytest.mark.parametrize("kind", ["ball", "perturbed"])
+def test_shape_cuts_match_bisection(n, res, kind):
+    # The seeded regula falsi lands within rounding of 60 bisection sweeps,
+    # on ring rows and (n = 2) inward rows, picks the same supports, and
+    # reads the shape at no more than 8 points per cut, hit tests included.
+    spec = "ball:1.0" if kind == "ball" else f"perturbed:0.05:{'cos3' if n == 1 else 'harmonic'}"
+    dom = grid.build_domain(n, spec, res)
+    signed = _lattice_signed(dom)
+    counting = _CountingShape(dom.shape)
+    table = grid._build_bc_table(dataclasses.replace(dom, shape=counting), signed)
+    ref = _bisection_table(dom, signed)
+    for k in ("flat", "idx1", "idx2"):
+        assert table[k].tobytes() == ref[k].tobytes()
+    sb = signed.ravel()[table["flat"]]
+    assert np.any(sb > 0.0)
+    assert np.any(sb < 0.0) == (n == 2)
+    assert np.abs(table["cuts"] - ref["cuts"]).max() <= 1e-13 * dom.h
+    assert counting.points <= 8 * table["flat"].size
+
+
+def test_shape_cut_of_a_segment_without_a_sign_change_raises():
+    # Both ends of the second segment lie inside the unit disk; bisection
+    # would have returned a point of it all the same.
+    shape = grid.BallShape(1.0)
+    p0 = np.array([[0.9, 0.0], [0.0, 0.0]])
+    span = np.array([[0.2, 0.0], [0.5, 0.0]])
+    f0, f1 = shape.signed(p0), shape.signed(p0 + span)
+    with pytest.raises(BoundaryConstraintError, match="1 cut segments have ends of one sign"):
+        grid._shape_cut(shape, p0, span, np.array([0.5, 0.5]), f0, f1)
+    t = grid._shape_cut(shape, p0[:1], span[:1], np.array([0.2]), f0[:1], f1[:1])
+    assert abs(0.9 + 0.2 * t[0] - 1.0) <= 1e-15
+
+
+def test_shape_cut_still_open_after_the_sweep_cap_raises(monkeypatch):
+    dom = grid.build_domain(1, "perturbed:0.05:cos3", 33)
+    monkeypatch.setattr(grid, "_CUT_SWEEPS", 2)
+    with pytest.raises(BoundaryConstraintError, match="still open after 2 sweeps"):
+        dom.bc_table
 
 
 def _row_domain(run: int, deep: bool = False):
@@ -423,6 +476,53 @@ def test_box_face_node_reads_nan_off_the_box(node):
     assert np.isnan(D1(0)[0]) and np.isnan(D2(0, 0)[0]) and np.isnan(D2(0, 1)[0])
     assert D1(1)[0] == W1(1)[node] and D2(1, 1)[0] == W2(1, 1)[node]
     assert np.isfinite(D2(1, 1)[0])
+
+
+def _face_node_sets(shape, inner):
+    """Node sets of a box of this shape: the clear set `inner`, and for each
+    face one that adds a node on it."""
+    out = [inner]
+    for a, s in enumerate(shape):
+        for i in (0, s - 1):
+            node = [s // 2] * len(shape)
+            node[a] = i
+            out.append(np.append(inner, np.ravel_multi_index(node, shape)))
+    return out
+
+
+@pytest.mark.parametrize("shape", [(17, 17), (9, 8, 9, 10)])
+def test_node_lookup_branches_on_the_box_faces(shape):
+    # A node set takes the flat gather exactly when the inner core of the
+    # box holds it, and every read equals the NaN-padded box's; small sets
+    # are judged by their indices, the whole core and more by the core mask.
+    values = np.random.default_rng(3).standard_normal(shape)
+    core = np.zeros(shape, dtype=bool)
+    core[(slice(1, -1),) * len(shape)] = True
+    small = np.ravel_multi_index(([1, 2],) * len(shape), shape)
+    sets = _face_node_sets(shape, small) + _face_node_sets(shape, np.flatnonzero(core))
+    clear = [core.ravel()[nodes].all() for nodes in sets]
+    assert clear == ([True] + [False] * 2 * len(shape)) * 2
+    for nodes in sets:
+        at = grid.node_lookup(values, nodes)
+        # The flat gather is the lambda; the clipped reads are named `at`.
+        assert (at.__name__ == "<lambda>") == core.ravel()[nodes].all()
+        idx = np.unravel_index(nodes, shape)
+        for off in grid.lattice_offsets(len(shape), [(0, 1)]):
+            want = oracle.shifted(values, off)[idx]
+            assert np.array_equal(at(off), want, equal_nan=True)
+
+
+def test_one_node_lookup_allocates_nothing_box_sized():
+    values = np.zeros((33,) * 4)
+    node = np.ravel_multi_index((5, 10, 8, 7), values.shape)
+    tracemalloc.start()
+    try:
+        at = grid.node_lookup(values, node)
+        at((1, 0, 0, -1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
 
 
 def test_taylor_split_on_the_high_box_face_is_refused():

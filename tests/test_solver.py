@@ -252,6 +252,25 @@ def test_v_cycle_matches_the_transposing_cycle(res):
         assert np.array_equal(cycle(b), oracle.cycle_transposing(levels, coarsest, b))
 
 
+@pytest.mark.parametrize("res", [17, 18])
+def test_prolongation_matches_the_corner_loop(res):
+    # One code of odd axes per unknown picks each corner's rows: P is the
+    # corner loop's bit for bit, on an odd lattice and a padded even one,
+    # at every level of the hierarchy.
+    mask = grid.build_domain(2, "perturbed:0.05:harmonic", res).interior_mask
+    while grid.coarse_twin(mask.shape[0]):
+        if mask.shape[0] % 2 == 0:
+            mask = np.pad(mask, [(0, 1)] * mask.ndim)
+        P, cmask = solver._prolongation(mask)
+        ref, ref_mask = oracle.prolongation_by_corner(mask)
+        assert np.array_equal(cmask, ref_mask)
+        assert P.shape == ref.shape
+        for k in ("data", "indices", "indptr"):
+            got, want = getattr(P, k), getattr(ref, k)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        mask = cmask
+
+
 def test_multigrid_solve_matches_direct_solve(monkeypatch):
     # The V-cycle only preconditions: the n = 2 solve equals one whose
     # linear systems are solved directly, Newton step for Newton step.
