@@ -32,7 +32,7 @@ from . import w2p as w2p_mod
 from .errors import CmalabError, DomainMismatchError
 from .grid import GridDomain, GridFunction, build_domain, read_cache
 from .sections import DIM_CHAIN_RESOLUTION, Section, SectionChain, construct_section_chain
-from .solver import comparison_sandwich, solve_dirichlet
+from .solver import certificate_slack, comparison_sandwich, solve_dirichlet
 
 _FUNCS = {
     "sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt,
@@ -121,8 +121,7 @@ class ExperimentConfig:
     sigma: float = 0.2
     mu0: float = 0.1
     k_max: int = 3
-    eps_bar: str | float = "recipe"
-    p_list: tuple = (2.0,)
+    p: float = 2.0
     stride: int = 4
     seed: int = 0
     chain_points: int = 12
@@ -149,25 +148,15 @@ class ExperimentConfig:
             raise ValueError("stride must be at least 1")
         if self.chain_levels < 1:
             raise ValueError("chain_levels must be at least 1")
-        if isinstance(self.eps_bar, str):
-            if self.eps_bar != "recipe":
-                raise ValueError("eps_bar must be a float or 'recipe'")
-        elif not 0.0 < self.eps_bar < 1.0:
-            raise ValueError("eps_bar must lie in (0, 1)")
-        if any(p < 1 for p in self.p_list):
-            raise ValueError("every p must be at least 1")
-        self.p_list = tuple(float(p) for p in self.p_list)
+        if self.p < 1:
+            raise ValueError("p must be at least 1")
+        self.p = float(self.p)
         if self.chain_resolution is None:
             self.chain_resolution = DIM_CHAIN_RESOLUTION[self.n]
         if self.chain_resolution < 9:
             raise ValueError("chain_resolution must be at least 9")
         if self.chain_resolution % 2 == 0:
             raise ValueError("chain_resolution must be odd")
-
-    def eps_bar_value(self, p: float) -> float:
-        if self.eps_bar == "recipe":
-            return w2p_mod.eps_bar_recipe(p, self.n)
-        return float(self.eps_bar)
 
     def shape_spec(self) -> str:
         if self.gamma == 0.0:
@@ -186,9 +175,7 @@ class ExperimentConfig:
         return default_f
 
     def to_dict(self) -> dict:
-        out = self.__dict__.copy()
-        out["p_list"] = list(self.p_list)
-        return out
+        return self.__dict__.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +265,13 @@ def build_chains(cfg: ExperimentConfig, u: GridFunction, v0: GridFunction,
 def decay_report(cfg: ExperimentConfig, u: GridFunction, v0: GridFunction,
                  params: dict | None = None) -> badset_mod.BadSetReport:
     """The badset stage: chains at the stride-lattice nodes inside B_{r_1}
-    and the decay rows up to cfg.k_max, with eps_bar taken at the first p."""
+    and the decay rows up to cfg.k_max, against the eps_bar recipe at cfg.p
+    (w2p.eps_bar_recipe)."""
     node_sections = badset_mod.sample_badset_chains(
         u, v0, stride=cfg.stride, levels=cfg.chain_levels,
         sigma=cfg.sigma, mu0=cfg.mu0, chain_resolution=cfg.chain_resolution)
     return badset_mod.badset_decay_experiment(
-        u, node_sections, cfg.eps_bar_value(cfg.p_list[0]), cfg.k_max,
+        u, node_sections, w2p_mod.eps_bar_recipe(cfg.p, cfg.n), cfg.k_max,
         stride=cfg.stride, params=params)
 
 
@@ -351,7 +339,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
             "gamma": cfg.gamma,
             "lower_violation": float(np.max((qv - 3 * cfg.gamma) - vv, initial=0.0)),
             "upper_violation": float(np.max(vv - (qv + 3 * cfg.gamma), initial=0.0)),
-            "slack": 10.0 * dom.h ** 2,
+            "slack": certificate_slack(dom.h),
         }
         barrier["passed"] = bool(
             barrier["lower_violation"] <= barrier["slack"]
@@ -409,20 +397,18 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
         stage_done("badset")
 
         stage = "w2p"
-        write_json(out / "w2p.json", {str(p): w2p_mod.norm_report(u, report, p).to_dict()
-                                      for p in cfg.p_list})
+        write_json(out / "w2p.json",
+                   {str(cfg.p): w2p_mod.norm_report(u, report, cfg.p).to_dict()})
         files.append(out / "w2p.json")
         stage_done("w2p")
     except Exception as exc:
         manifest["stages"][stage] = f"error: {exc}"
-        manifest["files"] = {f.name: sha256_file(f) for f in files if f.exists()}
+        raise CmalabError(f"pipeline stage {stage!r} failed: {exc}") from exc
+    finally:
+        # files lists each artifact once it is written
+        manifest["files"] = {f.name: sha256_file(f) for f in files}
         write_json(out / "manifest.json", manifest)
         write_json(out / "timings.json", timings)
-        raise CmalabError(f"pipeline stage {stage!r} failed: {exc}") from exc
-
-    manifest["files"] = {f.name: sha256_file(f) for f in files}
-    write_json(out / "manifest.json", manifest)
-    write_json(out / "timings.json", timings)
     return manifest
 
 
@@ -606,10 +592,8 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_badset(args) -> int:
-    cfg, u, v0 = _stage_inputs(
-        args, eps_bar="recipe" if args.eps_bar is None else args.eps_bar,
-        p_list=(args.recipe_p,), k_max=args.k_max, stride=args.stride,
-        chain_levels=args.levels)
+    cfg, u, v0 = _stage_inputs(args, p=args.p, k_max=args.k_max, stride=args.stride,
+                               chain_levels=args.levels)
     report = decay_report(cfg, u, v0)
     if args.report:
         write_badset(Path(args.report), report)
@@ -620,12 +604,11 @@ def _cmd_badset(args) -> int:
 
 
 def _cmd_w2p(args) -> int:
-    cfg, u, v0 = _stage_inputs(args, p_list=(args.p,), k_max=args.k_max,
-                               stride=args.stride)
-    nr = w2p_mod.norm_report(u, decay_report(cfg, u, v0), args.p)
+    cfg, u, v0 = _stage_inputs(args, p=args.p, k_max=args.k_max, stride=args.stride)
+    nr = w2p_mod.norm_report(u, decay_report(cfg, u, v0), cfg.p)
     if args.report:
         write_json(Path(args.report), nr.to_dict())
-    print(f"p={args.p}: direct={nr.direct_trace:.4f} "
+    print(f"p={cfg.p}: direct={nr.direct_trace:.4f} "
           f"dyadic={nr.dyadic_trace.total:.4f} dominated={nr.dominated}")
     return 0
 
@@ -699,8 +682,7 @@ def main(argv=None) -> int:
     sp = sub.add_parser("badset", help="bad-set decay experiment")
     _add_instance_args(sp)
     sp.add_argument("--v0", default=None)
-    sp.add_argument("--eps-bar", dest="eps_bar", type=float, default=None)
-    sp.add_argument("--recipe-p", dest="recipe_p", type=float, default=2.0)
+    sp.add_argument("--p", type=float, default=ExperimentConfig.p)
     sp.add_argument("--k-max", dest="k_max", type=int, default=ExperimentConfig.k_max)
     sp.add_argument("--stride", type=int, default=ExperimentConfig.stride)
     sp.add_argument("--levels", type=int, default=ExperimentConfig.chain_levels)
@@ -710,7 +692,7 @@ def main(argv=None) -> int:
     sp = sub.add_parser("w2p", help="norm accounting")
     _add_instance_args(sp)
     sp.add_argument("--v0", default=None)
-    sp.add_argument("--p", type=float, default=2.0)
+    sp.add_argument("--p", type=float, default=ExperimentConfig.p)
     sp.add_argument("--k-max", dest="k_max", type=int, default=ExperimentConfig.k_max)
     sp.add_argument("--stride", type=int, default=ExperimentConfig.stride)
     sp.add_argument("--report", default=None)

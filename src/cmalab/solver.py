@@ -524,6 +524,12 @@ def solve_dirichlet(domain: GridDomain, f, g) -> tuple[GridFunction, SolveReport
 # Comparison certificates
 
 
+def certificate_slack(h: float) -> float:
+    """The violation 10 h^2 that a certificate at lattice spacing h allows:
+    the comparison sandwich's and the pipeline's Dirichlet barrier's."""
+    return 10.0 * h ** 2
+
+
 @dataclass
 class SandwichCertificate:
     violation_lower: float
@@ -542,14 +548,14 @@ def comparison_sandwich(u: GridFunction, v0: GridFunction, eps: float, n: int
     """Certify (1+eps)^{1/n} v0 <= u <= (1-eps)^{1/n} v0 and |u - v0| <= 4 eps.
 
     Both functions must share the lattice and vanish on the continuum
-    boundary; violations are reported against the slack 10 h^2.
+    boundary; violations are reported against certificate_slack.
     """
     dom = u.domain
     if not dom.same_lattice(v0.domain):
         raise DomainMismatchError("u and v0 live on different lattices")
     if not 0.0 <= eps < 0.5:
         raise ValueError("eps must lie in [0, 0.5)")
-    slack = 10.0 * dom.h ** 2
+    slack = certificate_slack(dom.h)
 
     cuts = dom.bc_table["cuts"]
     for name, fn in (("u", u), ("v0", v0)):

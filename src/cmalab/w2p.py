@@ -21,7 +21,7 @@ from .grid import (
     hessian_fields,
     lattice_offsets,
     node_differences,
-    shift,
+    node_lookup,
 )
 
 
@@ -146,13 +146,12 @@ def full_w2p(u: GridFunction, p: float, region: np.ndarray) -> tuple[float, floa
     d = dom.d
     h = dom.h
     vals = u.values
-    valued = ~np.isnan(vals)
     # Every second difference is supported where all axis steps and two-axis
     # diagonals around the node carry values.
-    ok = region & valued
-    for off in lattice_offsets(d, combinations(range(d), 2)):
-        ok &= shift(valued, off)
-    nodes = np.flatnonzero(ok)
+    nodes = np.flatnonzero(region & ~np.isnan(vals))
+    at = node_lookup(vals, nodes)
+    nodes = nodes[np.logical_and.reduce(
+        [~np.isnan(at(off)) for off in lattice_offsets(d, combinations(range(d), 2))])]
     if nodes.size == 0:
         raise ValueError("no region nodes with full second-difference stencils")
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmalab import badset, cli, grid, sections, solver
+from cmalab import badset, cli, grid, sections, solver, w2p
 from cmalab.errors import CmalabError, DomainMismatchError
 
 
@@ -58,11 +58,8 @@ def test_config_validates_before_compute(tmp_path):
         cli.ExperimentConfig(eps=0.5)
     with pytest.raises(ValueError):
         cli.ExperimentConfig(mu0=0.5)
-    with pytest.raises(ValueError):
-        cli.ExperimentConfig(eps_bar="bogus")
-    for eps_bar in (-1.0, 0.0):
-        with pytest.raises(ValueError, match="eps_bar"):
-            cli.ExperimentConfig(eps_bar=eps_bar)
+    with pytest.raises(ValueError, match="p must"):
+        cli.ExperimentConfig(p=0.5)
     with pytest.raises(ValueError):
         cli.ExperimentConfig(chain_levels=0)
     with pytest.raises(ValueError):
@@ -112,11 +109,18 @@ def test_subcommand_resolution_defaults_by_dimension(tmp_path, monkeypatch, n, r
     assert seen == {"solve": res, "pipeline": res}
 
 
-def test_config_eps_bar_recipe():
-    cfg = cli.ExperimentConfig()
-    assert cfg.eps_bar_value(2.0) == pytest.approx(1.0 / 288.0)
-    cfg2 = cli.ExperimentConfig(eps_bar=1e-3)
-    assert cfg2.eps_bar_value(2.0) == 1e-3
+def test_config_eps_bar_recipe(monkeypatch):
+    # The bad-set stage's density threshold is the recipe at the config's
+    # one exponent p, at either dimension; the config has no eps_bar.
+    assert cli.ExperimentConfig().p == 2.0
+    assert "eps_bar" not in cli.ExperimentConfig().to_dict()
+    for n, p in ((1, 2.0), (1, 3.0), (2, 2.0), (2, 3.0)):
+        dom = grid.build_domain(n, "ball:1.0", 9)
+        u = grid.GridFunction(dom, np.zeros(dom.interior_mask.shape))
+        monkeypatch.setattr(badset, "sample_badset_chains", lambda *args, **kwargs: [
+            badset.NodeSections((4,) * dom.d, [])])
+        report = cli.decay_report(cli.ExperimentConfig(n=n, resolution=9, p=p), u, u)
+        assert report.eps_bar == w2p.eps_bar_recipe(p, n)
 
 
 # -- solve subcommand ----------------------------------------------------------------
@@ -471,9 +475,15 @@ def test_pipeline_stage_error_recorded_in_manifest(tmp_path, monkeypatch):
                                chain_points=2, stride=2)
     with pytest.raises(CmalabError, match="sections"):
         cli.run_pipeline(cfg, tmp_path / "broken")
-    manifest = json.loads((tmp_path / "broken" / "manifest.json").read_text())
+    out = tmp_path / "broken"
+    manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["stages"]["sections"] == "error: no chains today"
     assert manifest["stages"]["solve"] == "ok"
+    # timings.json holds the completed stages, and the manifest hashes every
+    # file written before the failure.
+    assert set(json.loads((out / "timings.json").read_text())) == {"solve", "certificates"}
+    written = ["u.bin", "u.meta.json", "v0.bin", "v0.meta.json", "u.csv", "certificates.json"]
+    assert manifest["files"] == {name: cli.sha256_file(out / name) for name in written}
 
 
 @pytest.mark.parametrize("settings, breaks", [
@@ -493,6 +503,27 @@ def test_pipeline_records_broken_chains(tmp_path, settings, breaks):
     chains = json.loads((tmp_path / "chains.json").read_text())
     assert Counter(tuple(c["broken"][:2]) for c in chains if "broken" in c) == breaks
     assert all(len(c["levels"]) == c["broken"][0] - 1 for c in chains if "broken" in c)
+
+
+def test_pipeline_n2_eps_bar_follows_p(tmp_path):
+    # Regression: the bad-set report was built at the first p's eps_bar and
+    # read for every p, so at n = 2 the entry "3.0" of a (2.0, 3.0) p list
+    # rested on the p = 2 threshold 2.41e-7 and its dyadic trace ratio read
+    # 5.  The one p now sets both.
+    cfg = cli.ExperimentConfig(n=2, resolution=17, p=3.0, chain_points=4, engulf_pairs=10,
+                               cover_families=2, k_max=2, stride=8)
+    cli.run_pipeline(cfg, tmp_path)
+    bs = json.loads((tmp_path / "badset.json").read_text())
+    assert bs["eps_bar"] == w2p.eps_bar_recipe(3.0, 2) == pytest.approx(2.41e-8, rel=1e-3)
+    norms = json.loads((tmp_path / "w2p.json").read_text())
+    assert list(norms) == ["3.0"]
+    assert norms["3.0"]["dyadic_trace"]["ratio"] == pytest.approx(0.5)
+    # `badset --p` reproduces the run's report at its p.
+    assert cli.main(["badset", "--instance", str(tmp_path / "u"), "--v0", str(tmp_path / "v0"),
+                     "--p", "3.0", "--k-max", "2", "--stride", "8",
+                     "--report", str(tmp_path / "bs.json")]) == int(not all(
+                         r["passed"] for r in bs["rows"]))
+    assert (tmp_path / "bs.csv").read_bytes() == (tmp_path / "badset.csv").read_bytes()
 
 
 def test_pipeline_refuses_f_far_from_one(tmp_path):
@@ -704,14 +735,14 @@ def test_pipeline_flags_and_config_file_reach_the_config(tmp_path, monkeypatch):
     out = str(tmp_path / "out")
     cli.main(["pipeline", "--out-dir", out, "--seed", "5", "--n", "2"])
     settings = {"n": 1, "resolution": 17, "seed": 7, "chain_points": 3,
-                "f_expr": "1 + 0.01*x1", "p_list": [2.0, 3.0]}
+                "f_expr": "1 + 0.01*x1", "p": 3.0}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(settings))
     cli.main(["pipeline", "--out-dir", out, "--config", str(config)])
     assert [cfg.to_dict() for cfg in seen] == [
         cli.ExperimentConfig(n=2, seed=5).to_dict(),
         cli.ExperimentConfig(**settings).to_dict()]
-    assert seen[1].f_expr == "1 + 0.01*x1" and seen[1].p_list == (2.0, 3.0)
+    assert seen[1].f_expr == "1 + 0.01*x1" and seen[1].p == 3.0
 
 
 @pytest.mark.parametrize("flag", [["--seed", "5"], ["--n", "2"], ["--k-max", "2"]])
@@ -728,7 +759,8 @@ def test_pipeline_refuses_config_with_flags(tmp_path, monkeypatch, capsys, flag)
     assert "--config cannot be combined with " + flag[0] in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [("newton_tol", 1e-8), ("profile", "cos3")])
+@pytest.mark.parametrize("field, value", [("newton_tol", 1e-8), ("profile", "cos3"),
+                                          ("eps_bar", "recipe"), ("p_list", [2.0])])
 def test_pipeline_config_with_a_deleted_field_is_refused(tmp_path, field, value):
     # An old manifest's config names the deleted settings; such a file is
     # refused before any stage writes a file.

@@ -422,6 +422,57 @@ def test_newton_operator_applies_the_assembled_matrix(res):
         assert np.max(np.abs(N @ x - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _u_n1(pts):
+    x, y = np.atleast_2d(pts).T
+    return x * x + y * y - 1.0 + 0.3 * x ** 3 + 0.2 * x * y * y
+
+
+def _u_n2(pts):
+    # |z|^2 - 1 + 0.2 Re(z1 zbar2) + 0.1 Im(z1 zbar2): h12re and h12im are
+    # 0.1 and -0.05, so the mixed weights are far from 0.
+    x1, y1, x2, y2 = np.atleast_2d(pts).T
+    return (x1 * x1 + y1 * y1 + x2 * x2 + y2 * y2 - 1.0
+            + 0.2 * (x1 * x2 + y1 * y2) + 0.1 * (y1 * x2 - x1 * y2))
+
+
+@pytest.mark.parametrize("n, shape, fn", [
+    (1, "perturbed:0.05:cos3", _u_n1),
+    (2, "perturbed:0.05:harmonic", _u_n2),
+], ids=["n1", "n2"])
+def test_newton_operator_is_the_residual_derivative(n, shape, fn):
+    # -N delta is the derivative of G(u) = log det H(u) - log f along delta,
+    # the boundary following the interior through _set_boundary.  delta is
+    # h^2 times white noise, so its second differences are of size 1 and
+    # the central difference at t = 1e-5 is accurate to about t^2.
+    dom = grid.build_domain(n, shape, 33 if n == 1 else 9)
+    asm = solver._get_assembly(dom)
+    int_flat = asm["int_flat"]
+    valued = dom.valued_mask.ravel()
+    u = np.full(valued.size, np.nan)
+    u[valued] = fn(dom.coords(valued))
+    g_off = asm["coef_c"] * fn(dom.bc_table["cuts"])
+    solver._set_boundary(dom, u, g_off)
+
+    def fields(values):
+        return grid.hessian_fields(
+            grid.GridFunction(dom, values.reshape(dom.interior_mask.shape)), int_flat)
+
+    def log_det(values):
+        return np.log(grid.hessian_det_field(fields(values)))
+
+    def moved(step):
+        out = u.copy()
+        out[int_flat] += step * delta
+        solver._set_boundary(dom, out, g_off)
+        return out
+
+    delta = dom.h ** 2 * np.random.default_rng(n).standard_normal(asm["n_int"])
+    t = 1e-5
+    central = (log_det(moved(t)) - log_det(moved(-t))) / (2.0 * t)
+    want = -(solver._newton_operator(dom, solver._hessian_weights(dom, fields(u))) @ delta)
+    assert np.max(np.abs(central - want)) <= 1e-7 * np.max(np.abs(want))
+
+
 def test_n2_newton_operator_memory(perturbed_n2):
     # Measured peak (numpy 2.4, scipy 1.17): 5.39 MiB for one Newton
     # operator at n = 2 res 17, against 9.84 MiB for the folded matrix
