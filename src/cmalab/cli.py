@@ -19,6 +19,7 @@ import operator
 import sys
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,13 +105,6 @@ _DIM_PROFILE = {1: "cos3", 2: "harmonic"}
 _DIM_RESOLUTION = {1: 65, 2: 33}
 
 
-def _resolution_for(n: int, resolution: int | None) -> int:
-    """The experiment lattice resolution: the dimension's default when None."""
-    if n not in _DIM_RESOLUTION:
-        raise ValueError("n must be 1 or 2")
-    return _DIM_RESOLUTION[n] if resolution is None else resolution
-
-
 @dataclass
 class ExperimentConfig:
     n: int = 1
@@ -131,7 +125,10 @@ class ExperimentConfig:
     cover_families: int = 10
 
     def __post_init__(self):
-        self.resolution = _resolution_for(self.n, self.resolution)
+        if self.n not in _DIM_RESOLUTION:
+            raise ValueError("n must be 1 or 2")
+        if self.resolution is None:
+            self.resolution = _DIM_RESOLUTION[self.n]
         if self.resolution < 9:
             raise ValueError("resolution must be at least 9")
         if not 0.0 <= self.gamma < 0.5:
@@ -148,6 +145,11 @@ class ExperimentConfig:
             raise ValueError("stride must be at least 1")
         if self.chain_levels < 1:
             raise ValueError("chain_levels must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        for name in ("chain_points", "engulf_pairs", "cover_families"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.p < 1:
             raise ValueError("p must be at least 1")
         self.p = float(self.p)
@@ -303,107 +305,97 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
     }
     files: list[Path] = []
     timings: dict[str, float] = {}
-    clock = time.perf_counter()
 
-    def stage_done(name: str) -> None:
-        nonlocal clock
-        now = time.perf_counter()
-        timings[name] = round(now - clock, 3)
-        clock = now
+    @contextmanager
+    def stage(name: str):
+        start = time.perf_counter()
+        try:
+            yield
+        except Exception as exc:
+            manifest["stages"][name] = f"error: {exc}"
+            raise CmalabError(f"pipeline stage {name!r} failed: {exc}") from exc
+        timings[name] = round(time.perf_counter() - start, 3)
         manifest["stages"][name] = "ok"
 
-    stage = "init"
+    def emit(name: str, obj) -> None:
+        write_json(out / name, obj)
+        files.append(out / name)
+
     try:
-        stage = "solve"
-        dom = build_domain(cfg.n, cfg.shape_spec(), cfg.resolution)
-        f = cfg.f_function()
-        eps_f = manifest["eps_f"] = _eps_f(cfg, dom, f)
-        if not eps_f <= 0.2:
-            raise ValueError(f"eps_f = max|f - 1| = {eps_f:.4g} on the interior nodes "
-                             f"must lie in [0, 0.2] (perturbative regime)")
-        u, urep = solve_dirichlet(dom, f, 0.0)
-        v0, vrep = solve_dirichlet(dom, 1.0, 0.0)
-        save_instance(u, out / "u", urep)
-        save_instance(v0, out / "v0", vrep)
-        u.write_csv(out / "u.csv")
-        files += [out / "u.bin", out / "u.meta.json", out / "v0.bin",
-                  out / "v0.meta.json", out / "u.csv"]
-        stage_done("solve")
+        with stage("solve"):
+            dom = build_domain(cfg.n, cfg.shape_spec(), cfg.resolution)
+            f = cfg.f_function()
+            eps_f = manifest["eps_f"] = _eps_f(cfg, dom, f)
+            if not eps_f <= 0.2:
+                raise ValueError(f"eps_f = max|f - 1| = {eps_f:.4g} on the interior nodes "
+                                 f"must lie in [0, 0.2] (perturbative regime)")
+            u, urep = solve_dirichlet(dom, f, 0.0)
+            v0, vrep = solve_dirichlet(dom, 1.0, 0.0)
+            save_instance(u, out / "u", urep)
+            save_instance(v0, out / "v0", vrep)
+            u.write_csv(out / "u.csv")
+            files += [out / "u.bin", out / "u.meta.json", out / "v0.bin",
+                      out / "v0.meta.json", out / "u.csv"]
 
-        stage = "certificates"
-        cert = comparison_sandwich(u, v0, eps_f, cfg.n)
-        pts_int = dom.coords(dom.interior_mask.ravel())
-        qv = np.sum(pts_int ** 2, axis=1) - 1.0
-        vv = v0.values[dom.interior_mask]
-        barrier = {
-            "gamma": cfg.gamma,
-            "lower_violation": float(np.max((qv - 3 * cfg.gamma) - vv, initial=0.0)),
-            "upper_violation": float(np.max(vv - (qv + 3 * cfg.gamma), initial=0.0)),
-            "slack": certificate_slack(dom.h),
-        }
-        barrier["passed"] = bool(
-            barrier["lower_violation"] <= barrier["slack"]
-            and barrier["upper_violation"] <= barrier["slack"])
-        write_json(out / "certificates.json",
-                   {"sandwich": cert.to_dict(), "barrier": barrier})
-        files.append(out / "certificates.json")
-        stage_done("certificates")
+        with stage("certificates"):
+            cert = comparison_sandwich(u, v0, eps_f, cfg.n)
+            pts_int = dom.coords(dom.interior_mask.ravel())
+            qv = np.sum(pts_int ** 2, axis=1) - 1.0
+            vv = v0.values[dom.interior_mask]
+            barrier = {
+                "gamma": cfg.gamma,
+                "lower_violation": float(np.max((qv - 3 * cfg.gamma) - vv, initial=0.0)),
+                "upper_violation": float(np.max(vv - (qv + 3 * cfg.gamma), initial=0.0)),
+                "slack": certificate_slack(dom.h),
+            }
+            barrier["passed"] = bool(
+                barrier["lower_violation"] <= barrier["slack"]
+                and barrier["upper_violation"] <= barrier["slack"])
+            emit("certificates.json", {"sandwich": cert.to_dict(), "barrier": barrier})
 
-        stage = "sections"
-        chains = build_chains(cfg, u, v0, _sample_base_points(dom, rng, cfg.chain_points))
-        write_json(out / "chains.json", [c.to_dict() for c in chains])
-        files.append(out / "chains.json")
-        stage_done("sections")
+        with stage("sections"):
+            chains = build_chains(cfg, u, v0,
+                                  _sample_base_points(dom, rng, cfg.chain_points))
+            emit("chains.json", [c.to_dict() for c in chains])
 
-        stage = "engulf"
-        verdicts, pair_rows = _engulf_pairs(u, chains, rng, cfg.engulf_pairs)
-        write_json(out / "engulf.json", {"counts": verdicts, "pairs": pair_rows})
-        files.append(out / "engulf.json")
-        stage_done("engulf")
+        with stage("engulf"):
+            verdicts, pair_rows = _engulf_pairs(u, chains, rng, cfg.engulf_pairs)
+            emit("engulf.json", {"counts": verdicts, "pairs": pair_rows})
 
-        stage = "cover"
-        cover_out = []
-        w11_rows = None
-        for fam_id in range(cfg.cover_families):
-            fam, X = _random_ball_family(dom, rng)
-            sel = covering_mod.vitali_select(fam, X)
-            fvals = np.where(dom.interior_mask,
-                             np.abs(rng.standard_normal(dom.interior_mask.shape)), 0.0)
-            w11 = covering_mod.weak_11_certificate(fvals, fam)
-            if w11_rows is None:
-                w11_rows = w11["rows"]
-            cover_out.append({
-                "family": fam_id,
-                "selected": sel.indices,
-                "disjoint": sel.disjoint,
-                "covered": sel.covered,
-                "weak11_ok": w11["ok"],
-            })
-        write_json(out / "cover.json", cover_out)
-        files.append(out / "cover.json")
-        if w11_rows:
-            _write_two_column_csv(out / "plot_weak11.csv", "t", "level_measure",
-                                  [(r["t"], r["level_measure"]) for r in w11_rows])
-            files.append(out / "plot_weak11.csv")
-        stage_done("cover")
+        with stage("cover"):
+            cover_out = []
+            w11_rows = None
+            for fam_id in range(cfg.cover_families):
+                fam, X = _random_ball_family(dom, rng)
+                sel = covering_mod.vitali_select(fam, X)
+                fvals = np.where(dom.interior_mask,
+                                 np.abs(rng.standard_normal(dom.interior_mask.shape)), 0.0)
+                w11 = covering_mod.weak_11_certificate(fvals, fam)
+                if w11_rows is None:
+                    w11_rows = w11["rows"]
+                cover_out.append({
+                    "family": fam_id,
+                    "selected": sel.indices,
+                    "disjoint": sel.disjoint,
+                    "covered": sel.covered,
+                    "weak11_ok": w11["ok"],
+                })
+            emit("cover.json", cover_out)
+            if w11_rows:
+                _write_two_column_csv(out / "plot_weak11.csv", "t", "level_measure",
+                                      [(r["t"], r["level_measure"]) for r in w11_rows])
+                files.append(out / "plot_weak11.csv")
 
-        stage = "badset"
-        report = decay_report(cfg, u, v0, params={"eps": eps_f, "gamma": cfg.gamma,
-                                                  "sigma": cfg.sigma})
-        write_badset(out / "badset.json", report)
-        _write_two_column_csv(out / "plot_decay.csv", "k", "measure",
-                              [(r.k, r.measure) for r in report.rows])
-        files += [out / "badset.json", out / "badset.csv", out / "plot_decay.csv"]
-        stage_done("badset")
+        with stage("badset"):
+            report = decay_report(cfg, u, v0, params={"eps": eps_f, "gamma": cfg.gamma,
+                                                      "sigma": cfg.sigma})
+            write_badset(out / "badset.json", report)
+            _write_two_column_csv(out / "plot_decay.csv", "k", "measure",
+                                  [(r.k, r.measure) for r in report.rows])
+            files += [out / "badset.json", out / "badset.csv", out / "plot_decay.csv"]
 
-        stage = "w2p"
-        write_json(out / "w2p.json",
-                   {str(cfg.p): w2p_mod.norm_report(u, report, cfg.p).to_dict()})
-        files.append(out / "w2p.json")
-        stage_done("w2p")
-    except Exception as exc:
-        manifest["stages"][stage] = f"error: {exc}"
-        raise CmalabError(f"pipeline stage {stage!r} failed: {exc}") from exc
+        with stage("w2p"):
+            emit("w2p.json", {str(cfg.p): w2p_mod.norm_report(u, report, cfg.p).to_dict()})
     finally:
         # files lists each artifact once it is written
         manifest["files"] = {f.name: sha256_file(f) for f in files}
@@ -496,10 +488,12 @@ def _add_instance_args(sp):
 
 
 def _cmd_solve(args) -> int:
-    resolution = _resolution_for(args.n, args.resolution)
-    dom = build_domain(args.n, _shape_from_args(args), resolution)
-    f = compile_expression(args.f_expr, dom.d) if args.f_expr else 1.0
-    u, rep = solve_dirichlet(dom, f, 0.0)
+    """Solve on the domain of the ExperimentConfig of the flags, with f = 1
+    unless --f-expr is given."""
+    cfg = ExperimentConfig(n=args.n, resolution=args.resolution, gamma=args.gamma,
+                           f_expr=args.f_expr)
+    dom = build_domain(cfg.n, cfg.shape_spec(), cfg.resolution)
+    u, rep = solve_dirichlet(dom, 1.0 if cfg.f_expr is None else cfg.f_function(), 0.0)
     if args.out:
         save_instance(u, Path(args.out), rep)
         if args.csv:
@@ -509,13 +503,6 @@ def _cmd_solve(args) -> int:
     print(f"solved: iterations={rep.iterations} residual={rep.residual:.3e} "
           f"min_eig={rep.min_eigenvalue:.3e}")
     return 0
-
-
-def _shape_from_args(args) -> str:
-    """The shape spec of the solve flags; n must already be checked."""
-    if args.gamma and args.gamma > 0:
-        return f"perturbed:{args.gamma}:{_DIM_PROFILE[args.n]}"
-    return f"ball:{args.radius}"
 
 
 def _stage_inputs(args, **settings) -> tuple[ExperimentConfig, GridFunction, GridFunction]:
@@ -646,7 +633,6 @@ def main(argv=None) -> int:
     sp.add_argument("--resolution", type=int, default=None,
                     help="default 65 for n=1, 33 for n=2")
     sp.add_argument("--gamma", type=float, default=0.0)
-    sp.add_argument("--radius", type=float, default=1.0)
     sp.add_argument("--f-expr", dest="f_expr", default=None)
     sp.add_argument("--out", default=None)
     sp.add_argument("--csv", action="store_true")

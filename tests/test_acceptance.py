@@ -54,7 +54,7 @@ def test_acceptance_comparison_sandwich(perturbed_n2):
     dom, u, v0 = perturbed_n2
     eps = 0.01
     cert = solver.comparison_sandwich(u, v0, eps, 2)
-    tol = 4 * eps + 10 * dom.h ** 2
+    tol = 4 * eps + solver.certificate_slack(dom.h)
     ok = cert.passed and cert.max_abs_diff <= tol
     _report("comparison sandwich", ok,
             f"max|u-v0|={cert.max_abs_diff:.4f} <= {tol:.4f} (4 eps + 10h^2)")
@@ -70,7 +70,7 @@ def test_acceptance_dirichlet_barrier(perturbed_n2, perturbed_n1):
         pts = dom.coords(dom.interior_mask.ravel())
         q = np.sum(pts ** 2, axis=1) - 1.0
         vals = v0.values[dom.interior_mask]
-        slack = 10 * dom.h ** 2
+        slack = solver.certificate_slack(dom.h)
         lo = float(np.max((q - 3 * gamma) - vals, initial=0.0))
         hi = float(np.max(vals - (q + 3 * gamma), initial=0.0))
         rows.append((dom.n, lo, hi, slack))

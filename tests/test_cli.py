@@ -64,6 +64,20 @@ def test_config_validates_before_compute(tmp_path):
         cli.ExperimentConfig(chain_levels=0)
     with pytest.raises(ValueError):
         cli.ExperimentConfig(chain_resolution=7)
+    # a negative seed used to die in numpy after the output directory was
+    # made; negative counts ran their stages empty
+    with pytest.raises(ValueError, match="seed must"):
+        cli.ExperimentConfig(seed=-1)
+    for field in ("chain_points", "engulf_pairs", "cover_families"):
+        with pytest.raises(ValueError, match=f"{field} must"):
+            cli.ExperimentConfig(**{field: -1})
+    with pytest.raises(ValueError, match="seed must"):
+        cli.main(["pipeline", "--seed", "-1", "--out-dir", str(tmp_path / "p")])
+    # `cmalab solve` had a shape rule of its own, which solved --gamma -0.1
+    # on the unit ball
+    with pytest.raises(ValueError, match="gamma must"):
+        cli.main(["solve", "--resolution", "17", "--gamma", "-0.1",
+                  "--out", str(tmp_path / "inst"), "--report", str(tmp_path / "rep.json")])
     assert not list(tmp_path.iterdir())
 
 
@@ -676,18 +690,19 @@ def test_sections_center_with_too_few_coordinates_is_refused(tmp_path):
     assert not (tmp_path / "c.json").exists()
 
 
-@pytest.mark.parametrize("v0_args", [
-    ["--resolution", "21", "--gamma", "0.05"],
-    ["--resolution", "17"],
-    ["--resolution", "17", "--radius", "1.05"],
+@pytest.mark.parametrize("v0_shape, v0_resolution", [
+    ("perturbed:0.05:cos3", 21),
+    ("ball:1.0", 17),
+    ("ball:1.05", 17),
 ], ids=["other-resolution", "other-box", "same-lattice-other-shape"])
-def test_v0_from_another_domain_is_refused(tmp_path, v0_args):
+def test_v0_from_another_domain_is_refused(tmp_path, v0_shape, v0_resolution):
     # A --v0 solved on another lattice or shape would be read node by node
     # as if it were the instance's own.
     base = tmp_path / "inst"
     cli.main(["solve", "--n", "1", "--resolution", "17", "--gamma", "0.05",
               "--out", str(base)])
-    cli.main(["solve", "--n", "1", *v0_args, "--out", str(tmp_path / "v0")])
+    v0, rep = solver.solve_dirichlet(grid.build_domain(1, v0_shape, v0_resolution), 1.0, 0.0)
+    cli.save_instance(v0, tmp_path / "v0", rep)
     for cmd, *extra in (["badset"], ["w2p"],
                         ["sections", "--center", "0,0", "--out-chain", str(tmp_path / "c.json")]):
         with pytest.raises(DomainMismatchError):

@@ -53,7 +53,7 @@ def test_dirichlet_barrier_perturbed_n2(perturbed_n2):
     pts = dom.coords(dom.interior_mask.ravel())
     q = np.sum(pts ** 2, axis=1) - 1.0
     vals = v0.values[dom.interior_mask]
-    slack = 10.0 * dom.h ** 2
+    slack = solver.certificate_slack(dom.h)
     assert np.max((q - 3 * gamma) - vals) <= slack
     assert np.max(vals - (q + 3 * gamma)) <= slack
 
@@ -64,7 +64,7 @@ def test_dirichlet_barrier_perturbed_n1(perturbed_n1):
     pts = dom.coords(dom.interior_mask.ravel())
     q = np.sum(pts ** 2, axis=1) - 1.0
     vals = v0.values[dom.interior_mask]
-    slack = 10.0 * dom.h ** 2
+    slack = solver.certificate_slack(dom.h)
     assert np.max((q - 3 * gamma) - vals) <= slack
     assert np.max(vals - (q + 3 * gamma)) <= slack
 
@@ -530,7 +530,7 @@ def test_sandwich_constant_f_n2(ball_n2):
     u, _ = solver.solve_dirichlet(dom, 1.01, 0.0)
     cert = solver.comparison_sandwich(u, v0, 0.01, 2)
     assert cert.passed
-    assert cert.max_abs_diff <= 0.04 + 10 * dom.h ** 2
+    assert cert.max_abs_diff <= 0.04 + solver.certificate_slack(dom.h)
 
 
 def test_sandwich_rejects_shifted_boundary(ball_n1):
