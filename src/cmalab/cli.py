@@ -482,16 +482,31 @@ def _write_two_column_csv(path: Path, col_a: str, col_b: str, rows) -> None:
 # Subcommands
 
 
-def _add_instance_args(sp):
-    sp.add_argument("--instance", required=True,
-                    help="base path of a solver cache (without extension)")
+# ExperimentConfig fields the subcommands set from flags: field -> (flag, type).
+# Every flag defaults to None, which leaves its field at the config's default.
+_CONFIG_FLAGS = {
+    "n": ("--n", int), "resolution": ("--resolution", int),
+    "gamma": ("--gamma", float), "eps": ("--eps", float), "f_expr": ("--f-expr", str),
+    "sigma": ("--sigma", float), "mu0": ("--mu0", float),
+    "chain_levels": ("--levels", int), "chain_resolution": ("--chain-resolution", int),
+    "p": ("--p", float), "k_max": ("--k-max", int), "stride": ("--stride", int),
+    "engulf_pairs": ("--pairs", int), "seed": ("--seed", int),
+}
+# the fields the sections stage reads, and those the badset and w2p stages read
+_CHAIN_FIELDS = ("sigma", "mu0", "chain_levels", "chain_resolution")
+_DECAY_FIELDS = ("p", "k_max", "stride", *_CHAIN_FIELDS)
+
+
+def _config_given(args) -> dict:
+    """The config flags on the command line, by field name."""
+    return {field: getattr(args, field) for field in _CONFIG_FLAGS
+            if getattr(args, field, None) is not None}
 
 
 def _cmd_solve(args) -> int:
     """Solve on the domain of the ExperimentConfig of the flags, with f = 1
     unless --f-expr is given."""
-    cfg = ExperimentConfig(n=args.n, resolution=args.resolution, gamma=args.gamma,
-                           f_expr=args.f_expr)
+    cfg = ExperimentConfig(**_config_given(args))
     dom = build_domain(cfg.n, cfg.shape_spec(), cfg.resolution)
     u, rep = solve_dirichlet(dom, 1.0 if cfg.f_expr is None else cfg.f_function(), 0.0)
     if args.out:
@@ -505,13 +520,13 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _stage_inputs(args, **settings) -> tuple[ExperimentConfig, GridFunction, GridFunction]:
-    """The ExperimentConfig of the given settings at the --instance's n, the
+def _stage_inputs(args) -> tuple[ExperimentConfig, GridFunction, GridFunction]:
+    """The ExperimentConfig of the given flags at the --instance's n, the
     instance u, and v0 from --v0 or else solved on u's domain.  The config
     is checked before v0 is read or solved; a --v0 from another lattice or
     domain raises DomainMismatchError."""
     u = load_instance(Path(args.instance))
-    cfg = ExperimentConfig(n=u.domain.n, **settings)
+    cfg = ExperimentConfig(n=u.domain.n, **_config_given(args))
     if not args.v0:
         return cfg, u, solve_dirichlet(u.domain, 1.0, 0.0)[0]
     v0 = load_instance(Path(args.v0))
@@ -522,9 +537,7 @@ def _stage_inputs(args, **settings) -> tuple[ExperimentConfig, GridFunction, Gri
 
 
 def _cmd_sections(args) -> int:
-    cfg, u, v0 = _stage_inputs(args, sigma=args.sigma, mu0=args.mu0,
-                               chain_levels=args.levels,
-                               chain_resolution=args.chain_resolution)
+    cfg, u, v0 = _stage_inputs(args)
     centres = [u.domain.node_index(np.array([float(x) for x in spec.split(",")]))
                for spec in args.center]
     chains = build_chains(cfg, u, v0, centres)
@@ -537,10 +550,13 @@ def _cmd_sections(args) -> int:
 
 
 def _cmd_engulf(args) -> int:
+    """Engulfing verdicts on random section pairs of the --chains file; the
+    config (engulf_pairs, seed) is checked before the chains are read."""
     u = load_instance(Path(args.instance))
+    cfg = ExperimentConfig(n=u.domain.n, **_config_given(args))
     chains = [SectionChain.from_dict(cd, u.domain)
               for cd in json.loads(Path(args.chains).read_text())]
-    verdicts, _ = _engulf_pairs(u, chains, np.random.default_rng(args.seed), args.pairs)
+    verdicts, _ = _engulf_pairs(u, chains, np.random.default_rng(cfg.seed), cfg.engulf_pairs)
     if args.report:
         write_json(Path(args.report), verdicts)
     print(f"engulfing verdicts: {verdicts}")
@@ -579,8 +595,7 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_badset(args) -> int:
-    cfg, u, v0 = _stage_inputs(args, p=args.p, k_max=args.k_max, stride=args.stride,
-                               chain_levels=args.levels)
+    cfg, u, v0 = _stage_inputs(args)
     report = decay_report(cfg, u, v0)
     if args.report:
         write_badset(Path(args.report), report)
@@ -591,7 +606,7 @@ def _cmd_badset(args) -> int:
 
 
 def _cmd_w2p(args) -> int:
-    cfg, u, v0 = _stage_inputs(args, p=args.p, k_max=args.k_max, stride=args.stride)
+    cfg, u, v0 = _stage_inputs(args)
     nr = w2p_mod.norm_report(u, decay_report(cfg, u, v0), cfg.p)
     if args.report:
         write_json(Path(args.report), nr.to_dict())
@@ -600,22 +615,11 @@ def _cmd_w2p(args) -> int:
     return 0
 
 
-# the pipeline's config flags; each defaults to None, which leaves its
-# ExperimentConfig field at the field's default
-_PIPELINE_FLAGS = ("n", "resolution", "gamma", "eps", "sigma", "k_max", "stride", "seed")
-
-
-def _pipeline_flags_given(args) -> dict:
-    """The pipeline config flags on the command line, by field name."""
-    return {name: getattr(args, name) for name in _PIPELINE_FLAGS
-            if getattr(args, name) is not None}
-
-
 def _cmd_pipeline(args) -> int:
     """Run the pipeline on the --config file's settings or else on the
     config flags that were given; main refuses the two together."""
     cfg = ExperimentConfig(**(json.loads(Path(args.config).read_text()) if args.config
-                              else _pipeline_flags_given(args)))
+                              else _config_given(args)))
     manifest = run_pipeline(cfg, args.out_dir)
     print(f"pipeline complete: {len(manifest['files'])} artifacts in {args.out_dir}")
     return 0
@@ -628,80 +632,57 @@ def main(argv=None) -> int:
                     "interior estimates")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("solve", help="Dirichlet solve on a near-ball domain")
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--resolution", type=int, default=None,
-                    help="default 65 for n=1, 33 for n=2")
-    sp.add_argument("--gamma", type=float, default=0.0)
-    sp.add_argument("--f-expr", dest="f_expr", default=None)
+    def command(name, func, help, fields=(), inputs=(), report=True):
+        """A subparser running func, with the flags of the config fields and
+        of the saved inputs (instance, v0) that its stage reads."""
+        sp = sub.add_parser(name, help=help)
+        if "instance" in inputs:
+            sp.add_argument("--instance", required=True,
+                            help="base path of a solver cache (without extension)")
+        if "v0" in inputs:
+            sp.add_argument("--v0", help="solver cache of v0; solved on u's domain if omitted")
+        for field in fields:
+            flag, kind = _CONFIG_FLAGS[field]
+            sp.add_argument(flag, dest=field, type=kind, help=(
+                "default 65 for n=1, 33 for n=2" if field == "resolution" else None))
+        if report:
+            sp.add_argument("--report", default=None)
+        sp.set_defaults(func=func)
+        return sp
+
+    sp = command("solve", _cmd_solve, "Dirichlet solve on a near-ball domain",
+                 ("n", "resolution", "gamma", "f_expr"))
+    sp.set_defaults(gamma=0.0)  # the unit ball
     sp.add_argument("--out", default=None)
     sp.add_argument("--csv", action="store_true")
-    sp.add_argument("--report", default=None)
-    sp.set_defaults(func=_cmd_solve)
 
-    sp = sub.add_parser("sections", help="build section chains")
-    _add_instance_args(sp)
-    sp.add_argument("--v0", default=None)
+    sp = command("sections", _cmd_sections, "build section chains", _CHAIN_FIELDS,
+                 ("instance", "v0"), report=False)
     sp.add_argument("--center", action="append", required=True,
                     help="comma-separated coordinates; repeatable")
-    sp.add_argument("--sigma", type=float, default=ExperimentConfig.sigma)
-    sp.add_argument("--mu0", type=float, default=ExperimentConfig.mu0)
-    sp.add_argument("--levels", type=int, default=ExperimentConfig.chain_levels)
-    sp.add_argument("--chain-resolution", dest="chain_resolution", type=int)
     sp.add_argument("--out-chain", dest="out_chain", required=True)
-    sp.set_defaults(func=_cmd_sections)
 
-    sp = sub.add_parser("engulf", help="engulfing verdict sweep")
-    _add_instance_args(sp)
+    sp = command("engulf", _cmd_engulf, "engulfing verdict sweep",
+                 ("engulf_pairs", "seed"), ("instance",))
     sp.add_argument("--chains", required=True)
-    sp.add_argument("--pairs", type=int, default=ExperimentConfig.engulf_pairs)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--report", default=None)
-    sp.set_defaults(func=_cmd_engulf)
 
-    sp = sub.add_parser("cover", help="Vitali selection on a family")
+    sp = command("cover", _cmd_cover, "Vitali selection on a family")
     sp.add_argument("--family", required=True)
     sp.add_argument("--target-set", dest="target_set", required=True)
-    sp.add_argument("--report", default=None)
-    sp.set_defaults(func=_cmd_cover)
 
-    sp = sub.add_parser("badset", help="bad-set decay experiment")
-    _add_instance_args(sp)
-    sp.add_argument("--v0", default=None)
-    sp.add_argument("--p", type=float, default=ExperimentConfig.p)
-    sp.add_argument("--k-max", dest="k_max", type=int, default=ExperimentConfig.k_max)
-    sp.add_argument("--stride", type=int, default=ExperimentConfig.stride)
-    sp.add_argument("--levels", type=int, default=ExperimentConfig.chain_levels)
-    sp.add_argument("--report", default=None)
-    sp.set_defaults(func=_cmd_badset)
+    command("badset", _cmd_badset, "bad-set decay experiment", _DECAY_FIELDS, ("instance", "v0"))
+    command("w2p", _cmd_w2p, "norm accounting", _DECAY_FIELDS, ("instance", "v0"))
 
-    sp = sub.add_parser("w2p", help="norm accounting")
-    _add_instance_args(sp)
-    sp.add_argument("--v0", default=None)
-    sp.add_argument("--p", type=float, default=ExperimentConfig.p)
-    sp.add_argument("--k-max", dest="k_max", type=int, default=ExperimentConfig.k_max)
-    sp.add_argument("--stride", type=int, default=ExperimentConfig.stride)
-    sp.add_argument("--report", default=None)
-    sp.set_defaults(func=_cmd_w2p)
-
-    sp = sub.add_parser("pipeline", help="full experiment pipeline")
+    sp = command("pipeline", _cmd_pipeline, "full experiment pipeline",
+                 ("n", "resolution", "gamma", "eps", "sigma", "k_max", "stride", "seed"),
+                 report=False)
     sp.add_argument("--config", default=None)
     sp.add_argument("--out-dir", dest="out_dir", required=True)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--resolution", type=int, default=None,
-                    help="default 65 for n=1, 33 for n=2")
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--eps", type=float, default=None)
-    sp.add_argument("--sigma", type=float, default=None)
-    sp.add_argument("--k-max", dest="k_max", type=int, default=None)
-    sp.add_argument("--stride", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.set_defaults(func=_cmd_pipeline)
 
     args = parser.parse_args(argv)
-    if args.command == "pipeline" and args.config and (given := _pipeline_flags_given(args)):
+    if args.command == "pipeline" and args.config and (given := _config_given(args)):
         parser.error("--config cannot be combined with "
-                     + ", ".join("--" + name.replace("_", "-") for name in given))
+                     + ", ".join(_CONFIG_FLAGS[field][0] for field in given))
     return args.func(args)
 
 

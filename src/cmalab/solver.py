@@ -63,7 +63,6 @@ class SolveReport:
     iterations: int
     residual: float
     min_eigenvalue: float
-    boundary_max_error: float
     converged: bool
     quad_distance: float
 
@@ -393,16 +392,6 @@ def _set_boundary(dom: GridDomain, values_flat: np.ndarray, g_off: np.ndarray) -
     values_flat[asm["bnd_flat"]] = asm["S"] @ values_flat[asm["int_flat"]] + g_off
 
 
-def _boundary_residual(dom: GridDomain, values_flat: np.ndarray, g_cut: np.ndarray) -> np.ndarray:
-    bc = dom.bc_table
-    v = bc["coef_c"] * g_cut
-    for which in (1, 2):
-        idx = bc[f"idx{which}"]
-        use = idx >= 0
-        v[use] += bc[f"coef_{which}"][use] * values_flat[idx[use]]
-    return values_flat[bc["flat"]] - v
-
-
 def harmonic_extension(dom: GridDomain, cut_values: np.ndarray) -> np.ndarray:
     """Discrete-harmonic extension of cut-point data; full-box flat array,
     read-only.  The domain keeps the last one it computed, keyed by the
@@ -505,15 +494,12 @@ def solve_dirichlet(domain: GridDomain, f, g) -> tuple[GridFunction, SolveReport
         residual = float(np.max(np.abs(np.log(det) - log_f)))
         iters += 1
 
-    bmax = float(np.max(np.abs(_boundary_residual(domain, u_flat, g_cut)))) \
-        if asm["n_bnd"] else 0.0
     u = GridFunction(domain, u_flat.reshape(shape_nd))
     quad_dist = float(np.max(np.abs(u_flat[valued] - q_valued)))
     report = SolveReport(
         iterations=iters,
         residual=residual,
         min_eigenvalue=float(np.nanmin(lam_min)),
-        boundary_max_error=bmax,
         converged=True,
         quad_distance=quad_dist,
     )

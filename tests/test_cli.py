@@ -51,7 +51,7 @@ def test_expression_unknown_variable_rejected():
 # -- config validation --------------------------------------------------------------
 
 
-def test_config_validates_before_compute(tmp_path):
+def test_config_validates_before_compute(tmp_path, tmp_path_factory):
     with pytest.raises(ValueError):
         cli.ExperimentConfig(gamma=0.6)
     with pytest.raises(ValueError):
@@ -78,6 +78,15 @@ def test_config_validates_before_compute(tmp_path):
     with pytest.raises(ValueError, match="gamma must"):
         cli.main(["solve", "--resolution", "17", "--gamma", "-0.1",
                   "--out", str(tmp_path / "inst"), "--report", str(tmp_path / "rep.json")])
+    # `cmalab engulf` read --pairs and --seed outside the config: --pairs -5
+    # exited 0 with every count 0, and --seed -1 died in numpy.  The config
+    # now refuses both before the chains file (absent here) is read.
+    inst = tmp_path_factory.mktemp("engulf") / "inst"
+    cli.main(["solve", "--resolution", "17", "--out", str(inst)])
+    for flag, value, field in (("--pairs", "-5", "engulf_pairs"), ("--seed", "-1", "seed")):
+        with pytest.raises(ValueError, match=f"{field} must"):
+            cli.main(["engulf", "--instance", str(inst), "--chains", str(tmp_path / "c.json"),
+                      flag, value, "--report", str(tmp_path / "engulf.json")])
     assert not list(tmp_path.iterdir())
 
 
@@ -632,17 +641,26 @@ def test_decay_subcommands_use_the_pipeline_chain_resolution(tmp_path, monkeypat
     assert seen == [cli.ExperimentConfig(n=2).chain_resolution]
 
 
-def test_stage_subcommands_reproduce_the_pipeline_artifacts(tmp_path):
-    # With their defaults, the stage subcommands run the pipeline's own stage
-    # code on its saved instance and write the pipeline's numbers.
+@pytest.mark.parametrize("settings, flags", [
+    ({}, []),
+    ({"sigma": 0.3, "mu0": 0.2, "chain_levels": 3, "chain_resolution": 35},
+     ["--sigma", "0.3", "--mu0", "0.2", "--levels", "3", "--chain-resolution", "35"]),
+], ids=["defaults", "chain-settings"])
+def test_stage_subcommands_reproduce_the_pipeline_artifacts(tmp_path, settings, flags):
+    # Given the flags of the run's config, the stage subcommands run the
+    # pipeline's own stage code on its saved instance and write the
+    # pipeline's numbers.  badset and w2p used to take no --sigma, --mu0 or
+    # --chain-resolution, and w2p no --levels.
     run = tmp_path / "run"
     cli.run_pipeline(cli.ExperimentConfig(n=1, resolution=33, chain_points=2,
-                                          engulf_pairs=4, cover_families=1), run)
-    inputs = ["--instance", str(run / "u"), "--v0", str(run / "v0")]
+                                          engulf_pairs=4, cover_families=1, **settings), run)
+    inputs = ["--instance", str(run / "u"), "--v0", str(run / "v0"), *flags]
 
-    assert cli.main(["badset", *inputs, "--report", str(tmp_path / "bs.json")]) == 0
-    got = json.loads((tmp_path / "bs.json").read_text())
+    # badset exits 1 when a row fails, as rows can at the second settings
     want = json.loads((run / "badset.json").read_text())
+    assert (cli.main(["badset", *inputs, "--report", str(tmp_path / "bs.json")])
+            == (0 if all(r["passed"] for r in want["rows"]) else 1))
+    got = json.loads((tmp_path / "bs.json").read_text())
     assert got.pop("params") == {}
     want.pop("params")
     assert got == want

@@ -17,9 +17,8 @@ that every reader overrides is a second, dead home of the setting.
 
 Config fields are read like defaults: each defaulted ``ExperimentConfig``
 field must be set, to an expression other than its default's, by a keyword
-of some ``ExperimentConfig(...)`` or ``_stage_inputs(...)`` call in those
-files, or be named in ``cli._PIPELINE_FLAGS``, the fields that ``cmalab
-pipeline`` sets from its flags.
+of some ``ExperimentConfig(...)`` call in those files, or be a key of
+``cli._CONFIG_FLAGS``, the fields that the subcommands set from their flags.
 
 Failures are read too: every ``except`` handler of the package ends in
 ``raise``.  A handler that does not turns a typed failure into an outcome
@@ -171,28 +170,28 @@ FIELDS_ALLOWED: dict[str, str] = {}
 
 def _config_fields():
     """(name, default source) of every defaulted field of ExperimentConfig,
-    and the field names in cli._PIPELINE_FLAGS."""
+    and the keys of cli._CONFIG_FLAGS."""
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     cls = next(node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig")
     fields = [(sub.target.id, ast.unparse(sub.value)) for sub in cls.body
               if isinstance(sub, ast.AnnAssign) and sub.value is not None]
-    flags = next((ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign)
-                  and ast.unparse(node.targets[0]) == "_PIPELINE_FLAGS"), ())
-    return fields, set(flags)
+    table = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and ast.unparse(node.targets[0]) == "_CONFIG_FLAGS")
+    return fields, {ast.literal_eval(key) for key in table.keys}
 
 
 def test_every_config_field_is_set_by_a_reader():
     # A config field no reader sets is a constant with the cost of a
     # setting, as a parameter is.  A field counts as set when some
-    # ExperimentConfig(...) or _stage_inputs(...) call passes it by keyword
-    # an expression other than its default's, or when `cmalab pipeline` sets
-    # it from a flag.
+    # ExperimentConfig(...) call passes it by keyword an expression other
+    # than its default's, or when a subcommand sets it from a flag of
+    # cli._CONFIG_FLAGS.
     fields, flags = _config_fields()
     passed = defaultdict(set)
     for name, node in _reader_calls():
-        if name in ("ExperimentConfig", "_stage_inputs"):
+        if name == "ExperimentConfig":
             for kw in node.keywords:
                 passed[kw.arg].add(ast.unparse(kw.value))
     unset = [field for field, default in fields

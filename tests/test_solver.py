@@ -149,13 +149,57 @@ def test_degenerate_init_raises():
 
 def test_solve_report_invariant(perturbed_n1):
     # On success: residual below NEWTON_TOL, minimum eigenvalue above the
-    # floor, boundary constraints satisfied to roundoff.
+    # floor.  The boundary is checked against exact solutions below.
     _, u, _ = perturbed_n1
     _, rep = solver.solve_dirichlet(u.domain, 1.0, 0.0)
     assert rep.converged
     assert rep.residual <= solver.NEWTON_TOL
     assert rep.min_eigenvalue >= solver._PSH_FLOOR
-    assert rep.boundary_max_error <= 1e-10
+
+
+def _exact_n1(pts):
+    # u* = |z|^2 - 1 + 0.2 e^{x1}: u*_{z zbar} = Delta u* / 4 = 1 + 0.05 e^{x1}
+    pts = np.atleast_2d(pts)
+    return np.sum(pts ** 2, axis=1) - 1.0 + 0.2 * np.exp(pts[:, 0])
+
+
+def _f_exact_n1(pts):
+    return 1.0 + 0.05 * np.exp(np.atleast_2d(pts)[:, 0])
+
+
+def _lift_n2(pts):
+    # u(z) = U(Re z1, Re z2) has u_{j kbar} = D^2 U / 4, so det = det D^2 U / 16
+    pts = np.atleast_2d(pts)
+    a, b = pts[:, 0], pts[:, 2]
+    return 2 * a * a + 2 * b * b + 0.6 * a * b + 0.2 * a ** 4 + 0.1 * np.exp(b)
+
+
+def _f_lift_n2(pts):
+    pts = np.atleast_2d(pts)
+    a, b = pts[:, 0], pts[:, 2]
+    return ((4.0 + 2.4 * a * a) * (4.0 + 0.1 * np.exp(b)) - 0.36) / 16.0
+
+
+# Max errors measured (interior / boundary nodes): n=1 res 33 1.78e-5 /
+# 1.58e-5, res 65 4.70e-6 / 1.78e-6; n=2 res 9 4.41e-3 / 1.26e-2, res 17
+# 9.86e-4 / 2.33e-3.  Each bound is twice its measurement.
+@pytest.mark.parametrize("n, shape, res, exact, f, interior_bound, boundary_bound", [
+    (1, "perturbed:0.05:cos3", 33, _exact_n1, _f_exact_n1, 3.6e-5, 3.2e-5),
+    (1, "perturbed:0.05:cos3", 65, _exact_n1, _f_exact_n1, 9.4e-6, 3.6e-6),
+    (2, "ball:1.0", 9, _lift_n2, _f_lift_n2, 8.8e-3, 2.5e-2),
+    (2, "ball:1.0", 17, _lift_n2, _f_lift_n2, 2.0e-3, 4.7e-3),
+], ids=["n1-res33", "n1-res65", "n2-res9", "n2-res17"])
+def test_manufactured_solution(n, shape, res, exact, f, interior_bound, boundary_bound):
+    # An exact solution with g = u* != 0 on a non-ball shape (n=1) and a
+    # non-radial lift (n=2): u is compared with u* at the interior nodes and
+    # at the boundary nodes the constraint table sets, so a wrong boundary
+    # row or stencil weight shows.
+    dom = grid.build_domain(n, shape, res)
+    u, _ = solver.solve_dirichlet(dom, f, exact)
+    for mask, bound in ((dom.interior_mask, interior_bound),
+                        (dom.boundary_mask, boundary_bound)):
+        err = np.max(np.abs(u.values[mask] - exact(dom.coords(mask.ravel()))))
+        assert err <= bound
 
 
 def test_boundary_support_cycle_raises_typed_error():

@@ -1,4 +1,4 @@
-"""Print the manifest hashes of four reference pipeline runs as JSON.
+"""Print the manifest hashes of five reference pipeline runs as JSON.
 
 The behaviour contract says a refactor leaves every artifact byte-identical.
 Run this script on two source trees and diff the output:
@@ -10,7 +10,7 @@ Run this script on two source trees and diff the output:
 The package is imported from the ``src`` directory next to this script, so
 each checkout measures its own code.  For each config the output holds the
 manifest's ``config_hash`` and its ``files`` map (artifact name to SHA-256).
-The four runs take about 5 s on a 2-core host.
+The five runs take about 6 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -34,6 +34,10 @@ CONFIGS = {
     "n2_res17": ExperimentConfig(n=2, resolution=17),
     # five of its twelve chains.json chains break at level 2
     "n1_res17": ExperimentConfig(resolution=17, seed=0),
+    # the chain settings that the stage subcommands' chain flags reach
+    "n1_chain_settings": ExperimentConfig(
+        n=1, resolution=33, sigma=0.3, mu0=0.2, chain_levels=3,
+        chain_resolution=35, chain_points=4, engulf_pairs=10, cover_families=2),
 }
 
 
