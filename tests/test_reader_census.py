@@ -18,7 +18,8 @@ that every reader overrides is a second, dead home of the setting.
 Config fields are read like defaults: each defaulted ``ExperimentConfig``
 field must be set, to an expression other than its default's, by a keyword
 of some ``ExperimentConfig(...)`` call in those files, or be a key of
-``cli._CONFIG_FLAGS``, the fields that the subcommands set from their flags.
+``cli._CONFIG_FLAGS``, the fields that the subcommands set from their flags;
+each key's flag must be listed by some subcommand's ``--help``.
 
 Failures are read too: every ``except`` handler of the package ends in
 ``raise``.  A handler that does not turns a typed failure into an outcome
@@ -29,9 +30,13 @@ message, and every reader of the chain gets them from there.
 """
 
 import ast
+import contextlib
+import io
 import re
 from collections import defaultdict
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cmalab"
@@ -180,6 +185,24 @@ def _config_fields():
                  if isinstance(node, ast.Assign)
                  and ast.unparse(node.targets[0]) == "_CONFIG_FLAGS")
     return fields, {ast.literal_eval(key) for key in table.keys}
+
+
+def test_every_config_flag_is_a_subcommand_flag():
+    # The census counts a key of cli._CONFIG_FLAGS as set; that holds only
+    # if some subcommand's parser adds its flag.
+    from cmalab import cli
+
+    def flags_shown(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            cli.main([*argv, "--help"])
+        return out.getvalue()
+
+    commands = re.search(r"\{([\w,]+)\}", flags_shown([])).group(1).split(",")
+    shown = {flag for cmd in commands
+             for flag in re.findall(r"--[\w-]+", flags_shown([cmd]))}
+    unshown = {field for field, (flag, _) in cli._CONFIG_FLAGS.items() if flag not in shown}
+    assert not unshown, f"config flags no subcommand adds: {sorted(unshown)}"
 
 
 def test_every_config_field_is_set_by_a_reader():
