@@ -174,7 +174,10 @@ def badset_decay_experiment(u: GridFunction, node_sections: list[NodeSections],
 
     Measures count nodes of the stride lattice with the stride-adjusted cell
     volume: m(B_0.7) and m(B_0.6) all of them, m(A_k) the sampled nodes
-    that are bad.  Empty rows pass vacuously and are flagged.
+    that are bad.  Empty rows pass vacuously and are flagged.  The sampled
+    nodes must be exactly the stride-lattice nodes inside B_{r_1}, those
+    sample_badset_chains takes at this stride; a sample at another stride
+    would be counted with the wrong cell volume.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -183,10 +186,14 @@ def badset_decay_experiment(u: GridFunction, node_sections: list[NodeSections],
     dom = u.domain
     d = dom.d
     cell = (stride * dom.h) ** d
+    rs = radius_schedule(k_max)
+    lattice, lattice_dist = _stride_lattice(dom, stride)
+    sampled = sorted(tuple(int(i) for i in ns.idx) for ns in node_sections)
+    if sampled != [tuple(int(i) for i in idx) for idx in lattice[lattice_dist <= rs[1]]]:
+        raise ValueError(f"the sampled nodes are not the stride-{stride} lattice "
+                         f"inside B_{rs[1]:.4g}")
     centers = np.array([dom.coords(tuple(ns.idx)) for ns in node_sections])
     dist = np.linalg.norm(centers, axis=1)
-    rs = radius_schedule(k_max)
-    _, lattice_dist = _stride_lattice(dom, stride)
     m_b07 = float(np.sum(lattice_dist <= rs[0])) * cell
     m_b06 = float(np.sum(lattice_dist <= DYADIC_RADIUS)) * cell
 

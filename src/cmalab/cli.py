@@ -277,12 +277,55 @@ def decay_report(cfg: ExperimentConfig, u: GridFunction, v0: GridFunction,
         stride=cfg.stride, params=params)
 
 
-def _eps_f(cfg: ExperimentConfig, dom: GridDomain, f) -> float:
-    """Distance eps_f of f from 1: max|f - 1| over the interior nodes for an
-    f_expr, eps for the default f (its amplitude by construction)."""
-    if cfg.f_expr is None:
-        return cfg.eps
-    return float(np.max(np.abs(f(dom.coords(dom.interior_mask.ravel())) - 1.0)))
+# the files the solve stage writes, in this order
+_SOLVE_FILES = ("u.bin", "u.meta.json", "v0.bin", "v0.meta.json", "u.csv")
+
+
+def solve_stage(cfg: ExperimentConfig, out: Path, record: dict
+                ) -> tuple[GridFunction, GridFunction]:
+    """The solve stage: u for the config's f and v0 for f = 1 on the
+    config's domain, saved in out as _SOLVE_FILES.  record["eps_f"] gets
+    the distance eps_f of f from 1 first: max|f - 1| over the interior
+    nodes for an f_expr, eps for the default f (its amplitude by
+    construction).  eps_f > 0.2 is refused before either solve."""
+    dom = build_domain(cfg.n, cfg.shape_spec(), cfg.resolution)
+    f = cfg.f_function()
+    eps_f = record["eps_f"] = cfg.eps if cfg.f_expr is None else float(
+        np.max(np.abs(f(dom.coords(dom.interior_mask.ravel())) - 1.0)))
+    if not eps_f <= 0.2:
+        raise ValueError(f"eps_f = max|f - 1| = {eps_f:.4g} on the interior nodes "
+                         f"must lie in [0, 0.2] (perturbative regime)")
+    u, urep = solve_dirichlet(dom, f, 0.0)
+    v0, vrep = solve_dirichlet(dom, 1.0, 0.0)
+    save_instance(u, out / "u", urep)
+    save_instance(v0, out / "v0", vrep)
+    u.write_csv(out / "u.csv")
+    return u, v0
+
+
+def cover_report(cfg: ExperimentConfig, dom: GridDomain, rng) -> tuple[list, list | None]:
+    """The cover stage: cfg.cover_families random ball families on dom, each
+    with the Vitali selection of its target set and the weak (1,1)
+    certificate of a random density.  Returns the rows of cover.json and
+    the first family's weak (1,1) sweep, None with no family."""
+    rows = []
+    w11_rows = None
+    for fam_id in range(cfg.cover_families):
+        fam, X = _random_ball_family(dom, rng)
+        sel = covering_mod.vitali_select(fam, X)
+        fvals = np.where(dom.interior_mask,
+                         np.abs(rng.standard_normal(dom.interior_mask.shape)), 0.0)
+        w11 = covering_mod.weak_11_certificate(fvals, fam)
+        if w11_rows is None:
+            w11_rows = w11["rows"]
+        rows.append({
+            "family": fam_id,
+            "selected": sel.indices,
+            "disjoint": sel.disjoint,
+            "covered": sel.covered,
+            "weak11_ok": w11["ok"],
+        })
+    return rows, w11_rows
 
 
 def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
@@ -323,19 +366,9 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
 
     try:
         with stage("solve"):
-            dom = build_domain(cfg.n, cfg.shape_spec(), cfg.resolution)
-            f = cfg.f_function()
-            eps_f = manifest["eps_f"] = _eps_f(cfg, dom, f)
-            if not eps_f <= 0.2:
-                raise ValueError(f"eps_f = max|f - 1| = {eps_f:.4g} on the interior nodes "
-                                 f"must lie in [0, 0.2] (perturbative regime)")
-            u, urep = solve_dirichlet(dom, f, 0.0)
-            v0, vrep = solve_dirichlet(dom, 1.0, 0.0)
-            save_instance(u, out / "u", urep)
-            save_instance(v0, out / "v0", vrep)
-            u.write_csv(out / "u.csv")
-            files += [out / "u.bin", out / "u.meta.json", out / "v0.bin",
-                      out / "v0.meta.json", out / "u.csv"]
+            u, v0 = solve_stage(cfg, out, manifest)
+            files += [out / name for name in _SOLVE_FILES]
+        dom, eps_f = u.domain, manifest["eps_f"]
 
         with stage("certificates"):
             cert = comparison_sandwich(u, v0, eps_f, cfg.n)
@@ -363,24 +396,8 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> dict:
             emit("engulf.json", {"counts": verdicts, "pairs": pair_rows})
 
         with stage("cover"):
-            cover_out = []
-            w11_rows = None
-            for fam_id in range(cfg.cover_families):
-                fam, X = _random_ball_family(dom, rng)
-                sel = covering_mod.vitali_select(fam, X)
-                fvals = np.where(dom.interior_mask,
-                                 np.abs(rng.standard_normal(dom.interior_mask.shape)), 0.0)
-                w11 = covering_mod.weak_11_certificate(fvals, fam)
-                if w11_rows is None:
-                    w11_rows = w11["rows"]
-                cover_out.append({
-                    "family": fam_id,
-                    "selected": sel.indices,
-                    "disjoint": sel.disjoint,
-                    "covered": sel.covered,
-                    "weak11_ok": w11["ok"],
-                })
-            emit("cover.json", cover_out)
+            cover_rows, w11_rows = cover_report(cfg, dom, rng)
+            emit("cover.json", cover_rows)
             if w11_rows:
                 _write_two_column_csv(out / "plot_weak11.csv", "t", "level_measure",
                                       [(r["t"], r["level_measure"]) for r in w11_rows])
@@ -490,7 +507,8 @@ _CONFIG_FLAGS = {
     "sigma": ("--sigma", float), "mu0": ("--mu0", float),
     "chain_levels": ("--levels", int), "chain_resolution": ("--chain-resolution", int),
     "p": ("--p", float), "k_max": ("--k-max", int), "stride": ("--stride", int),
-    "engulf_pairs": ("--pairs", int), "seed": ("--seed", int),
+    "engulf_pairs": ("--pairs", int), "cover_families": ("--families", int),
+    "seed": ("--seed", int),
 }
 # the fields the sections stage reads, and those the badset and w2p stages read
 _CHAIN_FIELDS = ("sigma", "mu0", "chain_levels", "chain_resolution")
@@ -504,19 +522,13 @@ def _config_given(args) -> dict:
 
 
 def _cmd_solve(args) -> int:
-    """Solve on the domain of the ExperimentConfig of the flags, with f = 1
-    unless --f-expr is given."""
+    """The solve stage into --out-dir, on the ExperimentConfig of the flags."""
     cfg = ExperimentConfig(**_config_given(args))
-    dom = build_domain(cfg.n, cfg.shape_spec(), cfg.resolution)
-    u, rep = solve_dirichlet(dom, 1.0 if cfg.f_expr is None else cfg.f_function(), 0.0)
-    if args.out:
-        save_instance(u, Path(args.out), rep)
-        if args.csv:
-            u.write_csv(Path(args.out).with_suffix(".csv"))
-    if args.report:
-        write_json(Path(args.report), rep.to_dict())
-    print(f"solved: iterations={rep.iterations} residual={rep.residual:.3e} "
-          f"min_eig={rep.min_eigenvalue:.3e}")
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    record = {}
+    solve_stage(cfg, out, record)
+    print(f"solved u and v0 (eps_f = {record['eps_f']:.4g}) -> {out}")
     return 0
 
 
@@ -563,35 +575,18 @@ def _cmd_engulf(args) -> int:
     return 0 if verdicts["fail"] == 0 else 1
 
 
-def _node_mask(shape: tuple, idx, what: str) -> np.ndarray:
-    """Mask of the listed node indices (rows); an index off the lattice
-    raises instead of wrapping to the far side of the box."""
-    idx = np.array(idx, dtype=int, ndmin=2)
-    if idx.shape[1] != len(shape) or np.any((idx < 0) | (idx >= shape)):
-        raise ValueError(f"{what} lists a node off the {shape} lattice")
-    mask = np.zeros(shape, dtype=bool)
-    mask[tuple(idx.T)] = True
-    return mask
-
-
 def _cmd_cover(args) -> int:
-    data = json.loads(Path(args.family).read_text())
-    shape = tuple(data["shape"])
-    members = [Section(m["center"], _node_mask(shape, m["nodes"], f"member {i}"),
-                       data["lo"], data["h"], m["mu"])
-               for i, m in enumerate(data["members"])]
-    fam = covering_mod.SectionFamily(members)
-    target = _node_mask(shape, np.loadtxt(Path(args.target_set), delimiter=",",
-                                          dtype=int, ndmin=2), "--target-set")
-    sel = covering_mod.vitali_select(fam, target)
-    result = {"selected": sel.indices, "disjoint": sel.disjoint,
-              "covered": sel.covered,
-              "witnesses": [list(wit) for wit in sel.witnesses]}
+    """The cover stage on the --instance's domain, with a generator of its
+    own seeded by --seed; exits 1 unless every family is disjoint, covered
+    and weak (1,1)."""
+    u = load_instance(Path(args.instance))
+    cfg = ExperimentConfig(n=u.domain.n, **_config_given(args))
+    rows, _ = cover_report(cfg, u.domain, np.random.default_rng(cfg.seed))
     if args.report:
-        write_json(Path(args.report), result)
-    print(f"selected {len(sel.indices)} members; disjoint={sel.disjoint} "
-          f"covered={sel.covered}")
-    return 0 if sel.disjoint and sel.covered else 1
+        write_json(Path(args.report), rows)
+    ok = sum(r["disjoint"] and r["covered"] and r["weak11_ok"] for r in rows)
+    print(f"{ok} of {len(rows)} families disjoint, covered and weak (1,1)")
+    return 0 if ok == len(rows) else 1
 
 
 def _cmd_badset(args) -> int:
@@ -650,11 +645,9 @@ def main(argv=None) -> int:
         sp.set_defaults(func=func)
         return sp
 
-    sp = command("solve", _cmd_solve, "Dirichlet solve on a near-ball domain",
-                 ("n", "resolution", "gamma", "f_expr"))
-    sp.set_defaults(gamma=0.0)  # the unit ball
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--csv", action="store_true")
+    sp = command("solve", _cmd_solve, "Dirichlet solves of u and v0 on a near-ball domain",
+                 ("n", "resolution", "gamma", "eps", "f_expr"), report=False)
+    sp.add_argument("--out-dir", dest="out_dir", required=True)
 
     sp = command("sections", _cmd_sections, "build section chains", _CHAIN_FIELDS,
                  ("instance", "v0"), report=False)
@@ -666,9 +659,8 @@ def main(argv=None) -> int:
                  ("engulf_pairs", "seed"), ("instance",))
     sp.add_argument("--chains", required=True)
 
-    sp = command("cover", _cmd_cover, "Vitali selection on a family")
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--target-set", dest="target_set", required=True)
+    command("cover", _cmd_cover, "Vitali selections and weak (1,1) on random ball families",
+            ("cover_families", "seed"), ("instance",))
 
     command("badset", _cmd_badset, "bad-set decay experiment", _DECAY_FIELDS, ("instance", "v0"))
     command("w2p", _cmd_w2p, "norm accounting", _DECAY_FIELDS, ("instance", "v0"))

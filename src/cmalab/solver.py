@@ -534,7 +534,9 @@ def comparison_sandwich(u: GridFunction, v0: GridFunction, eps: float, n: int
     """Certify (1+eps)^{1/n} v0 <= u <= (1-eps)^{1/n} v0 and |u - v0| <= 4 eps.
 
     Both functions must share the lattice and vanish on the continuum
-    boundary; violations are reported against certificate_slack.
+    boundary, read at every cut point from its boundary node's constraint
+    row (GridDomain.bc_table): g = (u_b - c_1 u_1 - c_2 u_2) / c_cut.
+    Violations are reported against certificate_slack.
     """
     dom = u.domain
     if not dom.same_lattice(v0.domain):
@@ -543,11 +545,14 @@ def comparison_sandwich(u: GridFunction, v0: GridFunction, eps: float, n: int
         raise ValueError("eps must lie in [0, 0.5)")
     slack = certificate_slack(dom.h)
 
-    cuts = dom.bc_table["cuts"]
+    bc = dom.bc_table
     for name, fn in (("u", u), ("v0", v0)):
-        bvals = fn.interp(cuts)
-        worst = float(np.nanmax(np.abs(bvals)))
-        if worst > slack + 1e-8:
+        flat = fn.values.ravel()
+        # a two-point row has no x_2 (idx2 = -1)
+        u2 = np.where(bc["idx2"] >= 0, flat[bc["idx2"]], 0.0)
+        g = (flat[bc["flat"]] - bc["coef_1"] * flat[bc["idx1"]] - bc["coef_2"] * u2) / bc["coef_c"]
+        worst = float(np.max(np.abs(g)))
+        if not worst <= slack + 1e-8:
             raise ValueError(
                 f"{name} does not vanish on the boundary (max {worst:.3e})")
 

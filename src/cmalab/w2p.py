@@ -16,6 +16,7 @@ import numpy as np
 
 from .badset import DYADIC_RADIUS, BadSetReport
 from .grid import (
+    GridDomain,
     GridFunction,
     hessian_eigen_fields,
     hessian_fields,
@@ -174,6 +175,16 @@ def full_w2p(u: GridFunction, p: float, region: np.ndarray) -> tuple[float, floa
     return full, full / denom if denom > 0 else float("inf")
 
 
+def _dyadic_region(dom: GridDomain) -> np.ndarray:
+    """Mask of the interior nodes in the closed ball B_0.6, from the
+    per-axis squared coordinates broadcast over the box.  They are summed
+    axis by axis, as np.linalg.norm sums a coordinate row, so the mask is
+    the one the norms of dom.coords(dom.interior_mask) give."""
+    r2 = sum(np.reshape(ax ** 2, [-1 if b == a else 1 for b in range(dom.d)])
+             for a, ax in enumerate(dom.axes))
+    return dom.interior_mask & (np.sqrt(r2, out=r2) <= DYADIC_RADIUS)
+
+
 def norm_report(u: GridFunction, report: BadSetReport, p: float) -> NormReport:
     """Full accounting over the dyadic ball B_0.6 (``badset.DYADIC_RADIUS``,
     where the report's m_b06 and measure_b06 are counted): direct
@@ -182,8 +193,7 @@ def norm_report(u: GridFunction, report: BadSetReport, p: float) -> NormReport:
     where u is not strictly plurisubharmonic has no inverse trace and
     raises, rather than leaving the region."""
     dom = u.domain
-    region = dom.interior_mask.copy()
-    region[region] = np.linalg.norm(dom.coords(region), axis=1) <= DYADIC_RADIUS
+    region = _dyadic_region(dom)
 
     fields = hessian_fields(u, np.flatnonzero(region))
     tr = complex_trace_field(fields)

@@ -265,8 +265,13 @@ def test_positive_control_anisotropic_quadratic():
         assert rad / math.sqrt(mu) == pytest.approx(math.sqrt(20.0), abs=1e-12)
     assert not badset.classify_Dk(out, 1, dom).any()
     assert list(badset.classify_Dk(out, 2, dom)) == built
-    # Row 1 counts every node and passes: it cannot fail.  Row 2 counts
-    # only the 4 broken chains, and those alone fail it.
+    # The decay rows read the whole stride lattice of B_{r_1}: its nodes
+    # outside B_0.4 enter with one section of radius 0, good at every k.
+    # Row 1 counts every chain node and passes: it cannot fail.  Row 2
+    # counts only the 4 broken chains, and those alone fail it.
+    r1 = badset.radius_schedule(1)[1]
+    out += [badset.NodeSections(tuple(int(i) for i in idx), [(mu, 0.0)]) for idx in lattice
+            if 0.4 < np.linalg.norm(dom.coords(tuple(idx))) <= r1]
     rep = badset.badset_decay_experiment(u, out, w2p.eps_bar_recipe(2, 2), k_max=2, stride=4)
     row1, row2 = rep.rows
     assert row1.measure == pytest.approx(33 * rep.cell_measure) and row1.passed
@@ -836,3 +841,18 @@ def test_hessian_bounds_inconsistency_detected():
     out = badset.hessian_bounds_on_Dk(u, nodes, 1)
     assert not out["passed"]
     assert out["violations"] == 1
+
+
+def test_decay_refuses_a_sample_at_another_stride(exact_ball_experiment):
+    # Node sections sampled at stride 8 and reported at stride 4 were
+    # counted with the cell (4h)^d, 2^d times too small for their nodes.
+    # The sample must be the report's stride lattice inside B_{r_1}, all
+    # of it.
+    dom, u, ns = exact_ball_experiment
+    eps_bar = w2p.eps_bar_recipe(2, 1)
+    coarse = [s for s in ns if all(i % 8 == 0 for i in s.idx)]
+    for sample in (coarse, ns[1:], ns + ns[:1]):
+        with pytest.raises(ValueError, match="stride-4 lattice"):
+            badset.badset_decay_experiment(u, sample, eps_bar, k_max=2, stride=4)
+    assert badset.badset_decay_experiment(u, coarse, eps_bar, k_max=2, stride=8).rows
+    assert badset.badset_decay_experiment(u, ns[::-1], eps_bar, k_max=2, stride=4).rows

@@ -77,16 +77,22 @@ def test_config_validates_before_compute(tmp_path, tmp_path_factory):
     # on the unit ball
     with pytest.raises(ValueError, match="gamma must"):
         cli.main(["solve", "--resolution", "17", "--gamma", "-0.1",
-                  "--out", str(tmp_path / "inst"), "--report", str(tmp_path / "rep.json")])
+                  "--out-dir", str(tmp_path / "solve")])
     # `cmalab engulf` read --pairs and --seed outside the config: --pairs -5
     # exited 0 with every count 0, and --seed -1 died in numpy.  The config
-    # now refuses both before the chains file (absent here) is read.
-    inst = tmp_path_factory.mktemp("engulf") / "inst"
-    cli.main(["solve", "--resolution", "17", "--out", str(inst)])
+    # now refuses both before the chains file (absent here) is read, and
+    # `cmalab cover` refuses a negative --families or --seed before it
+    # draws a family.
+    run = tmp_path_factory.mktemp("engulf")
+    cli.main(["solve", "--resolution", "17", "--out-dir", str(run)])
     for flag, value, field in (("--pairs", "-5", "engulf_pairs"), ("--seed", "-1", "seed")):
         with pytest.raises(ValueError, match=f"{field} must"):
-            cli.main(["engulf", "--instance", str(inst), "--chains", str(tmp_path / "c.json"),
+            cli.main(["engulf", "--instance", str(run / "u"), "--chains", str(tmp_path / "c.json"),
                       flag, value, "--report", str(tmp_path / "engulf.json")])
+    for flag, value, field in (("--families", "-1", "cover_families"), ("--seed", "-1", "seed")):
+        with pytest.raises(ValueError, match=f"{field} must"):
+            cli.main(["cover", "--instance", str(run / "u"), flag, value,
+                      "--report", str(tmp_path / "cover.json")])
     assert not list(tmp_path.iterdir())
 
 
@@ -126,7 +132,7 @@ def test_subcommand_resolution_defaults_by_dimension(tmp_path, monkeypatch, n, r
     monkeypatch.setattr(cli, "build_domain", build)
     monkeypatch.setattr(cli, "run_pipeline", run)
     with pytest.raises(Stop):
-        cli.main(["solve", "--n", str(n)])
+        cli.main(["solve", "--n", str(n), "--out-dir", str(tmp_path / "s")])
     with pytest.raises(Stop):
         cli.main(["pipeline", "--n", str(n), "--out-dir", str(tmp_path / "p")])
     assert seen == {"solve": res, "pipeline": res}
@@ -150,22 +156,31 @@ def test_config_eps_bar_recipe(monkeypatch):
 
 
 def test_solve_subcommand_roundtrip(tmp_path):
-    out = tmp_path / "inst"
-    rc = cli.main([
-        "solve", "--n", "1", "--resolution", "33", "--out", str(out),
-        "--report", str(tmp_path / "rep.json"), "--csv",
-    ])
+    # `cmalab solve` writes what the pipeline's solve stage writes.  On the
+    # unit ball with eps 0 the default f is exactly 1, so u and v0 are the
+    # f = 1 solve bit for bit.
+    rc = cli.main(["solve", "--n", "1", "--resolution", "33", "--gamma", "0", "--eps", "0",
+                   "--out-dir", str(tmp_path)])
     assert rc == 0
-    assert (tmp_path / "inst.bin").exists()
-    assert (tmp_path / "inst.meta.json").exists()
-    assert (tmp_path / "inst.csv").exists()
-    rep = json.loads((tmp_path / "rep.json").read_text())
-    assert rep["converged"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(cli._SOLVE_FILES)
+    assert json.loads((tmp_path / "u.meta.json").read_text())["report"]["converged"]
 
-    u = cli.load_instance(out)
+    u = cli.load_instance(tmp_path / "u")
     pts = u.domain.coords(u.domain.interior_mask.ravel())
     exact = np.sum(pts ** 2, axis=1) - 1.0
     assert np.max(np.abs(u.values[u.domain.interior_mask] - exact)) < 1e-8
+    ref, rep = solver.solve_dirichlet(grid.build_domain(1, "ball:1.0", 33), 1.0, 0.0)
+    cli.save_instance(ref, tmp_path / "ref", rep)
+    assert (tmp_path / "ref.bin").read_bytes() == (tmp_path / "u.bin").read_bytes()
+    assert (tmp_path / "ref.bin").read_bytes() == (tmp_path / "v0.bin").read_bytes()
+
+
+def test_solve_subcommand_refuses_f_far_from_one(tmp_path):
+    # The pipeline's eps_f refusal, before either solve writes a file.
+    with pytest.raises(ValueError, match="eps_f"):
+        cli.main(["solve", "--resolution", "33", "--f-expr", "exp(2*x1)",
+                  "--out-dir", str(tmp_path)])
+    assert not list(tmp_path.iterdir())
 
 
 def test_load_instance_refuses_a_sidecar_of_another_dimension(tmp_path):
@@ -185,7 +200,7 @@ def test_solve_subcommand_with_expression(tmp_path):
     rc = cli.main([
         "solve", "--n", "1", "--resolution", "33",
         "--f-expr", "1 + 0.05*cos(pi*x1)",
-        "--out", str(tmp_path / "e"),
+        "--out-dir", str(tmp_path),
     ])
     assert rc == 0
 
@@ -193,22 +208,22 @@ def test_solve_subcommand_with_expression(tmp_path):
 def test_solve_subcommand_profile_fits_dimension(tmp_path):
     # The solve subcommand takes its profile from n, as ExperimentConfig
     # does: harmonic at n = 2.  An n with no profile is refused as such.
-    out = tmp_path / "n2"
     rc = cli.main(["solve", "--n", "2", "--resolution", "9", "--gamma", "0.05",
-                   "--out", str(out)])
+                   "--out-dir", str(tmp_path)])
     assert rc == 0
-    meta = json.loads(out.with_suffix(".meta.json").read_text())
+    meta = json.loads((tmp_path / "u.meta.json").read_text())
     assert meta["shape"] == {"kind": "perturbed_ball", "gamma": 0.05, "profile": "harmonic"}
     with pytest.raises(ValueError, match="n must be 1 or 2"):
-        cli.main(["solve", "--n", "3", "--gamma", "0.05"])
+        cli.main(["solve", "--n", "3", "--gamma", "0.05", "--out-dir", str(tmp_path / "n3")])
 
 
 # -- sections / engulf subcommands ----------------------------------------------------
 
 
 def test_sections_and_engulf_subcommands(tmp_path):
-    base = tmp_path / "inst"
-    cli.main(["solve", "--n", "1", "--resolution", "65", "--out", str(base)])
+    base = tmp_path / "u"
+    cli.main(["solve", "--n", "1", "--resolution", "65", "--gamma", "0", "--eps", "0",
+              "--out-dir", str(tmp_path)])
     chains = tmp_path / "chains.json"
     rc = cli.main([
         "sections", "--instance", str(base), "--center", "0.1,0.0",
@@ -233,9 +248,8 @@ def test_engulf_needs_two_chains_with_a_level(tmp_path, capsys):
     # Pairs are drawn only from chains that built a level, and none when
     # fewer than two did.  One chain was paired with itself --pairs times,
     # and an empty file died in numpy with "high <= 0".
-    base = tmp_path / "inst"
-    cli.main(["solve", "--n", "1", "--resolution", "17", "--gamma", "0.05",
-              "--out", str(base)])
+    base = tmp_path / "u"
+    cli.main(["solve", "--n", "1", "--resolution", "17", "--eps", "0", "--out-dir", str(tmp_path)])
     intact, broken = tmp_path / "intact.json", tmp_path / "broken.json"
     lines = []
     for path, centre in ((intact, "0.1,0.0"), (broken, "0.7,0.0")):
@@ -310,54 +324,28 @@ def test_random_ball_family_matches_the_full_box(n, res):
 
 
 def test_cover_subcommand(tmp_path):
-    dom = grid.build_domain(1, "ball:1.0", 49)
-    pts = dom.coords()
-    members = []
-    for ctr, rad in (((0.0, 0.0), 0.3), ((0.4, 0.0), 0.2), ((-0.4, 0.1), 0.25)):
-        ci = dom.node_index(ctr)
-        dist = np.linalg.norm(pts - dom.coords(ci), axis=1).reshape(dom.interior_mask.shape)
-        mask = (dist <= rad) & dom.interior_mask
-        members.append({
-            "center": list(ci),
-            "mu": rad ** 2,
-            "nodes": np.argwhere(mask).tolist(),
-        })
-    family = {
-        "shape": list(dom.interior_mask.shape),
-        "lo": [float(x) for x in dom.box[:, 0]],
-        "h": dom.h,
-        "members": members,
-    }
-    fam_path = tmp_path / "family.json"
-    fam_path.write_text(json.dumps(family))
-    tgt_path = tmp_path / "target.csv"
-    np.savetxt(tgt_path, np.array(members[0]["nodes"], dtype=int), fmt="%d", delimiter=",")
-    rc = cli.main([
-        "cover", "--family", str(fam_path), "--target-set", str(tgt_path),
-        "--report", str(tmp_path / "cover.json"),
-    ])
-    assert rc == 0
-    rep = json.loads((tmp_path / "cover.json").read_text())
-    assert rep["disjoint"] and rep["covered"]
-    assert rep["witnesses"]
+    # `cmalab cover` runs the pipeline's cover stage on the instance's
+    # domain with a generator of its own; every family is disjoint, covered
+    # and weak (1,1), so it exits 0.
+    cli.main(["solve", "--resolution", "33", "--out-dir", str(tmp_path)])
+    report = tmp_path / "cover.json"
+    assert cli.main(["cover", "--instance", str(tmp_path / "u"), "--families", "3",
+                     "--seed", "4", "--report", str(report)]) == 0
+    rows = json.loads(report.read_text())
+    dom = cli.load_instance(tmp_path / "u").domain
+    cfg = cli.ExperimentConfig(cover_families=3, seed=4)
+    assert rows == cli.cover_report(cfg, dom, np.random.default_rng(4))[0]
+    assert [r["family"] for r in rows] == [0, 1, 2]
+    assert all(r["disjoint"] and r["covered"] and r["weak11_ok"] for r in rows)
 
 
-@pytest.mark.parametrize("member_node, target", [
-    ((8, 8), (-9, -9)),
-    ((-1, -1), (16, 16)),
-], ids=["target", "member"])
-def test_cover_refuses_nodes_off_the_lattice(tmp_path, member_node, target):
-    # A negative index wrapped to the far side of the box: target -9,-9 was
-    # read as the centre node (8, 8), and a member node -1,-1 became the
-    # corner (16, 16) and covered a corner target; both runs exited 0.
-    family = {"shape": [17, 17], "lo": [-1.0, -1.0], "h": 0.125, "members": [
-        {"center": [8, 8], "mu": 0.01, "nodes": [[8, 8], list(member_node)]}]}
-    fam_path = tmp_path / "family.json"
-    fam_path.write_text(json.dumps(family))
-    tgt_path = tmp_path / "target.csv"
-    tgt_path.write_text(",".join(str(i) for i in target) + "\n")
-    with pytest.raises(ValueError, match="off the"):
-        cli.main(["cover", "--family", str(fam_path), "--target-set", str(tgt_path)])
+def test_cover_subcommand_exits_1_on_a_failed_family(tmp_path, monkeypatch, capsys):
+    cli.main(["solve", "--resolution", "17", "--out-dir", str(tmp_path)])
+    rows = [{"family": 0, "selected": [0], "disjoint": True, "covered": True, "weak11_ok": True},
+            {"family": 1, "selected": [0], "disjoint": True, "covered": True, "weak11_ok": False}]
+    monkeypatch.setattr(cli, "cover_report", lambda cfg, dom, rng: (rows, None))
+    assert cli.main(["cover", "--instance", str(tmp_path / "u")]) == 1
+    assert "1 of 2 families" in capsys.readouterr().out
 
 
 # -- pipeline ---------------------------------------------------------------------------
@@ -578,8 +566,9 @@ def test_pipeline_sandwich_bound_uses_eps_f(tmp_path):
 
 
 def test_badset_and_w2p_subcommands(tmp_path):
-    base = tmp_path / "inst"
-    cli.main(["solve", "--n", "1", "--resolution", "49", "--out", str(base)])
+    base = tmp_path / "u"
+    cli.main(["solve", "--n", "1", "--resolution", "49", "--gamma", "0", "--eps", "0",
+              "--out-dir", str(tmp_path)])
     rc = cli.main([
         "badset", "--instance", str(base), "--k-max", "3", "--stride", "6",
         "--report", str(tmp_path / "bs.json"),
@@ -597,9 +586,8 @@ def test_badset_and_w2p_subcommands(tmp_path):
     rep = json.loads((tmp_path / "np.json").read_text())
     assert rep["dominated"]
 
-    # A saved v0 (the f = 1 solve on the same domain) gives the same reports
-    # as the v0 the subcommands solve for themselves.
-    cli.main(["solve", "--n", "1", "--resolution", "49", "--out", str(tmp_path / "v0")])
+    # The saved v0 (the f = 1 solve on the same domain) gives the same
+    # reports as the v0 the subcommands solve for themselves.
     for cmd, report, extra in (("badset", "bs_v0.json", ["--k-max", "3"]),
                                ("w2p", "np_v0.json", ["--p", "2.0"])):
         rc = cli.main([cmd, "--instance", str(base), "--v0", str(tmp_path / "v0"),
@@ -615,8 +603,9 @@ def test_badset_and_w2p_subcommands(tmp_path):
 def test_decay_subcommands_use_the_pipeline_chain_resolution(tmp_path, monkeypatch, cmd):
     # At n=2 the subcommands build chains on the lattice the n=2 pipeline
     # uses, not on the planar one.
-    base = tmp_path / "inst"
-    cli.main(["solve", "--n", "2", "--resolution", "9", "--out", str(base)])
+    base = tmp_path / "u"
+    cli.main(["solve", "--n", "2", "--resolution", "9", "--gamma", "0", "--eps", "0",
+              "--out-dir", str(tmp_path)])
     seen = []
 
     def record(u, v0, **kwargs):
@@ -649,15 +638,18 @@ def test_decay_subcommands_use_the_pipeline_chain_resolution(tmp_path, monkeypat
 def test_stage_subcommands_reproduce_the_pipeline_artifacts(tmp_path, settings, flags,
                                                             badset_rc):
     # Given the flags of the run's config, the stage subcommands run the
-    # pipeline's own stage code on its saved instance and write the
-    # pipeline's numbers.  badset and w2p used to take no --sigma, --mu0 or
+    # pipeline's own stage code and write the pipeline's numbers, from
+    # `cmalab solve` on.  badset and w2p used to take no --sigma, --mu0 or
     # --chain-resolution, and w2p no --levels.  Every decay row passes at the
     # defaults; at the second settings broken chains fail row 3, so badset
     # exits 1.
-    run = tmp_path / "run"
+    run, solved = tmp_path / "run", tmp_path / "solved"
     cli.run_pipeline(cli.ExperimentConfig(n=1, resolution=33, chain_points=2,
                                           engulf_pairs=4, cover_families=1, **settings), run)
-    inputs = ["--instance", str(run / "u"), "--v0", str(run / "v0"), *flags]
+    assert cli.main(["solve", "--n", "1", "--resolution", "33", "--out-dir", str(solved)]) == 0
+    for name in cli._SOLVE_FILES:
+        assert (solved / name).read_bytes() == (run / name).read_bytes(), name
+    inputs = ["--instance", str(solved / "u"), "--v0", str(solved / "v0"), *flags]
 
     want = json.loads((run / "badset.json").read_text())
     assert cli.main(["badset", *inputs, "--report", str(tmp_path / "bs.json")]) == badset_rc
@@ -677,6 +669,13 @@ def test_stage_subcommands_reproduce_the_pipeline_artifacts(tmp_path, settings, 
                      "--out-chain", str(tmp_path / "chains.json")]) == 0
     assert (tmp_path / "chains.json").read_bytes() == (run / "chains.json").read_bytes()
 
+    # cover draws from a generator of its own, so only the schema is the run's
+    assert cli.main(["cover", "--instance", str(solved / "u"), "--families", "1",
+                     "--report", str(tmp_path / "cover.json")]) == 0
+    (got,), (want,) = (json.loads(path.read_text())
+                       for path in (tmp_path / "cover.json", run / "cover.json"))
+    assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
+
 
 @pytest.mark.parametrize("argv", [
     ["badset", "--stride", "0"],
@@ -687,22 +686,23 @@ def test_stage_subcommands_reproduce_the_pipeline_artifacts(tmp_path, settings, 
 def test_stage_subcommands_check_stride_and_k_max(tmp_path, monkeypatch, argv):
     # Stride 0 used to sample a chain at every node and report every row
     # passed with cell measure 0; k_max 0 reported no rows.  Both exited 0.
-    base = tmp_path / "inst"
-    cli.main(["solve", "--n", "1", "--resolution", "17", "--out", str(base)])
+    cli.main(["solve", "--n", "1", "--resolution", "17", "--gamma", "0", "--eps", "0",
+              "--out-dir", str(tmp_path)])
 
     def no_chain(*args, **kwargs):
         raise AssertionError("a chain was built")
 
     monkeypatch.setattr(badset, "construct_section_chain", no_chain)
     with pytest.raises(ValueError):
-        cli.main([*argv, "--instance", str(base), "--v0", str(base)])
+        cli.main([*argv, "--instance", str(tmp_path / "u"), "--v0", str(tmp_path / "v0")])
 
 
 def test_sections_center_with_too_few_coordinates_is_refused(tmp_path):
     # At n = 1 a one-coordinate --center was broadcast over both axes: the
     # subcommand exited 0 with a chain at (0.125, 0.125).
-    base = tmp_path / "inst"
-    cli.main(["solve", "--n", "1", "--resolution", "17", "--out", str(base)])
+    base = tmp_path / "u"
+    cli.main(["solve", "--n", "1", "--resolution", "17", "--gamma", "0", "--eps", "0",
+              "--out-dir", str(tmp_path)])
     with pytest.raises(ValueError, match="2 coordinates"):
         cli.main(["sections", "--instance", str(base), "--center", "0.1",
                   "--out-chain", str(tmp_path / "c.json")])
@@ -717,15 +717,15 @@ def test_sections_center_with_too_few_coordinates_is_refused(tmp_path):
 def test_v0_from_another_domain_is_refused(tmp_path, v0_shape, v0_resolution):
     # A --v0 solved on another lattice or shape would be read node by node
     # as if it were the instance's own.
-    base = tmp_path / "inst"
-    cli.main(["solve", "--n", "1", "--resolution", "17", "--gamma", "0.05",
-              "--out", str(base)])
+    cli.main(["solve", "--n", "1", "--resolution", "17", "--eps", "0",
+              "--out-dir", str(tmp_path)])
     v0, rep = solver.solve_dirichlet(grid.build_domain(1, v0_shape, v0_resolution), 1.0, 0.0)
-    cli.save_instance(v0, tmp_path / "v0", rep)
+    cli.save_instance(v0, tmp_path / "other", rep)
     for cmd, *extra in (["badset"], ["w2p"],
                         ["sections", "--center", "0,0", "--out-chain", str(tmp_path / "c.json")]):
         with pytest.raises(DomainMismatchError):
-            cli.main([cmd, "--instance", str(base), "--v0", str(tmp_path / "v0"), *extra])
+            cli.main([cmd, "--instance", str(tmp_path / "u"), "--v0", str(tmp_path / "other"),
+                      *extra])
     assert not (tmp_path / "c.json").exists()
 
 

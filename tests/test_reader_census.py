@@ -19,7 +19,8 @@ Config fields are read like defaults: each defaulted ``ExperimentConfig``
 field must be set, to an expression other than its default's, by a keyword
 of some ``ExperimentConfig(...)`` call in those files, or be a key of
 ``cli._CONFIG_FLAGS``, the fields that the subcommands set from their flags;
-each key's flag must be listed by some subcommand's ``--help``.
+each key's flag must be listed by some subcommand's ``--help``, and the
+README's flag table must name the subcommands that list it.
 
 Failures are read too: every ``except`` handler of the package ends in
 ``raise``.  A handler that does not turns a typed failure into an outcome
@@ -189,7 +190,9 @@ def _config_fields():
 
 def test_every_config_flag_is_a_subcommand_flag():
     # The census counts a key of cli._CONFIG_FLAGS as set; that holds only
-    # if some subcommand's parser adds its flag.
+    # if some subcommand's parser adds its flag.  The README's flag table,
+    # edited by hand, names each key and exactly the subcommands whose
+    # --help lists its flag.
     from cmalab import cli
 
     def flags_shown(argv):
@@ -199,10 +202,22 @@ def test_every_config_flag_is_a_subcommand_flag():
         return out.getvalue()
 
     commands = re.search(r"\{([\w,]+)\}", flags_shown([])).group(1).split(",")
-    shown = {flag for cmd in commands
-             for flag in re.findall(r"--[\w-]+", flags_shown([cmd]))}
-    unshown = {field for field, (flag, _) in cli._CONFIG_FLAGS.items() if flag not in shown}
+    shown = {cmd: set(re.findall(r"--[\w-]+", flags_shown([cmd]))) for cmd in commands}
+    adders = {flag: {cmd for cmd in commands if flag in shown[cmd]}
+              for flag, _ in cli._CONFIG_FLAGS.values()}
+    unshown = {field for field, (flag, _) in cli._CONFIG_FLAGS.items() if not adders[flag]}
     assert not unshown, f"config flags no subcommand adds: {sorted(unshown)}"
+
+    readme = (ROOT / "README.md").read_text()
+    rows = readme[readme.index("| flag | field | subcommands |"):].splitlines()[2:]
+    table = {}
+    for row in rows:
+        if not row.startswith("|"):
+            break
+        flag, field, cmds = (cell.strip().strip("`") for cell in row.strip("|").split("|"))
+        table[flag] = (field, set(cmds.split(", ")))
+    assert table == {flag: (field, adders[flag])
+                     for field, (flag, _) in cli._CONFIG_FLAGS.items()}
 
 
 def test_every_config_field_is_set_by_a_reader():

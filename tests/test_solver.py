@@ -590,3 +590,23 @@ def test_sandwich_rejects_mismatched_domains(ball_n1):
     v, _ = solver.solve_dirichlet(other, 1.0, 0.0)
     with pytest.raises(DomainMismatchError):
         solver.comparison_sandwich(u, v, 0.01, 1)
+
+
+def test_sandwich_checks_the_boundary_at_every_cut(perturbed_n2):
+    # The boundary check used to read u and v0 at the cut points through
+    # their multilinear interpolants and drop the NaNs: at n = 2 res 17
+    # most cut cells hold an unvalued node, so those cuts went unchecked.
+    # Each cut is now read from its own constraint row, so a boundary value
+    # off its constraint is refused wherever its cut lies.
+    dom, u, v0 = perturbed_n2
+    cuts = dom.bc_table["cuts"]
+    unread = np.isnan(v0.interp(cuts))
+    assert unread.sum() > cuts.shape[0] // 2
+    assert solver.comparison_sandwich(u, v0, 0.01, 2).passed
+    row = np.flatnonzero(unread)[0]
+    bad = v0.values.copy()
+    # g at that cut moves by 2 slack
+    bad.ravel()[dom.bc_table["flat"][row]] += (
+        2 * solver.certificate_slack(dom.h) * dom.bc_table["coef_c"][row])
+    with pytest.raises(ValueError, match="v0 does not vanish"):
+        solver.comparison_sandwich(u, grid.GridFunction(dom, bad), 0.01, 2)

@@ -240,3 +240,14 @@ def test_node_set_reads_stay_small_at_n2():
         tracemalloc.stop()
     assert nodes.size > 5000
     assert max(peaks) < 4 << 20, peaks
+
+
+@pytest.mark.parametrize("n, shape, res", [
+    (1, "ball:1.0", 65), (1, "perturbed:0.05:cos3", 129), (1, "ball:1.3", 97),
+    (2, "perturbed:0.05:harmonic", 17), (2, "ball:1.0", 21),
+])
+def test_dyadic_region_matches_the_norms_of_the_interior_coordinates(n, shape, res):
+    # B_0.6 is cut from the per-axis squared coordinates, without the
+    # coordinates of every interior node; the mask is the one their norms give.
+    dom = grid.build_domain(n, shape, res)
+    assert np.array_equal(w2p._dyadic_region(dom), region_ball(dom, badset.DYADIC_RADIUS))
