@@ -36,7 +36,9 @@ class NonConvergenceError(CmalabError):
 
 
 class LinearSolveError(CmalabError):
-    """A Krylov solve of the linearized system missed its residual target."""
+    """A linear solve of an interior system, direct or Krylov, missed its
+    residual target max|N x - rhs| <= 1e-10 max|rhs| (a NaN solution
+    misses it), or its direct factor is exactly singular (residual NaN)."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)

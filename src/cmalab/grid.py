@@ -33,8 +33,10 @@ CACHE_MAGIC = b"CMAG"
 CACHE_VERSION = 1
 _MEMORY_CAP_BYTES = 2 << 30     # largest solve footprint build_domain accepts
 # Peak RSS per lattice node of build_domain plus two Dirichlet solves, net of
-# the imports, from tools/solver_memory.py with at least 15% headroom: n=1
-# grows with the LU fill to 1600 B at res 513; n=2, where odd and even
+# the imports, from tools/solver_memory.py with at least 15% headroom: n=1,
+# whose LU factor is ordered by minimum degree on A + A^T, reads 877 / 717
+# / 736 / 797 B at res 65 / 129 / 257 / 513 (COLAMD read up to 1608 B, and
+# 1850 B is kept so that no lattice changes admission); n=2, where odd and even
 # lattices alike coarsen to a V-cycle level of at most 7 nodes per axis and
 # Newton steps never fold their operator, reads 272 / 281 / 272 / 285 / 291
 # / 276 / 284 / 287 / 287 B at res 16 / 17 / 18 / 20 / 24 / 33 / 40 / 44 /

@@ -1,12 +1,17 @@
 """Dirichlet solver: exactness, barriers, comparison certificates."""
 
+import json
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from cmalab import grid, sections, solver
+from cmalab.cli import ExperimentConfig
 from cmalab.errors import (
     BoundaryConstraintError,
     DegeneracyError,
@@ -378,6 +383,43 @@ def test_krylov_failure_raises_typed_error(monkeypatch):
     assert np.isfinite(err.value.residual) and err.value.residual > 0.0
 
 
+def test_singular_direct_solve_raises_typed_error(monkeypatch):
+    # A planar operator with a zero row has no factor: SuperLU's "exactly
+    # singular" stop is a LinearSolveError, not a bare RuntimeError.
+    dom = grid.build_domain(1, "ball:1.0", 17)
+    N = solver._laplacian(dom)[0].tolil()
+    N[N.shape[0] // 2, :] = 0.0
+    rhs = np.ones(N.shape[0])
+    with pytest.raises(LinearSolveError):
+        solver._linear_solve(dom, N.tocsr(), rhs)
+    # A direct solution that is not finite misses the shared residual check.
+    monkeypatch.setattr(solver.spla, "splu", lambda A, **kw: type(
+        "NaNFactor", (), {"solve": staticmethod(lambda b: np.full_like(b, np.nan))}))
+    with pytest.raises(LinearSolveError):
+        solver._linear_solve(dom, solver._laplacian(dom)[0], rhs)
+
+
+def test_nan_residual_is_not_converged(monkeypatch):
+    # A NaN compares false with the Newton target; the solver refuses it
+    # instead of reporting convergence.  The perturbed domain's boundary
+    # gap makes the harmonic extension the first linear solve.
+    monkeypatch.setattr(solver, "_linear_solve", lambda dom, N, rhs: np.full_like(rhs, np.nan))
+    dom = grid.build_domain(1, "perturbed:0.05:cos3", 33)
+    with pytest.raises(NonConvergenceError) as err:
+        solver.solve_dirichlet(dom, 1.0, 0.0)
+    assert np.isnan(err.value.last_residual)
+
+
+def test_n1_solver_memory_per_node():
+    # One n = 1 res-129 domain and its two solves, measured by
+    # tools/solver_memory.py in a fresh interpreter: about 720 B per node
+    # under the minimum-degree ordering, 1230 B under COLAMD.
+    tool = Path(__file__).resolve().parents[1] / "tools" / "solver_memory.py"
+    out = subprocess.run([sys.executable, str(tool), "1:129"], check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    assert json.loads(out.splitlines()[-1])["bytes_per_node"] <= 900
+
+
 def _newton_weights(u):
     """The weights of the Newton operator linearized at u."""
     dom = u.domain
@@ -448,6 +490,24 @@ def test_assembly_matches_the_coo_oracle(request, make):
     for weights in (laplacian, _newton_weights(u)):
         assert (_matrix_bytes(*solver._assemble(dom, weights))
                 == _matrix_bytes(*oracle.assemble_coo(dom, weights)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda request: grid.build_domain(1, ExperimentConfig().shape_spec(), 65),
+    _chain_lattice_n1,
+], ids=["n1_res65", "n1_chain"])
+def test_direct_solve_matches_default_ordering_solve(request, monkeypatch, make):
+    # The minimum-degree ordering only reorders the factorization: the
+    # solve equals one through spsolve's default COLAMD ordering, Newton
+    # step for Newton step.
+    f = ExperimentConfig().f_function()
+    u, rep = solver.solve_dirichlet(make(request), f, 0.0)
+    monkeypatch.setattr(solver, "_linear_solve",
+                        lambda dom, N, rhs: spla.spsolve(N.tocsc(), rhs))
+    ref, ref_rep = solver.solve_dirichlet(make(request), f, 0.0)
+    assert np.array_equal(np.isnan(u.values), np.isnan(ref.values))
+    assert np.nanmax(np.abs(u.values - ref.values)) <= 1e-12
+    assert rep.iterations == ref_rep.iterations
 
 
 @pytest.mark.parametrize("res", [9, 13])
