@@ -142,7 +142,6 @@ class BadSetReport:
     cell_measure: float
     m_b07: float
     m_b06: float
-    monotone: bool
     stride: int
     params: dict = field(default_factory=dict)
 
@@ -198,8 +197,6 @@ def badset_decay_experiment(u: GridFunction, node_sections: list[NodeSections],
     m_b06 = float(np.sum(lattice_dist <= DYADIC_RADIUS)) * cell
 
     rows = []
-    prev = None
-    monotone = True
     for k in range(1, k_max + 1):
         good = classify_Dk(node_sections, k, dom)
         bad = ~good
@@ -211,11 +208,8 @@ def badset_decay_experiment(u: GridFunction, node_sections: list[NodeSections],
         rows.append(BadSetRow(k, rs[k], meas, meas06, bound,
                               meas / bound if bound > 0 else math.inf,
                               bool(passed), bool(vac)))
-        if prev is not None and meas > prev + 1e-15:
-            monotone = False
-        prev = meas
     return BadSetReport(rows, eps_bar, dom.n, cell, m_b07, m_b06,
-                        monotone, stride, params or {})
+                        stride, params or {})
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +469,9 @@ def _hull_cell_measure(grads: np.ndarray, simplices: np.ndarray,
 # Touching paraboloids
 
 
+_KAPPA_CAP = 2.0 ** 20     # largest opening reported
+
+
 @dataclass
 class ParaboloidResult:
     kappa: float
@@ -487,8 +484,9 @@ def touching_paraboloid_opening(u: GridFunction, x0: tuple,
     """Largest opening of a paraboloid touching u from below at x0.
 
     The affine part is the centered-difference supporting slope at x0; the
-    opening is found by bisection to within 1e-6.  Returns 0 with
-    supported=False when no positive opening works.
+    opening is the smallest ratio of the gap above that plane to the squared
+    distance from x0, capped at _KAPPA_CAP.  Returns 0 with supported=False
+    when it is below 1e-9 or NaN.
     """
     dom = u.domain
     x0 = tuple(x0)
@@ -508,24 +506,13 @@ def touching_paraboloid_opening(u: GridFunction, x0: tuple,
     gap0 = vals - u0 - (pts - x0_pt) @ slope
 
     geom_tol = 1e-12 * max(1.0, abs(u0))
-
-    def admissible(kappa):
-        return float(np.min(gap0 - kappa * r2)) >= -geom_tol
-
-    if not admissible(1e-9):
+    # u - kappa |z - x0|^2 stays above its tangent plane within geom_tol
+    # exactly when kappa r2 <= gap0 + geom_tol at every node.
+    off = r2 > 0.0
+    kappa = float(np.min((gap0[off] + geom_tol) / r2[off], initial=_KAPPA_CAP))
+    if not kappa >= 1e-9:
         return ParaboloidResult(0.0, False, slope)
-    lo = 1e-9
-    hi = 1.0
-    while admissible(hi) and hi < 1e6:
-        lo = hi
-        hi *= 2.0
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if admissible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return ParaboloidResult(lo, True, slope)
+    return ParaboloidResult(kappa, True, slope)
 
 
 # ---------------------------------------------------------------------------

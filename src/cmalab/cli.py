@@ -321,7 +321,6 @@ def cover_report(cfg: ExperimentConfig, dom: GridDomain, rng) -> tuple[list, lis
         rows.append({
             "family": fam_id,
             "selected": sel.indices,
-            "disjoint": sel.disjoint,
             "covered": sel.covered,
             "weak11_ok": w11["ok"],
         })
@@ -577,15 +576,15 @@ def _cmd_engulf(args) -> int:
 
 def _cmd_cover(args) -> int:
     """The cover stage on the --instance's domain, with a generator of its
-    own seeded by --seed; exits 1 unless every family is disjoint, covered
-    and weak (1,1)."""
+    own seeded by --seed; exits 1 unless every family is covered and weak
+    (1,1)."""
     u = load_instance(Path(args.instance))
     cfg = ExperimentConfig(n=u.domain.n, **_config_given(args))
     rows, _ = cover_report(cfg, u.domain, np.random.default_rng(cfg.seed))
     if args.report:
         write_json(Path(args.report), rows)
-    ok = sum(r["disjoint"] and r["covered"] and r["weak11_ok"] for r in rows)
-    print(f"{ok} of {len(rows)} families disjoint, covered and weak (1,1)")
+    ok = sum(r["covered"] and r["weak11_ok"] for r in rows)
+    print(f"{ok} of {len(rows)} families covered and weak (1,1)")
     return 0 if ok == len(rows) else 1
 
 

@@ -65,18 +65,17 @@ class SectionFamily:
 @dataclass
 class VitaliSelection:
     indices: list[int]
-    witnesses: list[tuple[float, float]]    # (sup of admissible sqrt-mu, chosen)
     covered: bool
-    disjoint: bool
 
 
 def vitali_select(family: SectionFamily, target: np.ndarray) -> VitaliSelection:
-    """Greedy half-sup selection: disjoint members whose 10-dilations cover
-    the target set.
+    """Greedy half-sup selection: members whose 10-dilations cover the
+    target set.
 
-    Each round picks the largest remaining non-intersecting member (lowest
-    index on ties), which certainly exceeds half the running supremum; the
-    supremum witness is recorded per round.
+    Each round picks the largest remaining member (lowest index on ties),
+    which certainly exceeds half the running supremum, and drops every
+    remaining member that meets it, so the selection is disjoint by
+    construction.
     """
     union = family.union_mask()
     if not np.all(union[target]):
@@ -86,11 +85,9 @@ def vitali_select(family: SectionFamily, target: np.ndarray) -> VitaliSelection:
     alive = np.ones(n, dtype=bool)
     roots = np.array([math.sqrt(m.mu) for m in family.members])
     selected: list[int] = []
-    witnesses: list[tuple[float, float]] = []
     while np.any(alive):
         sup = float(roots[alive].max())
         pick = int(np.flatnonzero(alive & (roots >= sup - 1e-15))[0])
-        witnesses.append((sup, float(roots[pick])))
         selected.append(pick)
         pm = family.members[pick].mask
         for j in np.flatnonzero(alive):
@@ -98,13 +95,7 @@ def vitali_select(family: SectionFamily, target: np.ndarray) -> VitaliSelection:
                 alive[j] = False
 
     covered = in_dilations(target, [family.members[i] for i in selected], 10.0)
-    disjoint = True
-    for a in range(len(selected)):
-        for b in range(a + 1, len(selected)):
-            if np.any(family.members[selected[a]].mask
-                      & family.members[selected[b]].mask):
-                disjoint = False
-    return VitaliSelection(selected, witnesses, covered, disjoint)
+    return VitaliSelection(selected, covered)
 
 
 def maximal_function(f_values: np.ndarray, family: SectionFamily,

@@ -175,7 +175,6 @@ class ChainLevel:
     solve_iterations: int
     solve_residual: float
     transform_deviation: float
-    center_value_error: float
 
 
 @dataclass(eq=False)
@@ -230,7 +229,6 @@ class SectionChain:
                     "omega_radii": [lv.omega_r_in, lv.omega_r_out],
                     "solve": [lv.solve_iterations, lv.solve_residual],
                     "transform_deviation": lv.transform_deviation,
-                    "center_value_error": lv.center_value_error,
                 }
                 for lv in self.levels
             ],
@@ -269,7 +267,6 @@ class SectionChain:
                 omega_r_out=float(lv["omega_radii"][1]),
                 solve_iterations=lv["solve"][0], solve_residual=float(lv["solve"][1]),
                 transform_deviation=float(lv["transform_deviation"]),
-                center_value_error=float(lv["center_value_error"]),
             ))
         return chain
 
@@ -614,7 +611,6 @@ def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
         r_out = float(np.max(rad[comp], initial=0.0))
         outside = w_dom.valued_mask & ~comp
         r_in = float(np.min(rad[outside])) if np.any(outside) else float("inf")
-        center_err = abs(float(w.values[center]) + 1.0)
 
         chain.levels.append(ChainLevel(
             k=k, height=height_k,
@@ -626,6 +622,5 @@ def construct_section_chain(u: GridFunction, x0: tuple, sigma: float,
             solve_iterations=solve_iters, solve_residual=solve_res,
             transform_deviation=float(np.linalg.svd(
                 T_tilde - np.eye(dom.n), compute_uv=False)[0]),
-            center_value_error=center_err,
         ))
     return chain

@@ -481,10 +481,11 @@ def solve_dirichlet(domain: GridDomain, f, g) -> tuple[GridFunction, SolveReport
         return fields, lam_min, hessian_det_field(fields)
 
     fields, lam_min, det = interior_state(u_flat)
-    if np.nanmin(lam_min) <= _PSH_FLOOR:
+    # Written so that a NaN eigenvalue fails the guard.
+    if not np.min(lam_min) > _PSH_FLOOR:
         raise DegeneracyError(
             "initial guess is not strictly plurisubharmonic "
-            f"(min eigenvalue {np.nanmin(lam_min):.3e})")
+            f"(min eigenvalue {np.min(lam_min):.3e})")
 
     residual = float(np.max(np.abs(np.log(det) - log_f)))
     iters = 0
@@ -510,13 +511,13 @@ def solve_dirichlet(domain: GridDomain, f, g) -> tuple[GridFunction, SolveReport
             u_try[int_flat] += step * delta
             _set_boundary(domain, u_try, g_off)
             fields_try, lam_try, det_try = interior_state(u_try)
-            if np.nanmin(lam_try) > _PSH_FLOOR and np.all(det_try > 0.0):
+            if np.min(lam_try) > _PSH_FLOOR and np.all(det_try > 0.0):
                 break
             halvings += 1
             if halvings > 5:
                 raise DegeneracyError(
                     "plurisubharmonicity lost; damping could not repair it "
-                    f"(min eigenvalue {np.nanmin(lam_try):.3e})")
+                    f"(min eigenvalue {np.min(lam_try):.3e})")
             step *= 0.5
         u_flat, fields, lam_min, det = u_try, fields_try, lam_try, det_try
         residual = float(np.max(np.abs(np.log(det) - log_f)))
@@ -527,7 +528,7 @@ def solve_dirichlet(domain: GridDomain, f, g) -> tuple[GridFunction, SolveReport
     report = SolveReport(
         iterations=iters,
         residual=residual,
-        min_eigenvalue=float(np.nanmin(lam_min)),
+        min_eigenvalue=float(np.min(lam_min)),
         converged=True,
         quad_distance=quad_dist,
     )

@@ -152,6 +152,12 @@ def sets_intersect(a, b):
     return bool(np.any(_grown(a.mask) & b.mask))
 
 
+def pairwise_disjoint(masks):
+    """No node lies in two of the masks: the count of masks holding each
+    node is at most 1."""
+    return bool(np.all(np.sum(masks, axis=0, dtype=int) <= 1))
+
+
 def subdeterminant_check(u0, v0, gamma, contact):
     """The subdeterminant inequality one contact node at a time."""
     dom = u0.domain

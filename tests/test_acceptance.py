@@ -12,6 +12,7 @@ import numpy as np
 
 from cmalab import badset, cli, covering, engulfing, grid, sections, solver, w2p
 from cmalab.grid import GridFunction
+import oracle
 from oracle import dilated_mask
 
 
@@ -193,7 +194,8 @@ def test_acceptance_covering():
         for i in rng.choice(size, size=max(2, size // 3), replace=False):
             target |= members[int(i)].mask
         sel = covering.vitali_select(fam, target)
-        all_ok &= sel.disjoint and sel.covered
+        all_ok &= (oracle.pairwise_disjoint([members[i].mask for i in sel.indices])
+                   and sel.covered)
 
         if size <= 12:
             # Brute-force oracle: greedy's selection must be a valid one.
@@ -338,9 +340,11 @@ def test_acceptance_decay_bookkeeping(perturbed_n1):
     rep = badset.badset_decay_experiment(u, ns, eps_bar, k_max=4, stride=4)
     nr = w2p.norm_report(u, rep, p)
     vacuous_flagged = all(r.vacuous == (r.measure == 0.0) for r in rep.rows)
-    ok = (rep.monotone and rep.all_passed() and vacuous_flagged and nr.dominated)
+    measures = [r.measure for r in rep.rows]
+    monotone = all(b <= a for a, b in zip(measures, measures[1:]))
+    ok = (monotone and rep.all_passed() and vacuous_flagged and nr.dominated)
     _report("decay bookkeeping", ok,
-            f"rows pass={rep.all_passed()} monotone={rep.monotone} "
+            f"rows pass={rep.all_passed()} monotone={monotone} "
             f"vacuous flagged={vacuous_flagged}; direct {nr.direct_trace:.3f} "
             f"<= dyadic {nr.dyadic_trace.total:.3f} (eps_bar={eps_bar:.3e})")
 

@@ -325,8 +325,8 @@ def test_random_ball_family_matches_the_full_box(n, res):
 
 def test_cover_subcommand(tmp_path):
     # `cmalab cover` runs the pipeline's cover stage on the instance's
-    # domain with a generator of its own; every family is disjoint, covered
-    # and weak (1,1), so it exits 0.
+    # domain with a generator of its own; every family is covered and weak
+    # (1,1), so it exits 0.
     cli.main(["solve", "--resolution", "33", "--out-dir", str(tmp_path)])
     report = tmp_path / "cover.json"
     assert cli.main(["cover", "--instance", str(tmp_path / "u"), "--families", "3",
@@ -336,13 +336,13 @@ def test_cover_subcommand(tmp_path):
     cfg = cli.ExperimentConfig(cover_families=3, seed=4)
     assert rows == cli.cover_report(cfg, dom, np.random.default_rng(4))[0]
     assert [r["family"] for r in rows] == [0, 1, 2]
-    assert all(r["disjoint"] and r["covered"] and r["weak11_ok"] for r in rows)
+    assert all(r["covered"] and r["weak11_ok"] for r in rows)
 
 
 def test_cover_subcommand_exits_1_on_a_failed_family(tmp_path, monkeypatch, capsys):
     cli.main(["solve", "--resolution", "17", "--out-dir", str(tmp_path)])
-    rows = [{"family": 0, "selected": [0], "disjoint": True, "covered": True, "weak11_ok": True},
-            {"family": 1, "selected": [0], "disjoint": True, "covered": True, "weak11_ok": False}]
+    rows = [{"family": 0, "selected": [0], "covered": True, "weak11_ok": True},
+            {"family": 1, "selected": [0], "covered": True, "weak11_ok": False}]
     monkeypatch.setattr(cli, "cover_report", lambda cfg, dom, rng: (rows, None))
     assert cli.main(["cover", "--instance", str(tmp_path / "u")]) == 1
     assert "1 of 2 families" in capsys.readouterr().out

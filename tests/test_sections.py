@@ -333,17 +333,19 @@ def test_rescale_self_similarity(ball_n1):
     assert err <= 5e-3  # interpolation-level agreement with |zeta|^2 - 1
 
 
-def test_rescale_unit_det_prefactor(ball_n1):
-    dom, u, _ = ball_n1
-    x0 = dom.node_index((0.0, 0.0))
-    h0 = sections.PluriharmonicPoly.zero(np.zeros(1, complex))
-    T = np.eye(1, dtype=complex)
-    assert abs(np.linalg.det(T)) == 1.0
-    mu = 0.25
-    w = sections.rescale_to_unit(u, x0, mu, h0, T, resolution=33, box_halfwidth=1.3)
-    # prefactor 1/mu: center value is exactly (u(x0) - u(x0) - mu)/mu = -1
-    ctr = (33 // 2,) * 2
-    assert w.values[ctr] == pytest.approx(-1.0, abs=1e-12)
+def test_rescale_unit_det_prefactor(ball_n1, ball_n2):
+    # prefactor mu |det T|^{2/n}: the center value is (u(x0) - u(x0) - mu)/mu
+    # = -1 for the identity and for a normalized transform, whose |det T| is
+    # 1 up to roundoff.
+    T2 = sections.normalize_transform(np.array([[1.3, 0.2 + 0.1j], [0.2 - 0.1j, 0.9]]))
+    assert not np.allclose(T2, np.eye(2))
+    assert abs(np.linalg.det(T2)) == pytest.approx(1.0, abs=1e-14)
+    for (dom, u, _), T, res in ((ball_n1, np.eye(1, dtype=complex), 33), (ball_n2, T2, 13)):
+        x0 = dom.node_index((0.0,) * dom.d)
+        h0 = sections.PluriharmonicPoly.zero(np.zeros(dom.n, complex))
+        w = sections.rescale_to_unit(u, x0, 0.25, h0, T, resolution=res, box_halfwidth=1.3)
+        ctr = (res // 2,) * dom.d
+        assert w.values[ctr] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_rescale_det_residual(perturbed_n1):

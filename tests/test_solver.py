@@ -400,14 +400,14 @@ def test_singular_direct_solve_raises_typed_error(monkeypatch):
 
 
 def test_nan_residual_is_not_converged(monkeypatch):
-    # A NaN compares false with the Newton target; the solver refuses it
-    # instead of reporting convergence.  The perturbed domain's boundary
-    # gap makes the harmonic extension the first linear solve.
+    # A NaN start is refused, not solved and reported converged.  The
+    # perturbed domain's boundary gap makes the harmonic extension the first
+    # linear solve, so the start is NaN at every node, and its NaN
+    # eigenvalues fail the plurisubharmonicity guard.
     monkeypatch.setattr(solver, "_linear_solve", lambda dom, N, rhs: np.full_like(rhs, np.nan))
     dom = grid.build_domain(1, "perturbed:0.05:cos3", 33)
-    with pytest.raises(NonConvergenceError) as err:
+    with pytest.raises(DegeneracyError, match=r"initial guess .*\(min eigenvalue nan\)"):
         solver.solve_dirichlet(dom, 1.0, 0.0)
-    assert np.isnan(err.value.last_residual)
 
 
 def test_n1_solver_memory_per_node():

@@ -114,7 +114,7 @@ def test_dyadic_bound_ratio_arithmetic(exact_report):
 
     rep_small = badset.BadSetReport(
         rows=rep.rows, eps_bar=3.472e-4, n=rep.n, cell_measure=rep.cell_measure,
-        m_b07=rep.m_b07, m_b06=rep.m_b06, monotone=rep.monotone, stride=rep.stride)
+        m_b07=rep.m_b07, m_b06=rep.m_b06, stride=rep.stride)
     out_small = w2p.dyadic_bound(rep_small, 2.0, kind="trace")
     assert out_small.ratio == pytest.approx(144 * 3.472e-4, rel=1e-9)
     assert out_small.ratio <= 0.5
@@ -131,7 +131,7 @@ def test_dyadic_bound_tail_invariant_under_empty_refinement(exact_report):
             k + extra, last.r_k, 0.0, 0.0, last.bound * 0.5, 0.0, True, True))
     rep6 = badset.BadSetReport(
         rows=rows6, eps_bar=rep.eps_bar, n=rep.n, cell_measure=rep.cell_measure,
-        m_b07=rep.m_b07, m_b06=rep.m_b06, monotone=True, stride=rep.stride)
+        m_b07=rep.m_b07, m_b06=rep.m_b06, stride=rep.stride)
     out4 = w2p.dyadic_bound(rep, 2.0, kind="trace")
     out6 = w2p.dyadic_bound(rep6, 2.0, kind="trace")
     assert out6.total == pytest.approx(out4.total)
@@ -142,7 +142,7 @@ def test_dyadic_flags_invalid_tail_on_failed_rows(exact_report):
     bad_rows = [badset.BadSetRow(1, 0.65, 1.0, 1.0, 0.5, 2.0, False, False)]
     rep_bad = badset.BadSetReport(
         rows=bad_rows, eps_bar=rep.eps_bar, n=rep.n, cell_measure=rep.cell_measure,
-        m_b07=rep.m_b07, m_b06=rep.m_b06, monotone=True, stride=rep.stride)
+        m_b07=rep.m_b07, m_b06=rep.m_b06, stride=rep.stride)
     out = w2p.dyadic_bound(rep_bad, 2.0, kind="trace")
     assert not out.tail_valid
     assert "invalid" in out.flag
@@ -211,7 +211,7 @@ def test_norms_match_the_whole_box_reference(perturbed_n1, perturbed_n2, p):
             assert w2p.full_w2p(w, p, region) == oracle.full_w2p(w, p, region)
             report = badset.BadSetReport(rows=[], eps_bar=w2p.eps_bar_recipe(p, dom.n),
                                          n=dom.n, cell_measure=dom.h ** dom.d,
-                                         m_b07=1.0, m_b06=1.0, monotone=True, stride=1)
+                                         m_b07=1.0, m_b06=1.0, stride=1)
             nr = w2p.norm_report(w, report, p)
             assert (nr.direct_trace, nr.direct_inverse_trace) == oracle.direct_norms(w, p)
             assert (nr.full_w2p, nr.classical_ratio) == oracle.full_w2p(
